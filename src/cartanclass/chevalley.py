@@ -118,6 +118,7 @@ class ChevalleySystem:
     def __init__(self, system: RootSystem):
         self.system = system
         self._table: dict[tuple[int, int], int] = {}
+        self._dense: DenseAlgebra | None = None
         self._build()
 
     # total order on positive roots: height then coordinate tuple
@@ -132,18 +133,15 @@ class ChevalleySystem:
         ch, pos = self._positive_order()
         rank_of = {idx: k for k, idx in enumerate(pos)}
         self._pos_rank = rank_of
-        index = R.index
-        roots = R.roots
+        sums = R.sum_table
         neg = R.negation_map
         table = self._table
-
-        def norm2(i):
-            return R.norm2(i)
+        norm2 = R.norm2
 
         def nfun(x: int, y: int) -> int:
             """N for arbitrary sign pattern, reduced to the positive table."""
-            s = la.vadd(roots[x], roots[y])
-            if s not in index:
+            z = sums[x][y]
+            if z < 0:
                 return 0
             got = table.get((x, y))
             if got is not None:
@@ -155,7 +153,6 @@ class ChevalleySystem:
             if not xp and not yp:
                 val = nfun(neg[x], neg[y])
             elif xp and not yp:
-                z = index[s]
                 if z in rank_of:
                     # triple (x, y, -z): N(x,y)/|z|^2 = N(y,-z)/|x|^2
                     val_f = norm2(z) * nfun(y, neg[z]) / norm2(x)
@@ -171,14 +168,12 @@ class ChevalleySystem:
         for gi in pos:
             if ch.q_degree(gi) < 2:
                 continue
-            gamma = roots[gi]
             specials = []
             for ai in pos:
                 if rank_of[ai] >= rank_of[gi]:
                     continue
-                rem = la.vsub(gamma, roots[ai])
-                bi = index.get(rem)
-                if bi is None or bi not in rank_of:
+                bi = sums[gi][neg[ai]]
+                if bi not in rank_of:
                     continue
                 if rank_of[ai] < rank_of[bi]:
                     specials.append((ai, bi))
@@ -193,14 +188,13 @@ class ChevalleySystem:
             for (a, b) in specials[1:]:
                 # four roots a1, b1, -a, -b summing to zero
                 t1 = Fraction(0)
-                if la.vadd(roots[b1], roots[neg[a]]) in index:
-                    t1 = Fraction(nfun(b1, neg[a]) * nfun(a1, neg[b]),
-                                  )
-                    t1 = t1 / la.vdot(la.vsub(roots[b1], roots[a]), la.vsub(roots[b1], roots[a]))
+                k = sums[b1][neg[a]]
+                if k >= 0:
+                    t1 = Fraction(nfun(b1, neg[a]) * nfun(a1, neg[b])) / norm2(k)
                 t2 = Fraction(0)
-                if la.vadd(roots[neg[a]], roots[a1]) in index:
-                    t2 = Fraction(nfun(neg[a], a1) * nfun(b1, neg[b]))
-                    t2 = t2 / la.vdot(la.vsub(roots[a1], roots[a]), la.vsub(roots[a1], roots[a]))
+                k = sums[neg[a]][a1]
+                if k >= 0:
+                    t2 = Fraction(nfun(neg[a], a1) * nfun(b1, neg[b])) / norm2(k)
                 val_f = -(norm2(gi) * (t1 + t2)) / n1
                 if val_f.denominator != 1:
                     raise ChevalleyError("non-integral structure constant")
@@ -211,11 +205,9 @@ class ChevalleySystem:
                 table[(a, b)] = val
                 table[(b, a)] = -val
         # fill every remaining pair
-        for i in range(len(roots)):
-            for j in range(len(roots)):
-                if j == i or j == neg[i]:
-                    continue
-                if la.vadd(roots[i], roots[j]) in index:
+        for i, row in enumerate(sums):
+            for j, k in enumerate(row):
+                if k >= 0:
                     nfun(i, j)
 
     def n(self, i: int, j: int) -> int:
@@ -225,29 +217,23 @@ class ChevalleySystem:
             raise ChevalleyError("N is undefined against +-alpha")
         return self._table.get((i, j), 0)
 
-    def coroot(self, i: int) -> la.Vector:
-        r = self.system.roots[i]
-        return la.vscale(Fraction(2) / la.vdot(r, r), r)
-
     def coroot_coords(self, i: int) -> tuple[Fraction, ...]:
-        """Coordinates of H_alpha over the simple coroots H_{alpha_k}."""
-        cols = [self.coroot(b) for b in self.system.canonical_basis]
-        sol = la.solve(cols, self.coroot(i))
-        assert sol is not None
-        return sol
+        """Coordinates of H_alpha over the simple coroots H_{alpha_k}: from
+        alpha = sum m_k alpha_k, H_alpha = sum m_k |alpha_k|^2/|alpha|^2 H_{alpha_k}."""
+        R = self.system
+        ch = R.canonical_chamber()
+        return tuple(m * R.norm2(b) / R.norm2(i) for m, b in zip(ch.coords(i), ch.basis))
 
     def verify_identities(self) -> None:
         """Full scan of the defining constant identities."""
         R = self.system
         neg = R.negation_map
-        n_roots = len(R.roots)
-        for i in range(n_roots):
-            for j in range(n_roots):
+        for i, row in enumerate(R.sum_table):
+            for j, k in enumerate(row):
                 if j == i or j == neg[i]:
                     continue
                 nij = self.n(i, j)
-                s = la.vadd(R.roots[i], R.roots[j])
-                if s not in R.index:
+                if k < 0:
                     if nij != 0:
                         raise ChevalleyError("nonzero constant for a non-root sum")
                     continue
@@ -258,7 +244,6 @@ class ChevalleySystem:
                     raise ChevalleyError("N(a,b) != N(-a,-b) at (%d,%d)" % (i, j))
                 if nij != -self.n(j, i):
                     raise ChevalleyError("antisymmetry fails at (%d,%d)" % (i, j))
-                k = R.index[s]
                 if nij * self.n(neg[i], k) != -p * (q + 1):
                     raise ChevalleyError("product law fails at (%d,%d)" % (i, j))
 
@@ -330,15 +315,8 @@ class DenseAlgebra:
         ]
         self._coroot_coords = [constants.coroot_coords(i) for i in range(len(R.roots))]
         self._neg = R.negation_map
-        self._sum_index = {}
-        for i in range(len(R.roots)):
-            for j in range(len(R.roots)):
-                if j == i or j == self._neg[i]:
-                    continue
-                s = la.vadd(R.roots[i], R.roots[j])
-                k = R.index.get(s)
-                if k is not None:
-                    self._sum_index[(i, j)] = k
+        self._sums = R.sum_table
+        self.verified = 0  # index in VERIFY_LEVELS of the checks already run
 
     def x(self, root_idx: int) -> dict:
         return {self.rank + root_idx: Fraction(1)}
@@ -377,8 +355,8 @@ class DenseAlgebra:
             return {}
         if b == self._neg[a]:
             return {k: -c for k, c in self.coroot_elem(a).items()}
-        k = self._sum_index.get((a, b))
-        if k is None:
+        k = self._sums[a][b]
+        if k < 0:
             return {}
         n = self.constants.n(a, b)
         return {rank + k: Fraction(n)}
@@ -453,29 +431,32 @@ class DenseAlgebra:
                     raise ChevalleyError("antisymmetry fails at (%d,%d)" % (i, j))
 
 
-_DENSE_CACHE: dict[int, DenseAlgebra] = {}
-
 FULL_JACOBI_DIM_LIMIT = 140
+
+VERIFY_LEVELS = ("none", "basic", "full")
 
 
 def dense_algebra(constants: ChevalleySystem, verify: str = "basic") -> DenseAlgebra:
-    """Build (and cache) the dense oracle.
+    """Build (and cache on the constants) the dense oracle.
 
-    verify: "none", "basic" (defining items + antisymmetry), "full"
-    (full Jacobi for dims within reach, sampled beyond).
+    verify: "none", "basic" (defining items), "full" (defining items plus
+    full Jacobi for dims within reach, sampled beyond).  The cached oracle
+    remembers the strongest level already checked; a later call runs only
+    the checks its level adds.
     """
-    got = _DENSE_CACHE.get(id(constants))
-    if got is None:
-        got = DenseAlgebra(constants)
-        if verify != "none":
-            got.verify_defining_items()
-        if verify == "full":
-            if got.dim <= FULL_JACOBI_DIM_LIMIT:
-                got.verify_jacobi_full()
-            else:
-                got.verify_jacobi_sampled(100_000)
-        _DENSE_CACHE[id(constants)] = got
-    return got
+    level = VERIFY_LEVELS.index(verify)
+    A = constants._dense
+    if A is None:
+        A = constants._dense = DenseAlgebra(constants)
+    if A.verified < 1 <= level:
+        A.verify_defining_items()
+    if A.verified < 2 <= level:
+        if A.dim <= FULL_JACOBI_DIM_LIMIT:
+            A.verify_jacobi_full()
+        else:
+            A.verify_jacobi_sampled(100_000)
+    A.verified = max(A.verified, level)
+    return A
 
 
 # -- linear maps over Q(sqrt2) -------------------------------------------------
@@ -557,29 +538,6 @@ def apply_map(algebra: DenseAlgebra, m: LinearMap, check_involution: bool = True
                      violations=violations)
 
 
-def _bracket_qrt2(algebra: DenseAlgebra, u: dict, v: dict) -> dict:
-    out: dict[int, Qrt2] = {}
-    for i, ci in u.items():
-        ci = Qrt2.of(ci)
-        if not ci:
-            continue
-        for j, cj in v.items():
-            cj = Qrt2.of(cj)
-            if not cj:
-                continue
-            for k, ck in algebra.bracket_basis(i, j).items():
-                val = out.get(k, Qrt2(0)) + ci * cj * Qrt2.of(ck)
-                if val:
-                    out[k] = val
-                elif k in out:
-                    del out[k]
-    return out
-
-
-# patched in as a method for convenience
-DenseAlgebra.bracket_qrt2 = lambda self, u, v: _bracket_qrt2(self, u, v)
-
-
 def ad_k_char_polys(constants: ChevalleySystem, alpha_idx: int):
     """Characteristic polynomials of the invariant blocks of ad(K_alpha).
 
@@ -590,6 +548,7 @@ def ad_k_char_polys(constants: ChevalleySystem, alpha_idx: int):
     A = dense_algebra(constants, verify="none")
     R = constants.system
     neg = R.negation_map
+    sums = R.sum_table
     k_elem = A.k_elem(alpha_idx)
     out = []
     # kernel block: K_alpha and the alpha-orthogonal part of the Cartan
@@ -611,13 +570,13 @@ def ad_k_char_polys(constants: ChevalleySystem, alpha_idx: int):
     for b in range(len(R.roots)):
         if b == alpha_idx or b == neg[alpha_idx] or b in seen:
             continue
-        if la.vsub(R.roots[b], R.roots[alpha_idx]) in R.index:
+        if sums[b][neg[alpha_idx]] >= 0:
             continue
         chain = [b]
-        v = la.vadd(R.roots[b], R.roots[alpha_idx])
-        while v in R.index:
-            chain.append(R.index[v])
-            v = la.vadd(v, R.roots[alpha_idx])
+        v = sums[b][alpha_idx]
+        while v >= 0:
+            chain.append(v)
+            v = sums[v][alpha_idx]
         seen.update(chain)
         vecs = [A.x(c) for c in chain]
         m = _block_matrix(A, k_elem, vecs)
@@ -701,7 +660,7 @@ def _exp_single(A: DenseAlgebra, beta_idx: int, sign: int) -> LinearMap:
     k_elem = A.k_elem(beta_idx)
 
     def ad(v: dict) -> dict:
-        return {i: Qrt2.of(c) for i, c in _bracket_qrt2(A, k_elem, v).items()}
+        return {i: Qrt2.of(c) for i, c in A.bracket(k_elem, v).items()}
 
     coeffs = _interp_coeffs(sign)
     cols: dict[int, dict[int, Qrt2]] = {}

@@ -17,10 +17,11 @@ from . import diagram as dg
 from . import involution as iv
 from . import realform as rf
 from . import rootsys as rs
-from .chevalley import ChevalleyError, dense_algebra, structure_constants
+from .chevalley import (FULL_JACOBI_DIM_LIMIT, ChevalleyError, dense_algebra,
+                        structure_constants)
 
 MATH_ERRORS = (rs.RootSystemError, iv.InvolutionError, dg.DiagramError,
-               rf.RealFormError, ChevalleyError, ValueError, KeyError)
+               rf.RealFormError, ChevalleyError)
 
 
 def _system(args) -> rs.RootSystem:
@@ -28,9 +29,15 @@ def _system(args) -> rs.RootSystem:
                     getattr(args, "realization", "standard"))
 
 
-def _parse_vectors(text: str):
-    data = json.loads(text)
-    return [[Fraction(str(x)) for x in row] for row in data]
+def _parse_rationals(text: str, option: str, error, nested: bool):
+    """Rational vectors from JSON text: a list of vectors when nested, else
+    one vector.  Malformed input raises the given package error."""
+    try:
+        data = json.loads(text)
+        out = [[Fraction(str(x)) for x in row] for row in (data if nested else [data])]
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise error("%s: malformed JSON list of rationals (%s)" % (option, exc))
+    return out if nested else out[0]
 
 
 def _involution_from_args(args, system: rs.RootSystem) -> iv.Involution:
@@ -43,14 +50,18 @@ def _involution_from_args(args, system: rs.RootSystem) -> iv.Involution:
         raise iv.InvolutionError("unknown catalog label %r" % args.label)
     if getattr(args, "images", None):
         text = sys.stdin.read() if args.images == "-" else args.images
-        return iv.involution_from_images(system, _parse_vectors(text))
+        return iv.involution_from_images(
+            system, _parse_rationals(text, "--images", iv.InvolutionError, nested=True))
     raise iv.InvolutionError("provide --label or --images")
 
 
 def _sigma_from_args(args, system: rs.RootSystem):
+    signs_arg = getattr(args, "signs", None)
+    bad = next((ch for ch in signs_arg or "" if ch not in "+-"), None)
+    if bad is not None:
+        raise rf.RealFormError("--signs: %r is not + or -" % bad)
     theta = _involution_from_args(args, system)
     chamber = dg.find_s_chamber(theta)
-    signs_arg = getattr(args, "signs", None)
     if signs_arg:
         order = dg.canonical_node_order(system, chamber.basis)
         if len(signs_arg) != len(order):
@@ -155,7 +166,8 @@ def cmd_cayley(args) -> int:
     system = _system(args)
     sigma, _ = _sigma_from_args(args, system)
     if args.root:
-        beta = system.root_index([Fraction(str(x)) for x in json.loads(args.root)])
+        beta = system.root_index(
+            _parse_rationals(args.root, "--root", rs.RootSystemError, nested=False))
         sigma = rf.cayley(sigma, beta)
     else:
         sigma = rf.reduce_noncompact(sigma)
@@ -247,7 +259,7 @@ def _verify_chevalley(args) -> list[tuple[str, bool]]:
     A = dense_algebra(C)
     try:
         A.verify_antisymmetry()
-        if A.dim <= 140:
+        if A.dim <= FULL_JACOBI_DIM_LIMIT:
             A.verify_jacobi_full()
         else:
             A.verify_jacobi_sampled(100_000, seed=0)

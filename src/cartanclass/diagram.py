@@ -42,19 +42,6 @@ def is_v_chamber(theta: Involution, chamber: Chamber) -> bool:
     return is_s_chamber(check, chamber)
 
 
-def _coweights(system: RootSystem) -> list[la.Vector]:
-    basis_vecs = [system.roots[b] for b in system.canonical_basis]
-    out = []
-    for j in range(len(basis_vecs)):
-        cols = [tuple(bv[m] for bv in basis_vecs) for m in range(system.dim)]
-        target = tuple(la.ONE if i == j else la.ZERO for i in range(len(basis_vecs)))
-        w = la.solve(cols, target)
-        if w is None:
-            raise DiagramError("coweight solve failed")
-        out.append(tuple(w))
-    return out
-
-
 def find_s_chamber(theta: Involution) -> Chamber:
     """Deterministic S-chamber from the split witness t*H+ + H-.
 
@@ -64,7 +51,7 @@ def find_s_chamber(theta: Involution) -> Chamber:
     movers = [i for i in range(len(R.roots)) if i not in theta.imaginary_set]
     if not movers:
         return R.canonical_chamber()
-    cw = _coweights(R)
+    cw = R.fundamental_coweights()
     for scale in range(1, 65):
         h = la.zero_vec(R.dim)
         for j, w in enumerate(cw):

@@ -133,6 +133,8 @@ def involution_from_images(system: RootSystem, images) -> Involution:
     imgs = [tuple(Fraction(x) for x in v) for v in images]
     if len(imgs) != len(srcs):
         raise InvolutionError("expected %d images" % len(srcs))
+    if any(len(v) != system.dim for v in imgs):
+        raise InvolutionError("images need %d coordinates" % system.dim)
     try:
         m = la.map_from_images(srcs, imgs)
     except ValueError as exc:

@@ -105,16 +105,18 @@ class AntiInvolution:
             if neg[i] in self.f and self.f[neg[i]] != self.f[i]:
                 raise RealFormError("sign differs at opposite roots")
         if self.full:
-            n = self.constants
-            for (i, j), nij in n._table.items():
+            table = self.constants._table
+            sums = R.sum_table
+            th = self.theta.perm
+            f = self.f
+            for (i, j), nij in table.items():
                 if nij == 0:
                     continue
-                k = R.index.get(la.vadd(R.roots[i], R.roots[j]))
-                if k is None:
+                k = sums[i][j]
+                if k < 0:
                     continue
-                lhs = nij * self.f[k]
-                rhs = n.n(self.theta(i), self.theta(j)) * self.f[i] * self.f[j]
-                if lhs != rhs:
+                # theta(j) is never +-theta(i), so N(theta i, theta j) is a table read
+                if nij * f[k] != table.get((th[i], th[j]), 0) * f[i] * f[j]:
                     raise RealFormError("cocycle law fails at roots (%d,%d)" % (i, j))
 
     def f_at(self, idx: int) -> int:
@@ -196,33 +198,42 @@ def psi_map(algebra: DenseAlgebra, eta: SignHom) -> LinearMap:
     return LinearMap(algebra, cols)
 
 
+def _extend_signs_by_height(theta: Involution, chamber, signs: dict[int, int],
+                           constants: ChevalleySystem) -> dict[int, int]:
+    """Extend +-1 signs on a chamber basis to every root.
+
+    Positive roots are taken by height: g = b + rest with b simple and
+    rest already signed gets f(g) = f(b) f(rest) N(theta b, theta rest) /
+    N(b, rest); a negative root gets the sign of its negative.  Raises
+    when a ratio is not a unit."""
+    R = theta.system
+    sums = R.sum_table
+    neg = R.negation_map
+    n = constants.n
+    f = dict(signs)
+    pos = sorted(chamber.positive_set, key=lambda i: (chamber.q_degree(i), R.roots[i]))
+    for g in pos:
+        if g in f:
+            continue
+        piece = next((b for b in chamber.basis if sums[g][neg[b]] in f), None)
+        if piece is None:
+            raise RealFormError("no height reduction for positive root %d" % g)
+        rest = sums[g][neg[piece]]
+        num = n(theta(piece), theta(rest))
+        den = n(piece, rest)
+        if num % den or abs(num // den) != 1:
+            raise RealFormError("sign recurrence hit a non-unit ratio at root %d" % g)
+        f[g] = (num // den) * f[piece] * f[rest]
+    for g in pos:
+        f[neg[g]] = f[g]
+    return f
+
+
 def eps_sharp_map(algebra: DenseAlgebra, eps: Involution, chamber) -> LinearMap:
     """The canonical lift fixing the chosen simple root vectors."""
     R = algebra.system
-    n = algebra.constants.n
-    pos = sorted(chamber.positive_set, key=lambda i: (chamber.q_degree(i), R.roots[i]))
-    sign: dict[int, int] = {}
-    for b in chamber.basis:
-        sign[b] = 1
-    for g in pos:
-        if g in sign:
-            continue
-        piece = next((b for b in chamber.basis
-                      if la.vsub(R.roots[g], R.roots[b]) in R.index
-                      and R.index[la.vsub(R.roots[g], R.roots[b])] in sign), None)
-        if piece is None:
-            raise RealFormError("no height reduction found for a positive root")
-        rest = R.index[la.vsub(R.roots[g], R.roots[piece])]
-        num = n(eps(piece), eps(rest))
-        den = n(piece, rest)
-        if num % den:
-            raise RealFormError("sign recursion hit a non-unit ratio")
-        sign[g] = sign[piece] * sign[rest] * (num // den)
-        if abs(sign[g]) != 1:
-            raise RealFormError("sign recursion left the unit group")
-    neg = R.negation_map
-    for g in pos:
-        sign[neg[g]] = sign[g]
+    sign = _extend_signs_by_height(eps, chamber, dict.fromkeys(chamber.basis, 1),
+                                  algebra.constants)
     cols: dict[int, dict[int, Qrt2]] = {}
     for k, b in enumerate(R.canonical_basis):
         cols[k] = {kk: Qrt2.of(c) for kk, c in algebra.coroot_elem(eps(b)).items()}
@@ -234,19 +245,6 @@ def eps_sharp_map(algebra: DenseAlgebra, eps: Involution, chamber) -> LinearMap:
 # -- dual-lattice vectors -------------------------------------------------------------
 
 
-def _coweight_vectors(system: RootSystem) -> list[la.Vector]:
-    basis_vecs = [system.roots[b] for b in system.canonical_basis]
-    out = []
-    for j in range(len(basis_vecs)):
-        cols = [tuple(bv[m] for bv in basis_vecs) for m in range(system.dim)]
-        target = tuple(la.ONE if i == j else la.ZERO for i in range(len(basis_vecs)))
-        w = la.solve(cols, target)
-        if w is None:
-            raise RealFormError("no coweight vector")
-        out.append(tuple(w))
-    return out
-
-
 def omega_for_targets(system: RootSystem, b_indices, targets,
                       parity_of: Involution | None = None) -> la.Vector | None:
     """A dual-lattice vector with prescribed pairings against the given
@@ -254,7 +252,7 @@ def omega_for_targets(system: RootSystem, b_indices, targets,
     alpha - parity_of(alpha) for every root (so its sign character is
     compatible with that involution).  None when no such vector exists."""
     ch = system.canonical_chamber()
-    coweights = _coweight_vectors(system)
+    coweights = system.fundamental_coweights()
     ncw = len(coweights)
     rows = []
     rhs = []
@@ -264,9 +262,7 @@ def omega_for_targets(system: RootSystem, b_indices, targets,
         rhs.append(t)
     if parity_of is not None:
         for b in system.canonical_basis:
-            diff = la.vsub(system.roots[b], system.roots[parity_of(b)])
-            sol = la.solve([system.roots[x] for x in ch.basis], diff)
-            row = [int(c) for c in sol]
+            row = [x - y for x, y in zip(ch.coords(b), ch.coords(parity_of(b)))]
             if any(c % 2 for c in row):
                 rows.append(row)
                 rhs.append(0)
@@ -400,9 +396,11 @@ def signature(sigma: AntiInvolution) -> SignatureCounts:
     theta = sigma.theta
     R = theta.system
     rank = R.rank
-    tr = sum(theta.matrix[i][i] for i in range(R.dim)) - (R.dim - rank)
+    ch = R.canonical_chamber()
+    # trace of theta on the span of the roots, in the simple-root basis
+    tr = sum(ch.coords(theta(b))[k] for k, b in enumerate(ch.basis))
     assert (rank + tr) % 2 == 0
-    ellp = int(rank + tr) // 2
+    ellp = (rank + tr) // 2
     ellk = rank - ellp
     n1 = len(theta.real_set) // 2
     n2 = len(theta.complex_set) // 4
@@ -728,33 +726,12 @@ def sigma_from_chamber_signs(theta: Involution, chamber,
             except RealFormError as exc:
                 last = exc
         raise RealFormError("no consistent completion of the signs: %s" % last)
-    R = theta.system
-    n = structure_constants(R).n
-    f: dict[int, int] = {}
-    for b in chamber.basis:
-        v = signs[b]
-        if v not in (1, -1):
-            raise RealFormError("sign values must be +-1")
-        f[b] = v
-    pos = sorted(chamber.positive_set,
-                 key=lambda i: (chamber.q_degree(i), R.roots[i]))
-    for g in pos:
-        if g in f:
-            continue
-        piece = next((b for b in chamber.basis
-                      if la.vsub(R.roots[g], R.roots[b]) in R.index
-                      and R.index[la.vsub(R.roots[g], R.roots[b])] in f), None)
-        if piece is None:
-            raise RealFormError("no height reduction for a positive root")
-        rest = R.index[la.vsub(R.roots[g], R.roots[piece])]
-        num = n(theta(piece), theta(rest))
-        den = n(piece, rest)
-        if num % den:
-            raise RealFormError("sign recurrence hit a non-unit ratio")
-        f[g] = (num // den) * f[piece] * f[rest]
-    for g in pos:
-        f[R.negation_map[g]] = f[g]
-    return AntiInvolution(theta, f, full=True)
+    if any(signs[b] not in (1, -1) for b in chamber.basis):
+        raise RealFormError("sign values must be +-1")
+    constants = structure_constants(theta.system)
+    f = _extend_signs_by_height(theta, chamber, {b: signs[b] for b in chamber.basis},
+                               constants)
+    return AntiInvolution(theta, f, constants, full=True)
 
 
 # -- compact Cartan enumeration -----------------------------------------------------------
@@ -804,20 +781,14 @@ def hom_theta_constraints(theta: Involution, chamber) -> tuple[list[int], list[i
     Returns (rows, bullet_mask): each row is a bitmask over the chamber
     basis positions encoding one parity condition sum(c_j) = 0; the mask
     marks the positions of the negated simple roots."""
-    R = theta.system
     basis = list(chamber.basis)
     rows = []
-    for b in basis:
+    for k, b in enumerate(basis):
         if b in theta.imaginary_set or b in theta.real_set:
             continue
-        diff = la.vsub(R.roots[b], R.roots[theta(b)])
-        sol = la.solve([R.roots[x] for x in basis], diff)
-        if sol is None or any(c.denominator != 1 for c in sol):
-            raise RealFormError("difference left the root lattice")
-        mask = 0
-        for k, c in enumerate(sol):
-            if int(c) % 2:
-                mask |= 1 << k
+        # bit m: parity of coordinate m of b - theta(b) in the chamber basis
+        mask = sum(1 << m for m, c in enumerate(chamber.coords(theta(b)))
+                   if (c + (m == k)) % 2)
         if mask:
             rows.append(mask)
     bullet_mask = 0

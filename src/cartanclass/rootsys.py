@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 
 from . import _linalg as la
 from ._linalg import Vector, vadd, vdot, vneg, vscale, vsub
@@ -57,10 +59,10 @@ class RootSystemSpec:
         if fam not in FAMILIES:
             raise RootSystemError("unknown family %r" % (fam,))
         lo, hi = _RANK_RANGE[fam]
-        rk = self.rank if self.rank is not None else lo
-        if fam in ("E6", "E7", "E8", "F4", "G2"):
-            rk = int(fam[1]) if fam[0] == "E" else (4 if fam == "F4" else 2)
-            object.__setattr__(self, "rank", rk)
+        if hi is not None:
+            if self.rank is not None and self.rank != hi:
+                raise RootSystemError("family %s has rank %d, not %d" % (fam, hi, self.rank))
+            object.__setattr__(self, "rank", hi)
         else:
             if self.rank is None or self.rank < lo:
                 raise RootSystemError("family %s needs rank >= %d" % (fam, lo))
@@ -248,6 +250,7 @@ class RootSystem:
         self._norms = tuple(vdot(r, r) for r in self.roots)
         self._long_norm = max(self._norms) if self.roots else None
         self._coords_cache: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
+        self._reflection_perms: dict[int, tuple[int, ...]] = {}
         self._canonical_chamber: Chamber | None = None
 
     # -- basic queries ---------------------------------------------------
@@ -289,10 +292,51 @@ class RootSystem:
         return 2 * vdot(xi, eta) / d
 
     def pairing(self, i: int, j: int) -> int:
-        p = self.pairing_vec(self.roots[i], self.roots[j])
-        if p.denominator != 1:
+        return self.pairing_matrix[i][j]
+
+    # -- integer kernel ----------------------------------------------------
+    #
+    # Index tables built on first use and kept on the instance.  Each is a
+    # deterministic function of the roots, so threads racing on a first use
+    # compute and store equal values.
+
+    @cached_property
+    def _int_roots(self) -> tuple[tuple[int, ...], ...]:
+        """The roots scaled to integer vectors by their common denominator."""
+        den = math.lcm(*(x.denominator for r in self.roots for x in r))
+        return tuple(tuple(int(x * den) for x in r) for r in self.roots)
+
+    @cached_property
+    def _keys(self) -> tuple[int, ...]:
+        """Each scaled root read as the digits of one integer in a balanced
+        base wide enough for the sum of two roots.  Keys are additive, and
+        two vectors whose coordinates are at most twice the largest root
+        coordinate have equal keys only when they are equal."""
+        ints = self._int_roots
+        base = 4 * max((abs(x) for r in ints for x in r), default=0) + 1
+        return tuple(sum(x * base ** k for k, x in enumerate(r)) for r in ints)
+
+    @cached_property
+    def _key_index(self) -> dict[int, int]:
+        return {k: i for i, k in enumerate(self._keys)}
+
+    @cached_property
+    def sum_table(self) -> tuple[tuple[int, ...], ...]:
+        """sum_table[i][j]: the index of root i + root j, or -1 when the sum
+        is not a root (in particular when j is i or its negative)."""
+        keys = self._keys
+        look = self._key_index.get
+        return tuple(tuple(look(a + b, -1) for b in keys) for a in keys)
+
+    @cached_property
+    def pairing_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """pairing_matrix[i][j] = <alpha_i, alpha_j^vee>, that is
+        2 (alpha_i, alpha_j) / (alpha_j, alpha_j)."""
+        ints = self._int_roots
+        gram = [[sum(map(operator.mul, u, v)) for v in ints] for u in ints]
+        if any(2 * g % gram[j][j] for row in gram for j, g in enumerate(row)):
             raise RootSystemError("non-integral pairing between roots")
-        return int(p)
+        return tuple(tuple(2 * g // gram[j][j] for j, g in enumerate(row)) for row in gram)
 
     # -- reflections -----------------------------------------------------
 
@@ -303,8 +347,14 @@ class RootSystem:
         return self.reflect_vec(xi, self.roots[alpha_idx])
 
     def reflection_perm(self, alpha_idx: int) -> tuple[int, ...]:
-        a = self.roots[alpha_idx]
-        return tuple(self.index[self.reflect_vec(r, a)] for r in self.roots)
+        got = self._reflection_perms.get(alpha_idx)
+        if got is None:
+            ka = self._keys[alpha_idx]
+            look = self._key_index
+            got = tuple(look[k - row[alpha_idx] * ka]
+                        for k, row in zip(self._keys, self.pairing_matrix))
+            self._reflection_perms[alpha_idx] = got
+        return got
 
     def perm_of_matrix(self, m: la.Matrix) -> tuple[int, ...] | None:
         """Permutation induced on roots by an ambient linear map, if any."""
@@ -331,19 +381,15 @@ class RootSystem:
         """(p, q) with {j : beta + j*alpha a root} = [-q, p]."""
         if beta_idx == alpha_idx or beta_idx == self.negation_map[alpha_idx]:
             raise RootSystemError("root string undefined against +-alpha")
-        a = self.roots[alpha_idx]
-        b = self.roots[beta_idx]
-        p = 0
-        v = vadd(b, a)
-        while v in self.index:
-            p += 1
-            v = vadd(v, a)
-        q = 0
-        v = vsub(b, a)
-        while v in self.index:
-            q += 1
-            v = vsub(v, a)
-        return p, q
+        s = self.sum_table
+        out = []
+        for a in (alpha_idx, self.negation_map[alpha_idx]):
+            k, v = 0, s[beta_idx][a]
+            while v >= 0:
+                k += 1
+                v = s[v][a]
+            out.append(k)
+        return out[0], out[1]
 
     def _coords_in(self, basis: tuple[int, ...], idx: int) -> tuple[int, ...]:
         key = (basis, idx)
@@ -360,9 +406,8 @@ class RootSystem:
     def is_strongly_orthogonal(self, i: int, j: int) -> bool:
         if j == i or j == self.negation_map[i]:
             return False
-        s = vadd(self.roots[i], self.roots[j])
-        d = vsub(self.roots[i], self.roots[j])
-        return s not in self.index and d not in self.index
+        row = self.sum_table[i]
+        return row[j] < 0 and row[self.negation_map[j]] < 0
 
     def strongly_orthogonal_set(self, idxs) -> bool:
         idxs = list(idxs)
@@ -422,14 +467,19 @@ class RootSystem:
             self._canonical_chamber = ch
         return self._canonical_chamber
 
+    def fundamental_coweights(self) -> list[Vector]:
+        """Vectors pairing to 1 with one canonical simple root, 0 with the rest."""
+        basis_vecs = [self.roots[b] for b in self.canonical_basis]
+        cols = [tuple(bv[m] for bv in basis_vecs) for m in range(self.dim)]
+        out = [la.solve(cols, la.unit_vec(len(basis_vecs), j))
+               for j in range(len(basis_vecs))]
+        if None in out:
+            raise RootSystemError("no coweight vector found")
+        return out
+
     def fundamental_coweight_sum(self) -> Vector:
         """Regular vector pairing to 1 with every canonical simple root."""
-        basis_vecs = [self.roots[b] for b in self.canonical_basis]
-        cols = [tuple(bv[j] for bv in basis_vecs) for j in range(self.dim)]
-        sol = la.solve(cols, tuple(la.ONE for _ in basis_vecs))
-        if sol is None:
-            raise RootSystemError("no coweight vector found")
-        return tuple(sol)
+        return reduce(vadd, self.fundamental_coweights(), la.zero_vec(self.dim))
 
     def in_dual_lattice(self, omega: Vector) -> bool:
         omega = tuple(Fraction(x) for x in omega)

@@ -62,6 +62,26 @@ def test_dense_algebra_dimensions_and_items():
     assert cv.dense_algebra(cv.structure_constants(E8)).dim == 248
 
 
+def test_dense_algebra_verify_level_on_cache_hit(monkeypatch):
+    C = cv.ChevalleySystem(rs.build("B", 2))
+    ran = []
+    for name in ("verify_defining_items", "verify_jacobi_full"):
+        check = getattr(cv.DenseAlgebra, name)
+        monkeypatch.setattr(cv.DenseAlgebra, name,
+                            lambda self, check=check, name=name: (ran.append(name), check(self)))
+    cv.ad_k_char_polys(C, C.system.canonical_basis[0])  # builds the oracle unverified
+    assert ran == []
+    A = cv.dense_algebra(C, verify="full")
+    assert ran == ["verify_defining_items", "verify_jacobi_full"]
+    assert cv.dense_algebra(C, verify="basic") is A
+    assert cv.dense_algebra(C, verify="full") is A
+    assert ran == ["verify_defining_items", "verify_jacobi_full"]
+    C2 = cv.ChevalleySystem(rs.build("A", 2))
+    cv.dense_algebra(C2)
+    cv.dense_algebra(C2, verify="full")
+    assert ran[2:] == ["verify_defining_items", "verify_jacobi_full"]
+
+
 @pytest.mark.parametrize("fam,rank", [("A", 2), ("B", 2), ("G2", 2), ("C", 3)])
 def test_jacobi_full_small(fam, rank):
     R = rs.build(fam, rank)

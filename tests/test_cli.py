@@ -156,6 +156,43 @@ def test_exit_codes():
     assert code == 2
 
 
+def test_signs_must_be_plus_or_minus(capsys):
+    code, _ = run(["sigma", "--type", "B", "--rank", "2", "--label", "r0,2",
+                   "--signs=xy", "--format", "ascii"])
+    assert code == 3
+    assert "'x'" in capsys.readouterr().err
+    code, _ = run(["sigma", "--type", "B", "--rank", "2", "--label", "r0,2",
+                   "--signs=--", "--format", "ascii"])
+    assert code == 0
+
+
+def test_rank_of_fixed_rank_family():
+    assert run(["build", "--type", "G2", "--rank", "3"])[0] == 3
+    assert run(["build", "--type", "E6", "--rank", "7"])[0] == 3
+    assert run(["build", "--type", "G2", "--rank", "2"]) == run(["build", "--type", "G2"])
+
+
+def test_malformed_vectors_exit_3(capsys):
+    a2 = ["diagram", "--type", "A", "--rank", "2", "--format", "ascii", "--images"]
+    for images in ("[[0,1,-1],", "5", "[[0,1,-1],[1,\"y\",0]]"):
+        assert run(a2 + [images])[0] == 3, images
+        assert "--images" in capsys.readouterr().err
+    assert run(a2 + ["[[0,1],[1,0]]"])[0] == 3  # two coordinates in R^3
+    c4 = ["cayley", "--type", "C", "--rank", "4", "--label", "r0,4", "--signs=-+++", "--root"]
+    for root in ("[1,1,0", "[1,\"1/0\",0,0]", "7"):
+        assert run(c4 + [root])[0] == 3, root
+        assert "--root" in capsys.readouterr().err
+
+
+def test_internal_errors_are_not_input_errors(monkeypatch):
+    for exc in (KeyError, ValueError):
+        def broken(self, exc=exc):
+            raise exc("internal")
+        monkeypatch.setattr(cli.rs.RootSystem, "to_json_str", broken)
+        with pytest.raises(exc):
+            cli.main(["build", "--type", "A", "--rank", "1", "--format", "json"])
+
+
 def test_referential_transparency():
     argv = ["sigma", "--type", "C", "--rank", "3", "--label", "r1,1",
             "--format", "json"]
