@@ -9,6 +9,7 @@ and quarter-turn exponentials exactly over Q(sqrt2).
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -256,14 +257,10 @@ class ChevalleySystem:
         return "\n".join(lines) + "\n"
 
 
-_CHEV_CACHE: dict[int, ChevalleySystem] = {}
-
-
 def structure_constants(system: RootSystem) -> ChevalleySystem:
-    got = _CHEV_CACHE.get(id(system))
+    got = system._constants
     if got is None:
-        got = ChevalleySystem(system)
-        _CHEV_CACHE[id(system)] = got
+        got = system._constants = ChevalleySystem(system)
     return got
 
 
@@ -605,13 +602,12 @@ def _block_matrix(A: DenseAlgebra, k_elem: dict, vecs: list[dict]):
 def _char_poly(m) -> tuple:
     """Characteristic polynomial det(xI - M), coefficients by increasing
     degree, via sums of principal minors (dims <= 4)."""
-    import itertools as it
     n = len(m)
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
     for k in range(1, n + 1):
         s = Fraction(0)
-        for rows in it.combinations(range(n), k):
+        for rows in itertools.combinations(range(n), k):
             s += _det([[m[i][j] for j in rows] for i in rows])
         coeffs[n - k] = s * (-1) ** k
     # det(xI - M) expansion: coefficient of x^(n-k) is (-1)^k e_k(minors)

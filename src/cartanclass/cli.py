@@ -17,8 +17,10 @@ from . import diagram as dg
 from . import involution as iv
 from . import realform as rf
 from . import rootsys as rs
-from .chevalley import (FULL_JACOBI_DIM_LIMIT, ChevalleyError, dense_algebra,
-                        structure_constants)
+from ._linalg import vdot
+from .chevalley import ChevalleyError, dense_algebra, structure_constants
+from .tables import dual_vector_table
+from .weylgroup import weyl_group
 
 MATH_ERRORS = (rs.RootSystemError, iv.InvolutionError, dg.DiagramError,
                rf.RealFormError, ChevalleyError)
@@ -259,10 +261,7 @@ def _verify_chevalley(args) -> list[tuple[str, bool]]:
     A = dense_algebra(C)
     try:
         A.verify_antisymmetry()
-        if A.dim <= FULL_JACOBI_DIM_LIMIT:
-            A.verify_jacobi_full()
-        else:
-            A.verify_jacobi_sampled(100_000, seed=0)
+        dense_algebra(C, verify="full")
         out.append(("bracket table jacobi", True))
     except ChevalleyError:
         out.append(("bracket table jacobi", False))
@@ -287,14 +286,11 @@ def _verify_sos_table(args) -> list[tuple[str, bool]]:
 def _verify_empty(args) -> list[tuple[str, bool]]:
     system = rs.build(rs.RootSystemSpec(factors=()))
     ok = len(system.roots) == 0
-    from .weylgroup import weyl_group
     ok = ok and weyl_group(system).order == 1
     return [("empty-system vacuous checks", ok)]
 
 
 def _verify_lemma_dual(args) -> list[tuple[str, bool]]:
-    from ._linalg import vdot
-    from .tables import dual_vector_table
     out = []
     for label, system, omega, msys in dual_vector_table():
         ok = system.in_dual_lattice(omega)
@@ -334,14 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="cartanclass")
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def common(sp, need_type=True):
-        if need_type:
-            sp.add_argument("--type", required=True, choices=rs.FAMILIES)
-            sp.add_argument("--rank", type=int, default=None)
-            sp.add_argument("--realization", default="standard",
-                            choices=("standard", "prime"))
-        sp.add_argument("--format", default="text",
-                        choices=("text", "json", "ascii", "dot"))
+    def common(sp, formats=("text", "json", "ascii", "dot")):
+        sp.add_argument("--type", required=True, choices=rs.FAMILIES)
+        sp.add_argument("--rank", type=int, default=None)
+        sp.add_argument("--realization", default="standard",
+                        choices=("standard", "prime"))
+        sp.add_argument("--format", default=formats[0], choices=formats)
 
     sp = sub.add_parser("build", help="construct a root system")
     common(sp)
@@ -360,7 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     for verb, fn in (("diagram", cmd_diagram), ("sigma", cmd_sigma),
                      ("cayley", cmd_cayley), ("cartans", cmd_cartans)):
         sp = sub.add_parser(verb)
-        common(sp)
+        if verb in ("diagram", "sigma"):
+            common(sp, ("ascii", "json", "dot"))  # a diagram has no text form
+        else:
+            common(sp)
         sp.add_argument("--label", default=None,
                         help="catalog label of the involution (or 'id')")
         sp.add_argument("--images", default=None,

@@ -9,14 +9,14 @@ compact and noncompact ones.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _linalg as la
-from .involution import Involution
+from .involution import Involution, _orthogonal_components
 from .rootsys import Chamber, RootSystem
+from .weylgroup import perm_mul
 
 WHITE, BLACK, STAR = "white", "black", "star"
 
@@ -37,7 +37,6 @@ def is_s_chamber(theta: Involution, chamber: Chamber) -> bool:
 
 def is_v_chamber(theta: Involution, chamber: Chamber) -> bool:
     """S-chamber condition for the negated involution."""
-    from .weylgroup import perm_mul
     check = Involution(theta.system, perm_mul(tuple(theta.system.negation_map), theta.perm))
     return is_s_chamber(check, chamber)
 
@@ -160,38 +159,15 @@ def chamber_with_imaginary_basis(theta: Involution, bprime) -> Chamber:
 def canonical_node_order(system: RootSystem, basis) -> tuple[int, ...]:
     """Order a simple basis to match the canonical basis layout.
 
-    Finds the gram-matrix-preserving bijection onto the canonical basis,
-    lexicographically minimal in the resulting index tuple."""
-    basis = list(basis)
-    cb = list(system.canonical_basis)
-    k = len(cb)
-    if len(basis) != k:
+    Finds the norm- and pairing-preserving bijection onto the canonical
+    basis, lexicographically minimal in the resulting index tuple."""
+    basis = sorted(basis)
+    if len(basis) != len(system.canonical_basis):
         raise DiagramError("basis size does not match the rank")
-
-    def gram(i, j, lst):
-        return system.dot(lst[i], lst[j])
-
-    best: list[tuple[int, ...]] = []
-
-    def rec(assigned: list[int], remaining: list[int]):
-        pos = len(assigned)
-        if pos == k:
-            best.append(tuple(assigned))
-            return
-        for b in remaining:
-            if system.norm2(b) != system.norm2(cb[pos]):
-                continue
-            if any(system.dot(b, assigned[j]) != system.dot(cb[pos], cb[j])
-                   for j in range(pos)):
-                continue
-            if best and tuple(assigned + [b]) >= best[0][: pos + 1]:
-                continue
-            rec(assigned + [b], [x for x in remaining if x != b])
-
-    rec([], sorted(basis))
-    if not best:
+    order = next(system.basis_isomorphisms(basis, system.canonical_basis), None)
+    if order is None:
         raise DiagramError("basis does not match the canonical diagram shape")
-    return min(best)
+    return order
 
 
 # -- diagrams ------------------------------------------------------------------------
@@ -359,28 +335,6 @@ def _bonds_of_basis(system: RootSystem, order) -> tuple:
     return tuple(bonds)
 
 
-_LAYOUT_AUTOS: dict[tuple, list[dict[int, int]]] = {}
-
-
-def _layout_automorphisms(system: RootSystem) -> list[dict[int, int]]:
-    """Graph automorphisms of the canonical diagram, as position maps."""
-    key = (system.spec.family, system.rank, system.spec.realization)
-    got = _LAYOUT_AUTOS.get(key)
-    if got is None:
-        cb = list(system.canonical_basis)
-        k = len(cb)
-        got = []
-        for perm in itertools.permutations(range(k)):
-            if any(system.norm2(cb[i]) != system.norm2(cb[perm[i]]) for i in range(k)):
-                continue
-            if any(system.dot(cb[i], cb[j]) != system.dot(cb[perm[i]], cb[perm[j]])
-                   for i in range(k) for j in range(i + 1, k)):
-                continue
-            got.append({i: perm[i] for i in range(k)})
-        _LAYOUT_AUTOS[key] = got
-    return got
-
-
 def _arrow_key(rank: int, arrows) -> tuple:
     # prefer arrows near the tail of the node order (the fork pair in D)
     return tuple(sorted((rank - 1 - j, rank - 1 - i)
@@ -389,8 +343,8 @@ def _arrow_key(rank: int, arrows) -> tuple:
 
 def _normalize(system: RootSystem, d: Diagram) -> Diagram:
     best = None
-    for rho in _layout_automorphisms(system):
-        inv = {v: k for k, v in rho.items()}
+    for rho in system.diagram_symmetries:
+        inv = {v: k for k, v in enumerate(rho)}
         colors = tuple(d.colors[rho[k]] for k in range(d.rank))
         arrows = frozenset(frozenset((inv[i], inv[j])) for i, j in
                            (tuple(p) for p in d.arrows))
@@ -641,42 +595,22 @@ def restrict_sigma(sigma, chamber: Chamber | None = None):
     if chamber is None:
         chamber = find_s_chamber(theta)
     bullets = [b for b in chamber.basis if b in theta.imaginary_set]
-    comps: list[list[int]] = []
-    for b in bullets:
-        hit = [c for c in comps if any(R.dot(b, x) != 0 for x in c)]
-        merged = [b]
-        for c in hit:
-            merged.extend(c)
-            comps.remove(c)
-        comps.append(merged)
+    if not bullets:
+        return sigma, chamber
     new_basis: list[int] = []
-    for comp in comps:
+    for comp in _orthogonal_components(R, bullets):
         stars = [b for b in comp if b in sigma.noncompact_set]
         if len(stars) <= 1:
             new_basis.extend(comp)
             continue
         new_basis.extend(_one_star_basis(R, sigma, comp))
-    if not bullets:
-        return sigma, chamber
     new_chamber = chamber_with_imaginary_basis(theta, sorted(new_basis))
-    for comp_roots in _imaginary_components(R, theta, new_chamber):
-        n_stars = sum(1 for b in comp_roots if b in sigma.noncompact_set)
+    new_bullets = [b for b in new_chamber.basis if b in theta.imaginary_set]
+    for comp in _orthogonal_components(R, new_bullets):
+        n_stars = sum(1 for b in comp if b in sigma.noncompact_set)
         if n_stars > 1:
             raise DiagramError("descent left a cluster with several stars")
     return sigma, new_chamber
-
-
-def _imaginary_components(R, theta, chamber):
-    bullets = [b for b in chamber.basis if b in theta.imaginary_set]
-    comps: list[list[int]] = []
-    for b in bullets:
-        hit = [c for c in comps if any(R.dot(b, x) != 0 for x in c)]
-        merged = [b]
-        for c in hit:
-            merged.extend(c)
-            comps.remove(c)
-        comps.append(merged)
-    return comps
 
 
 def _one_star_basis(R: RootSystem, sigma, comp: list[int]) -> list[int]:

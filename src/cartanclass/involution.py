@@ -12,8 +12,9 @@ from functools import cached_property
 
 from . import _linalg as la
 from .rootsys import RootSystem, RootSystemError
-from .weylgroup import (Perm, full_aut_group, identity_perm, klein_in_weyl,
-                        perm_mul, reflection_matrix, weyl_group)
+from .weylgroup import (Perm, diagram_automorphisms, full_aut_group,
+                        identity_perm, klein_in_weyl, perm_mul,
+                        reflection_matrix, weyl_group)
 
 
 class InvolutionError(ValueError):
@@ -267,6 +268,21 @@ def decompose(theta: Involution) -> tuple[Involution, tuple[int, ...]]:
 # -- subsystem typing ------------------------------------------------------------
 
 
+def _orthogonal_components(system: RootSystem, idxs) -> list[list[int]]:
+    """Classes of roots joined by chains of non-orthogonal pairs.  Each root
+    in turn absorbs the classes it meets, in the order they were formed."""
+    pm = system.pairing_matrix
+    comps: list[list[int]] = []
+    for i in idxs:
+        hit = [c for c in comps if any(pm[i][j] for j in c)]
+        merged = [i]
+        for c in hit:
+            merged.extend(c)
+            comps.remove(c)
+        comps.append(merged)
+    return comps
+
+
 def subsystem_type(system: RootSystem, subset) -> tuple:
     """Multiset of irreducible types spanned by a closed subset of roots,
     each reported as (rank, size, long_count)."""
@@ -277,17 +293,8 @@ def subsystem_type(system: RootSystem, subset) -> tuple:
     span = [system.roots[i] for i in idxs]
     closed = [i for i in range(len(system.roots))
               if la.solve(span, system.roots[i]) is not None]
-    # split into orthogonal components
-    comps: list[list[int]] = []
-    for i in closed:
-        hit = [c for c in comps if any(system.dot(i, j) != 0 for j in c)]
-        merged = [i]
-        for c in hit:
-            merged.extend(c)
-            comps.remove(c)
-        comps.append(merged)
     out = []
-    for c in comps:
+    for c in _orthogonal_components(system, closed):
         rank = la.rank([system.roots[i] for i in c])
         top = max(system.norm2(j) for j in c)
         longs = sum(1 for i in c if system.norm2(i) == top)
@@ -461,7 +468,6 @@ def special_involutions(system: RootSystem) -> list[Involution]:
             eps = involution_from_matrix(system, tuple(rows))
         else:
             # the diagram flip of the canonical positive system
-            from .weylgroup import diagram_automorphisms
             for p in diagram_automorphisms(system):
                 if p != identity_perm(len(system.roots)) and \
                         perm_mul(p, p) == identity_perm(len(system.roots)):

@@ -16,8 +16,9 @@ from fractions import Fraction
 from . import _linalg as la
 from .chevalley import (ChevalleySystem, DenseAlgebra, LinearMap, Qrt2,
                         dense_algebra, exp_quarter_pi_adk, structure_constants)
+from .diagram import find_s_chamber
 from .involution import (Involution, InvolutionError, antipodal_involution,
-                         decompose)
+                         decompose, positive_representatives)
 from .rootsys import RootSystem
 from .weylgroup import Perm, identity_perm, perm_mul, weyl_group
 
@@ -323,7 +324,6 @@ def quasi_split_lift(theta: Involution) -> AntiInvolution:
     if not special:
         candidates.append(sharp_of(omega_for_set(R, b_set)))
     else:
-        from .diagram import find_s_chamber
         ch_eps = find_s_chamber(eps)
         esh = eps_sharp_map(A, eps, ch_eps)
         # sign of the canonical special lift on the decomposition roots
@@ -488,7 +488,6 @@ def reduce_noncompact(sigma: AntiInvolution, verify_dense: bool = True) -> AntiI
         guard += 1
         if guard > len(sigma.system.roots):
             raise RealFormError("transform chain did not terminate")
-        from .involution import positive_representatives
         pool = positive_representatives(cur.system, cur.noncompact_set)
         chain = _max_long_sos_in(cur.system, pool)
         if not chain:
@@ -508,7 +507,6 @@ def is_quasi_split(sigma: AntiInvolution) -> bool:
     may stay orthogonal to the whole set (such a survivor would stay
     negated after the transform chain and blacken the reduced diagram)."""
     R = sigma.system
-    from .involution import positive_representatives
     nc = positive_representatives(R, sigma.noncompact_set)
     imag = positive_representatives(R, sigma.theta.imaginary_set)
     if not imag:
@@ -542,7 +540,6 @@ def isomorphic(s1: AntiInvolution, s2: AntiInvolution) -> bool:
             len(s1.noncompact_set) != len(s2.noncompact_set):
         return False
     if s1.theta.perm == s2.theta.perm:
-        from .diagram import find_s_chamber
         ch = find_s_chamber(s1.theta)
         bullets = [b for b in ch.basis if b in s1.theta.imaginary_set]
         if all(s1.f[b] == s2.f[b] for b in bullets):
@@ -667,7 +664,6 @@ def cartan_classes(sigma: AntiInvolution) -> list[Involution]:
     reduced = reduce_noncompact(sigma, verify_dense=False)
     eps, base = decompose(reduced.theta)
     W = weyl_group(R)
-    from .involution import positive_representatives
     pool = [i for i in positive_representatives(R, eps.real_set)
             if all(R.dot(i, b) == 0 for b in base)]
 

@@ -135,10 +135,10 @@ def _roots_for(spec: RootSystemSpec) -> tuple[list[Vector], list[Vector]]:
             for j in range(1, 4):
                 if i != j:
                     roots.append(vsub(_e(i, n), _e(j, n)))
-        for i, j, k in itertools.permutations((1, 2, 3)):
-            if j < k:
-                for s in (1, -1):
-                    roots.append(vscale(s, vsub(vscale(2, _e(i, n)), vadd(_e(j, n), _e(k, n)))))
+        for i in range(1, 4):
+            j, k = (x for x in range(1, 4) if x != i)
+            for s in (1, -1):
+                roots.append(vscale(s, vsub(vscale(2, _e(i, n)), vadd(_e(j, n), _e(k, n)))))
         basis = [vsub(_e(1, n), _e(2, n)),
                  vsub(vadd(_e(2, n), _e(3, n)), vscale(2, _e(1, n)))]
         return roots, basis
@@ -252,6 +252,12 @@ class RootSystem:
         self._coords_cache: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
         self._reflection_perms: dict[int, tuple[int, ...]] = {}
         self._canonical_chamber: Chamber | None = None
+        # Objects of the upper layers, built by their getters on first use
+        # (weylgroup.weyl_group, weylgroup.full_aut_group and
+        # chevalley.structure_constants) and kept with the system.
+        self._weyl_group = None
+        self._full_aut_group = None
+        self._constants = None
 
     # -- basic queries ---------------------------------------------------
 
@@ -337,6 +343,45 @@ class RootSystem:
         if any(2 * g % gram[j][j] for row in gram for j, g in enumerate(row)):
             raise RootSystemError("non-integral pairing between roots")
         return tuple(tuple(2 * g // gram[j][j] for j, g in enumerate(row)) for row in gram)
+
+    def basis_isomorphisms(self, src, dst):
+        """Every bijection from the roots src onto the positions of dst that
+        keeps norms and the pairing matrix, as a tuple t with t[p] the root
+        of src placed at dst[p].
+
+        Positions are filled in dst order, each with the candidates in src
+        order, and a candidate is tried only if it agrees with every root
+        already placed; so the tuples come in lexicographic order of their
+        positions in src."""
+        src, dst = tuple(src), tuple(dst)
+        if len(src) != len(dst):
+            return
+        pm, norms = self.pairing_matrix, self._norms
+        placed: list[int] = []
+
+        def rec(p):
+            if p == len(dst):
+                yield tuple(placed)
+                return
+            d = dst[p]
+            for s in src:
+                if s in placed or norms[s] != norms[d]:
+                    continue
+                if any(pm[s][t] != pm[d][e] for t, e in zip(placed, dst)):
+                    continue
+                placed.append(s)
+                yield from rec(p + 1)
+                placed.pop()
+
+        yield from rec(0)
+
+    @cached_property
+    def diagram_symmetries(self) -> tuple[tuple[int, ...], ...]:
+        """Automorphisms of the canonical diagram, identity first, as
+        position tuples p: canonical_basis[i] goes to canonical_basis[p[i]]."""
+        cb = self.canonical_basis
+        pos = {b: i for i, b in enumerate(cb)}
+        return tuple(tuple(pos[b] for b in t) for t in self.basis_isomorphisms(cb, cb))
 
     # -- reflections -----------------------------------------------------
 

@@ -402,44 +402,26 @@ class PermGroup:
 
 # -- group constructors ------------------------------------------------------
 
-_WEYL_CACHE: dict[int, PermGroup] = {}
-_AUT_CACHE: dict[int, PermGroup] = {}
-
-
 def weyl_group(system: RootSystem) -> PermGroup:
-    got = _WEYL_CACHE.get(id(system))
+    got = system._weyl_group
     if got is None:
         gens = [system.reflection_perm(b) for b in system.canonical_basis]
-        got = PermGroup(system, gens, name="W(%s)" % system.spec.label)
-        _WEYL_CACHE[id(system)] = got
+        got = system._weyl_group = PermGroup(system, gens, name="W(%s)" % system.spec.label)
     return got
 
 
 def diagram_automorphisms(system: RootSystem) -> list[Perm]:
-    """Root permutations induced by symmetries of the canonical diagram."""
-    basis = list(system.canonical_basis)
-    k = len(basis)
-    R = system
-    out = []
-    for perm in itertools.permutations(range(k)):
-        if any(R.norm2(basis[i]) != R.norm2(basis[perm[i]]) for i in range(k)):
-            continue
-        if any(R.dot(basis[i], basis[j]) != R.dot(basis[perm[i]], basis[perm[j]])
-               for i in range(k) for j in range(i + 1, k)):
-            continue
-        try:
-            m = la.map_from_images([R.roots[b] for b in basis],
-                                   [R.roots[basis[perm[i]]] for i in range(k)])
-        except ValueError:
-            continue
-        p = R.perm_of_matrix(m)
-        if p is not None:
-            out.append(p)
-    return out
+    """Root permutations induced by symmetries of the canonical diagram.
+
+    A symmetry keeps norms and pairings of the simple roots, so its linear
+    extension is an isometry of their span that maps roots to roots."""
+    basis = [system.roots[b] for b in system.canonical_basis]
+    return [system.perm_of_matrix(la.map_from_images(basis, [basis[i] for i in p]))
+            for p in system.diagram_symmetries]
 
 
 def full_aut_group(system: RootSystem) -> PermGroup:
-    got = _AUT_CACHE.get(id(system))
+    got = system._full_aut_group
     if got is not None:
         return got
     gens = [system.reflection_perm(b) for b in system.canonical_basis]
@@ -458,8 +440,7 @@ def full_aut_group(system: RootSystem) -> PermGroup:
                     q = system.perm_of_matrix(_swap_blocks(system, bi, bj))
                     if q is not None:
                         gens.append(q)
-    got = PermGroup(system, gens, name="A(%s)" % system.spec.label)
-    _AUT_CACHE[id(system)] = got
+    got = system._full_aut_group = PermGroup(system, gens, name="A(%s)" % system.spec.label)
     return got
 
 

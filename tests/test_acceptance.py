@@ -533,7 +533,8 @@ def test_criterion_12_restricted_diagrams():
         W = wg.weyl_group(R)
         for sigma in _enumerate_sigmas(R, max_twists=4):
             s2, ch2 = dg.restrict_sigma(sigma)
-            for comp in dg._imaginary_components(R, s2.theta, ch2):
+            bullets = [b for b in ch2.basis if b in s2.theta.imaginary_set]
+            for comp in iv._orthogonal_components(R, bullets):
                 stars = sum(1 for x in comp if x in s2.noncompact_set)
                 assert stars <= 1, (fam, rank)
             if rank <= 4:

@@ -3,6 +3,7 @@
 import io
 import json
 import pathlib
+import shlex
 
 import pytest
 from jsonschema import Draft202012Validator
@@ -191,6 +192,27 @@ def test_internal_errors_are_not_input_errors(monkeypatch):
         monkeypatch.setattr(cli.rs.RootSystem, "to_json_str", broken)
         with pytest.raises(exc):
             cli.main(["build", "--type", "A", "--rank", "1", "--format", "json"])
+
+
+def test_diagram_and_sigma_default_to_ascii():
+    for argv in (["diagram", "--type", "B", "--rank", "4", "--label", "r1,2"],
+                 ["sigma", "--type", "B", "--rank", "2", "--label", "r0,2",
+                  "--signs=--", "--restricted"]):
+        code, out = run(argv)
+        assert code == 0, argv
+        assert (code, out) == run(argv + ["--format", "ascii"])
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--format", "text"])
+        assert exc.value.code == 2
+
+
+def test_readme_commands_run():
+    text = (HERE.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("cartanclass ")]
+    assert lines
+    failed = [line for line in lines if run(shlex.split(line)[1:])[0] != 0]
+    assert failed == []
 
 
 def test_referential_transparency():

@@ -345,7 +345,8 @@ def test_restrict_sigma_c4():
     b = list(C4.canonical_chamber().basis)
     s4 = rf.sigma_from_basis_signs(C4, {b[0]: 1, b[1]: 1, b[2]: 1, b[3]: -1})
     sig, ch = dg.restrict_sigma(s4)
-    comps = dg._imaginary_components(C4, sig.theta, ch)
+    bullets = [b for b in ch.basis if b in sig.theta.imaginary_set]
+    comps = iv._orthogonal_components(C4, bullets)
     for comp in comps:
         assert sum(1 for x in comp if x in sig.noncompact_set) <= 1
     assert rf.identify(rf.reduce_noncompact(s4)).name == "sp(8,R)"
