@@ -121,6 +121,8 @@ def cmd_involutions(args) -> int:
 
 
 def cmd_sos(args) -> int:
+    if args.size is not None and args.size < 1:
+        raise iv.InvolutionError("--size: %d is not a set size (need 1 or more)" % args.size)
     system = _system(args)
     reps = iv.sos_classes_by_size(system)
     rows = []

@@ -13,8 +13,7 @@ from functools import cached_property
 from . import _linalg as la
 from .rootsys import RootSystem, RootSystemError
 from .weylgroup import (Perm, diagram_automorphisms, full_aut_group,
-                        identity_perm, klein_in_weyl, perm_mul,
-                        reflection_matrix, weyl_group)
+                        identity_perm, klein_in_weyl, perm_mul, weyl_group)
 
 
 class InvolutionError(ValueError):
@@ -146,11 +145,10 @@ def involution_from_images(system: RootSystem, images) -> Involution:
 def from_reflections(system: RootSystem, vectors) -> Involution:
     """Product of reflections across the given (not necessarily root)
     vectors; raises unless the result is an involution preserving roots."""
-    m = la.identity(system.dim)
-    for v in vectors:
-        vv = tuple(Fraction(x) for x in v)
-        m = la.mat_mul(reflection_matrix(system.dim, vv), m)
-    return involution_from_matrix(system, m)
+    perm = system.perm_of_reflections([tuple(Fraction(x) for x in v) for v in vectors])
+    if perm is None:
+        raise InvolutionError("map does not preserve the root set")
+    return Involution(system, perm)
 
 
 def complex_type_involution(system: RootSystem, iso: la.Matrix | None = None) -> Involution:
@@ -194,25 +192,23 @@ def positive_representatives(system: RootSystem, subset) -> list[int]:
     return out
 
 
-def max_orthogonal_subset(system: RootSystem, pool: list[int]) -> list[int]:
-    """Largest pairwise orthogonal subset; deterministic first maximum with
-    shortest-norm-then-index greedy order and backtracking."""
-    if not pool:
-        return []
-    bound = la.rank([system.roots[i] for i in pool])
+def first_max_clique(pool: list[int], adjacent, stop: int | None = None) -> list[int]:
+    """The first largest subset of the pool whose members are pairwise
+    adjacent.  Depth-first, candidates in pool order; a branch is cut when
+    it cannot beat the best set found so far, and the search ends once that
+    set reaches the stop size."""
     best: list[int] = []
 
     def dfs(chosen: list[int], cands: list[int]) -> bool:
         nonlocal best
         if len(chosen) > len(best):
             best = list(chosen)
-            if len(best) == bound:
+            if len(best) == stop:
                 return True
         if len(chosen) + len(cands) <= len(best):
             return False
         for k, c in enumerate(cands):
-            rest = [d for d in cands[k + 1:] if system.dot(c, d) == 0]
-            if dfs(chosen + [c], rest):
+            if dfs(chosen + [c], [d for d in cands[k + 1:] if adjacent(c, d)]):
                 return True
         return False
 
@@ -220,28 +216,34 @@ def max_orthogonal_subset(system: RootSystem, pool: list[int]) -> list[int]:
     return best
 
 
+def max_orthogonal_subset(system: RootSystem, pool: list[int]) -> list[int]:
+    """Largest pairwise orthogonal subset of a set of positive roots, in the
+    pool's order (shortest norm, then index).  An orthogonal set is
+    independent, so no set beats the pool's simple roots in size."""
+    pm = system.pairing_matrix
+    return first_max_clique(pool, lambda c, d: pm[c][d] == 0,
+                            len(system.simple_roots(set(pool))))
+
+
 def strongly_orthogonalize(system: RootSystem, idxs) -> tuple[int, ...]:
     """Replace a pairwise orthogonal set by a strongly orthogonal one with
     the same span (and cardinality)."""
     cur = list(idxs)
-    for a in range(len(cur)):
-        for b in range(a + 1, len(cur)):
-            if system.dot(cur[a], cur[b]) != 0:
-                raise InvolutionError("set is not pairwise orthogonal")
+    pm = system.pairing_matrix
+    if any(pm[a][b] for k, a in enumerate(cur) for b in cur[k + 1:]):
+        raise InvolutionError("set is not pairwise orthogonal")
+    add, neg = system.sum_table, system.negation_map
     changed = True
     while changed:
         changed = False
         for a in range(len(cur)):
             for b in range(a + 1, len(cur)):
-                if not system.is_strongly_orthogonal(cur[a], cur[b]):
-                    s = la.vadd(system.roots[cur[a]], system.roots[cur[b]])
-                    d = la.vsub(system.roots[cur[a]], system.roots[cur[b]])
-                    cur[a] = system.root_index(s)
-                    cur[b] = system.root_index(d)
+                x, y = cur[a], cur[b]
+                if not system.is_strongly_orthogonal(x, y):
+                    cur[a], cur[b] = add[x][y], add[x][neg[y]]
                     changed = True
         # loop until stable; each swap strictly increases total norm
     pos = system.canonical_chamber().positive_set
-    neg = system.negation_map
     return tuple(sorted(i if i in pos else neg[i] for i in cur))
 
 
@@ -284,18 +286,14 @@ def _orthogonal_components(system: RootSystem, idxs) -> list[list[int]]:
 
 
 def subsystem_type(system: RootSystem, subset) -> tuple:
-    """Multiset of irreducible types spanned by a closed subset of roots,
-    each reported as (rank, size, long_count)."""
-    idxs = sorted(subset)
-    if not idxs:
-        return ()
-    # span closure
-    span = [system.roots[i] for i in idxs]
-    closed = [i for i in range(len(system.roots))
-              if la.solve(span, system.roots[i]) is not None]
+    """Multiset of irreducible types of a closed subsystem, the roots lying
+    in a subspace (such as an eigenspace of an involution), each reported
+    as (rank, size, long_count, top norm).  A component's rank is the size
+    of its simple system."""
+    pos = system.canonical_chamber().positive_set
     out = []
-    for c in _orthogonal_components(system, closed):
-        rank = la.rank([system.roots[i] for i in c])
+    for c in _orthogonal_components(system, sorted(subset)):
+        rank = len(system.simple_roots({i for i in c if i in pos}))
         top = max(system.norm2(j) for j in c)
         longs = sum(1 for i in c if system.norm2(i) == top)
         out.append((rank, len(c), longs, top))
@@ -369,10 +367,11 @@ def classify_sos(system: RootSystem, idxs) -> SosClass:
 
 
 def _completes_to_klein(system: RootSystem, triple) -> bool:
+    pm = system.pairing_matrix
     for g in range(len(system.roots)):
         if g in triple:
             continue
-        if all(system.dot(g, s) == 0 for s in triple):
+        if all(pm[g][s] == 0 for s in triple):
             if klein_in_weyl(system, list(triple) + [g]):
                 return True
     return False

@@ -18,7 +18,7 @@ from .chevalley import (ChevalleySystem, DenseAlgebra, LinearMap, Qrt2,
                         dense_algebra, exp_quarter_pi_adk, structure_constants)
 from .diagram import find_s_chamber
 from .involution import (Involution, InvolutionError, antipodal_involution,
-                         decompose, positive_representatives)
+                         decompose, first_max_clique, positive_representatives)
 from .rootsys import RootSystem
 from .weylgroup import Perm, identity_perm, perm_mul, weyl_group
 
@@ -457,24 +457,10 @@ def cayley(sigma: AntiInvolution, beta: int, verify_dense: bool = True) -> AntiI
 def _max_long_sos_in(system: RootSystem, pool: list[int]) -> list[int]:
     """Inclusion-maximal strongly orthogonal subset of the pool with the
     largest number of long roots, longs ordered first."""
-    longs = [i for i in pool if system.is_long(i)]
-    shorts = [i for i in pool if not system.is_long(i)]
-    best: list[int] = []
-
-    def dfs(chosen, cands):
-        nonlocal best
-        if len(chosen) > len(best):
-            best = list(chosen)
-        if len(chosen) + len(cands) <= len(best):
-            return
-        for k, c in enumerate(cands):
-            dfs(chosen + [c],
-                [d for d in cands[k + 1:] if system.is_strongly_orthogonal(c, d)])
-
-    dfs([], longs)
-    out = list(best)
-    for s in shorts:
-        if all(system.is_strongly_orthogonal(s, x) for x in out):
+    out = first_max_clique([i for i in pool if system.is_long(i)],
+                           system.is_strongly_orthogonal)
+    for s in pool:
+        if not system.is_long(s) and all(system.is_strongly_orthogonal(s, x) for x in out):
             out.append(s)
     return out
 
@@ -512,8 +498,10 @@ def is_quasi_split(sigma: AntiInvolution) -> bool:
     if not imag:
         return True
 
+    pm = R.pairing_matrix
+
     def nothing_survives(S):
-        return not any(all(R.dot(g, s) == 0 for s in S) for g in imag
+        return not any(all(pm[g][s] == 0 for s in S) for g in imag
                        if g not in S)
 
     def dfs(S, cands):

@@ -190,28 +190,58 @@ def _roots_for(spec: RootSystemSpec) -> tuple[list[Vector], list[Vector]]:
     raise RootSystemError("unhandled spec %r" % (spec,))
 
 
+def _coordinate_rows(system: "RootSystem", basis) -> tuple[tuple[int, ...], ...]:
+    """The integer coordinates of every root in a simple basis, indexed by
+    root.  The positive roots are reached by walking upward from the basis,
+    each step adding a simple root and looking the sum up by its key; the
+    negative roots are their negatives."""
+    keys, look = system._keys, system._key_index.get
+    rows: list = [None] * len(system.roots)
+    for p, b in enumerate(basis):
+        rows[b] = tuple(int(q == p) for q in range(len(basis)))
+    layer = list(basis)
+    while layer:
+        reached = []
+        for i in layer:
+            for p, b in enumerate(basis):
+                j = look(keys[i] + keys[b])
+                if j is not None and rows[j] is None:
+                    rows[j] = rows[i][:p] + (rows[i][p] + 1,) + rows[i][p + 1:]
+                    reached.append(j)
+        layer = reached
+    for i in [i for i, c in enumerate(rows) if c is not None]:
+        rows[system.negation_map[i]] = tuple(-c for c in rows[i])
+    return tuple(rows)
+
+
 @dataclass(frozen=True)
 class Chamber:
-    """A Weyl chamber: positive roots, simple basis and a regular witness."""
+    """A Weyl chamber: simple basis and a regular witness.  The root
+    coordinates in the basis, and with them the positive roots, are found
+    on first use and kept on the chamber."""
 
     system: "RootSystem"
-    positive_set: frozenset[int]
     basis: tuple[int, ...]
     witness: Vector
 
+    @cached_property
+    def _coord_rows(self) -> tuple[tuple[int, ...], ...]:
+        return _coordinate_rows(self.system, self.basis)
+
+    @cached_property
+    def positive_set(self) -> frozenset[int]:
+        return frozenset(i for i, c in enumerate(self._coord_rows) if sum(c) > 0)
+
     def coords(self, idx: int) -> tuple[int, ...]:
         """Integer coordinates of a root in this chamber's simple basis."""
-        return self.system._coords_in(self.basis, idx)
+        return self._coord_rows[idx]
 
     def q_degree(self, idx: int) -> int:
-        return sum(self.coords(idx))
+        return sum(self._coord_rows[idx])
 
     def support(self, idx: int) -> frozenset[int]:
         cs = self.coords(idx)
         return frozenset(self.basis[i] for i in range(len(cs)) if cs[i] != 0)
-
-    def is_positive(self, idx: int) -> bool:
-        return idx in self.positive_set
 
 
 class RootSystem:
@@ -249,7 +279,6 @@ class RootSystem:
         self.negation_map: tuple[int, ...] = tuple(self.index[vneg(r)] for r in self.roots)
         self._norms = tuple(vdot(r, r) for r in self.roots)
         self._long_norm = max(self._norms) if self.roots else None
-        self._coords_cache: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
         self._reflection_perms: dict[int, tuple[int, ...]] = {}
         self._canonical_chamber: Chamber | None = None
         # Objects of the upper layers, built by their getters on first use
@@ -401,6 +430,27 @@ class RootSystem:
             self._reflection_perms[alpha_idx] = got
         return got
 
+    def perm_from_simple_images(self, images) -> tuple[int, ...]:
+        """The root permutation of the isometry sending the canonical simple
+        roots, in order, to the roots with the given indices; an isometry
+        that sends the simple roots to roots sends every root onto a root.
+        A root's image key is its canonical coordinates times their keys."""
+        ks = [self._keys[j] for j in images]
+        look = self._key_index
+        return tuple(look[sum(map(operator.mul, c, ks))]
+                     for c in self.canonical_chamber()._coord_rows)
+
+    def perm_of_reflections(self, vectors) -> tuple[int, ...] | None:
+        """The root permutation of the product of the reflections across the
+        given vectors, the first applied first, or None when the product
+        does not keep the root set.  The product is an isometry, so the
+        images of the simple roots decide."""
+        images = [self.roots[b] for b in self.canonical_basis]
+        for v in vectors:
+            images = [self.reflect_vec(x, v) for x in images]
+        idx = [self.index.get(x) for x in images]
+        return None if None in idx else self.perm_from_simple_images(idx)
+
     def perm_of_matrix(self, m: la.Matrix) -> tuple[int, ...] | None:
         """Permutation induced on roots by an ambient linear map, if any."""
         images = []
@@ -436,18 +486,6 @@ class RootSystem:
             out.append(k)
         return out[0], out[1]
 
-    def _coords_in(self, basis: tuple[int, ...], idx: int) -> tuple[int, ...]:
-        key = (basis, idx)
-        got = self._coords_cache.get(key)
-        if got is None:
-            cols = [self.roots[b] for b in basis]
-            sol = la.solve(cols, self.roots[idx])
-            if sol is None or any(c.denominator != 1 for c in sol):
-                raise RootSystemError("root %d has no integral coordinates in basis" % idx)
-            got = tuple(int(c) for c in sol)
-            self._coords_cache[key] = got
-        return got
-
     def is_strongly_orthogonal(self, i: int, j: int) -> bool:
         if j == i or j == self.negation_map[i]:
             return False
@@ -469,18 +507,14 @@ class RootSystem:
         if not self.is_regular(h):
             raise RootSystemError("witness is not regular")
         pos = frozenset(i for i, r in enumerate(self.roots) if vdot(r, h) > 0)
-        basis = self._basis_of_positive(pos)
-        return Chamber(self, pos, basis, h)
+        return Chamber(self, self.simple_roots(pos), h)
 
-    def _basis_of_positive(self, pos: frozenset[int]) -> tuple[int, ...]:
-        pos_vecs = {self.roots[i]: i for i in pos}
-        basis = []
-        for i in pos:
-            r = self.roots[i]
-            decomposable = any(vsub(r, v) in pos_vecs for v in pos_vecs if v != r)
-            if not decomposable:
-                basis.append(i)
-        return tuple(sorted(basis))
+    def simple_roots(self, pos) -> tuple[int, ...]:
+        """The roots of a positive set that are not the sum of two of them,
+        sorted: for the positive roots of a chamber, its simple basis."""
+        keys, look = self._keys, self._key_index.get
+        return tuple(sorted(i for i in pos
+                            if not any(look(keys[i] - keys[j]) in pos for j in pos)))
 
     def chamber_from_simple_basis(self, vectors) -> Chamber:
         """Chamber whose simple basis is the given set of root vectors."""
@@ -496,20 +530,15 @@ class RootSystem:
         return ch
 
     def canonical_chamber(self) -> Chamber:
+        """The chamber of the canonical basis, witnessed by the sum of its
+        positive roots."""
         if self._canonical_chamber is None:
-            basis = self.canonical_basis
-            witness = la.zero_vec(self.dim)
-            pos = []
-            for i in range(len(self.roots)):
-                cs = self._coords_in(basis, i)
-                if all(c >= 0 for c in cs):
-                    pos.append(i)
-            for i in pos:
-                witness = vadd(witness, self.roots[i])
-            ch = Chamber(self, frozenset(pos), basis, witness)
-            for b in basis:
+            rows = _coordinate_rows(self, self.canonical_basis)
+            witness = reduce(vadd, (r for r, c in zip(self.roots, rows) if sum(c) > 0),
+                             la.zero_vec(self.dim))
+            for b in self.canonical_basis:
                 assert vdot(self.roots[b], witness) > 0
-            self._canonical_chamber = ch
+            self._canonical_chamber = Chamber(self, self.canonical_basis, witness)
         return self._canonical_chamber
 
     def fundamental_coweights(self) -> list[Vector]:

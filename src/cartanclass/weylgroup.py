@@ -415,8 +415,8 @@ def diagram_automorphisms(system: RootSystem) -> list[Perm]:
 
     A symmetry keeps norms and pairings of the simple roots, so its linear
     extension is an isometry of their span that maps roots to roots."""
-    basis = [system.roots[b] for b in system.canonical_basis]
-    return [system.perm_of_matrix(la.map_from_images(basis, [basis[i] for i in p]))
+    cb = system.canonical_basis
+    return [system.perm_from_simple_images([cb[i] for i in p])
             for p in system.diagram_symmetries]
 
 
@@ -424,47 +424,26 @@ def full_aut_group(system: RootSystem) -> PermGroup:
     got = system._full_aut_group
     if got is not None:
         return got
-    gens = [system.reflection_perm(b) for b in system.canonical_basis]
+    cb = system.canonical_basis
+    gens = [system.reflection_perm(b) for b in cb]
     if system.factors is None:
         gens += diagram_automorphisms(system)
     else:
+        # the simple roots of each factor fill consecutive canonical positions
+        starts = [0, *itertools.accumulate(blk.rank for blk in system.factors)]
         for bi, blk in enumerate(system.factors):
-            for p in diagram_automorphisms(blk):
-                m = _embed_block(system, bi, blk.matrix_of_perm(p))
-                q = system.perm_of_matrix(m)
-                if q is not None:
-                    gens.append(q)
-        for bi in range(len(system.factors)):
-            for bj in range(bi + 1, len(system.factors)):
-                if system.factors[bi].spec == system.factors[bj].spec:
-                    q = system.perm_of_matrix(_swap_blocks(system, bi, bj))
-                    if q is not None:
-                        gens.append(q)
+            for p in blk.diagram_symmetries:
+                images = list(cb)
+                images[starts[bi]:starts[bi + 1]] = [cb[starts[bi] + i] for i in p]
+                gens.append(system.perm_from_simple_images(images))
+        for bi, bj in itertools.combinations(range(len(system.factors)), 2):
+            if system.factors[bi].spec == system.factors[bj].spec:
+                images = list(cb)
+                images[starts[bi]:starts[bi + 1]] = cb[starts[bj]:starts[bj + 1]]
+                images[starts[bj]:starts[bj + 1]] = cb[starts[bi]:starts[bi + 1]]
+                gens.append(system.perm_from_simple_images(images))
     got = system._full_aut_group = PermGroup(system, gens, name="A(%s)" % system.spec.label)
     return got
-
-
-def _embed_block(system: RootSystem, bi: int, m_blk: la.Matrix) -> la.Matrix:
-    n = system.dim
-    lo, hi = system.block_slices[bi]
-    rows = []
-    for i in range(n):
-        if lo <= i < hi:
-            rows.append(tuple([la.ZERO] * lo + list(m_blk[i - lo]) + [la.ZERO] * (n - hi)))
-        else:
-            rows.append(la.unit_vec(n, i))
-    return tuple(rows)
-
-
-def _swap_blocks(system: RootSystem, bi: int, bj: int) -> la.Matrix:
-    n = system.dim
-    lo1, hi1 = system.block_slices[bi]
-    lo2, hi2 = system.block_slices[bj]
-    assert hi1 - lo1 == hi2 - lo2
-    perm = list(range(n))
-    for k in range(hi1 - lo1):
-        perm[lo1 + k], perm[lo2 + k] = perm[lo2 + k], perm[lo1 + k]
-    return tuple(la.unit_vec(n, perm[i]) for i in range(n))
 
 
 def reflection_matrix(n: int, v: la.Vector) -> la.Matrix:
@@ -484,20 +463,17 @@ def klein_in_weyl(system: RootSystem, quad) -> bool:
     orthogonal roots all lie in the Weyl group.
 
     The reflections are taken across the differences v_i - v_j, which need
-    not be roots; the literal orthogonal map is tested for membership."""
+    not be roots; the double reflection, read off the simple roots, is
+    tested for membership."""
     q = list(quad)
     if len(q) != 4:
         raise ValueError("need exactly four roots")
     vs = [system.roots[i] for i in q]
-    for a in range(4):
-        for b in range(a + 1, 4):
-            if la.vdot(vs[a], vs[b]) != 0:
-                raise ValueError("roots are not pairwise orthogonal")
+    if any(la.vdot(u, v) for u, v in itertools.combinations(vs, 2)):
+        raise ValueError("roots are not pairwise orthogonal")
     W = weyl_group(system)
     for (i, j), (k, l) in [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]:
-        m1 = reflection_matrix(system.dim, la.vsub(vs[i], vs[j]))
-        m2 = reflection_matrix(system.dim, la.vsub(vs[k], vs[l]))
-        perm = system.perm_of_matrix(la.mat_mul(m1, m2))
+        perm = system.perm_of_reflections([la.vsub(vs[k], vs[l]), la.vsub(vs[i], vs[j])])
         if perm is None or not W.contains(perm):
             return False
     return True

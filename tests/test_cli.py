@@ -167,6 +167,14 @@ def test_signs_must_be_plus_or_minus(capsys):
     assert code == 0
 
 
+def test_sos_size_must_be_positive(capsys):
+    for size in ("0", "-1"):
+        assert run(["sos", "--type", "E8", "--size", size]) == (3, "")
+        assert "--size: %s " % size in capsys.readouterr().err
+    code, out = run(["sos", "--type", "G2", "--size", "1"])
+    assert code == 0 and "size=1" in out
+
+
 def test_rank_of_fixed_rank_family():
     assert run(["build", "--type", "G2", "--rank", "3"])[0] == 3
     assert run(["build", "--type", "E6", "--rank", "7"])[0] == 3

@@ -1,0 +1,178 @@
+"""Chamber coordinates, root maps from simple images and the Klein test
+against their rational definitions.
+
+The program reads these off integer keys: coordinates by walking upward
+from the simple roots, a root map by extending the images of the simple
+roots linearly, and the Klein test by mapping only the simple roots.  The
+references below are the rational computations those routines replace:
+one exact solve per root, and an ambient matrix pushed through every root.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cartanclass import _linalg as la
+from cartanclass import diagram as dg
+from cartanclass import involution as iv
+from cartanclass import rootsys as rs
+from cartanclass import weylgroup as wg
+
+FAMILIES = ([("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 9)]
+            + [("C", r) for r in range(3, 9)] + [("D", r) for r in range(4, 9)]
+            + [("E6", None), ("E7", None), ("E8", None), ("F4", None), ("G2", None)])
+SPECS = ([rs.RootSystemSpec(f, r) for f, r in FAMILIES]
+         + [rs.RootSystemSpec(f, realization="prime") for f in ("E6", "E7")])
+CATALOG = [rs.RootSystemSpec(f, r) for f, r in FAMILIES if f != "E8" and (r or 0) <= 7]
+CATALOG.append(rs.RootSystemSpec("E6", realization="prime"))
+
+
+def _check_chamber(R, ch):
+    """Coordinates by exact solves, positive roots by the witness."""
+    cols = [R.roots[b] for b in ch.basis]
+    for i, r in enumerate(R.roots):
+        sol = la.solve(cols, r)
+        assert sol is not None and all(c.denominator == 1 for c in sol)
+        assert ch.coords(i) == tuple(int(c) for c in sol)
+    assert ch.positive_set == frozenset(
+        i for i, r in enumerate(R.roots) if la.vdot(r, ch.witness) > 0)
+    assert R.simple_roots(ch.positive_set) == tuple(sorted(ch.basis))
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label)
+def test_canonical_coords_match_solve(spec):
+    R = rs.build(spec)
+    _check_chamber(R, R.canonical_chamber())
+
+
+@pytest.mark.parametrize("spec", CATALOG, ids=lambda s: s.label)
+def test_s_chamber_coords_match_solve(spec):
+    R = rs.build(spec)
+    for _, theta in iv.table2_representatives(R):
+        _check_chamber(R, dg.find_s_chamber(theta))
+
+
+def _matrix_perm(R, images):
+    src = [R.roots[b] for b in R.canonical_basis]
+    return R.perm_of_matrix(la.map_from_images(src, [R.roots[j] for j in images]))
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label)
+def test_simple_images_match_matrix(spec):
+    R = rs.build(spec)
+    cb = R.canonical_basis
+    perms = []
+    for p in R.diagram_symmetries:
+        images = [cb[i] for i in p]
+        perms.append(R.perm_from_simple_images(images))
+        assert perms[-1] == _matrix_perm(R, images)
+    assert wg.diagram_automorphisms(R) == perms
+    # Weyl group elements are root maps too: a word in simple reflections
+    rng = random.Random(spec.label)
+    g = wg.identity_perm(len(R))
+    for _ in range(6):
+        g = wg.perm_mul(R.reflection_perm(rng.choice(cb)), g)
+        assert R.perm_from_simple_images([g[b] for b in cb]) == g
+
+
+def _padded_map(U, blocks):
+    """The ambient matrix acting by the given (offset, matrix) blocks and as
+    the identity elsewhere."""
+    rows = [list(la.unit_vec(U.dim, i)) for i in range(U.dim)]
+    for (lo, hi), m in blocks:
+        for i in range(lo, hi):
+            rows[i][lo:hi] = m[i - lo]
+    return tuple(tuple(r) for r in rows)
+
+
+@pytest.mark.parametrize("factors", [("A2", "A2"), ("B2", "B2", "G2")])
+def test_union_generators_match_matrices(factors):
+    specs = {"A2": rs.RootSystemSpec("A", 2), "B2": rs.RootSystemSpec("B", 2),
+             "G2": rs.RootSystemSpec("G2")}
+    U = rs.build(rs.RootSystemSpec(factors=tuple(specs[f] for f in factors)))
+    want = [U.reflection_perm(b) for b in U.canonical_basis]
+    for blk, sl in zip(U.factors, U.block_slices):
+        for p in wg.diagram_automorphisms(blk):
+            want.append(U.perm_of_matrix(_padded_map(U, [(sl, blk.matrix_of_perm(p))])))
+    for bi in range(len(U.factors)):
+        for bj in range(bi + 1, len(U.factors)):
+            if U.factors[bi].spec == U.factors[bj].spec:
+                (lo1, hi1), (lo2, hi2) = U.block_slices[bi], U.block_slices[bj]
+                swap = list(range(U.dim))
+                swap[lo1:hi1], swap[lo2:hi2] = swap[lo2:hi2], swap[lo1:hi1]
+                want.append(U.perm_of_matrix(
+                    tuple(la.unit_vec(U.dim, swap[i]) for i in range(U.dim))))
+    assert None not in want
+    assert wg.full_aut_group(U).generators == want
+
+
+def _klein_by_matrices(R, quad):
+    W = wg.weyl_group(R)
+    vs = [R.roots[i] for i in quad]
+    for (i, j), (k, m) in [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]:
+        m1 = wg.reflection_matrix(R.dim, la.vsub(vs[i], vs[j]))
+        m2 = wg.reflection_matrix(R.dim, la.vsub(vs[k], vs[m]))
+        perm = R.perm_of_matrix(la.mat_mul(m1, m2))
+        if perm is None or not W.contains(perm):
+            return False
+    return True
+
+
+def test_klein_matches_matrices_on_e7_sos_quads(monkeypatch):
+    E7 = rs.build("E7")
+    seen = {}
+    klein = iv.klein_in_weyl
+
+    def record(system, quad):
+        seen[tuple(quad)] = got = klein(system, quad)
+        return got
+
+    monkeypatch.setattr(iv, "klein_in_weyl", record)
+    iv.sos_classes_by_size(E7)
+    assert len(seen) > 50 and {True, False} <= set(seen.values())
+    for quad, got in seen.items():
+        assert got == _klein_by_matrices(E7, quad), quad
+
+
+def test_klein_matches_matrices_on_e8_sample():
+    E8 = rs.build("E8")
+    rng = random.Random(8)
+    quads = []
+    while len(quads) < 40:
+        quad = [rng.randrange(len(E8))]
+        while len(quad) < 4:
+            c = rng.randrange(len(E8))
+            if all(E8.pairing(c, q) == 0 and c != q for q in quad):
+                quad.append(c)
+        quads.append(quad)
+    got = [wg.klein_in_weyl(E8, q) for q in quads]
+    assert {True, False} <= set(got)
+    assert got == [_klein_by_matrices(E8, q) for q in quads]
+
+
+@pytest.mark.parametrize("spec", [rs.RootSystemSpec("B", 4), rs.RootSystemSpec("D", 5),
+                                  rs.RootSystemSpec("F4"), rs.RootSystemSpec("E6")],
+                         ids=lambda s: s.label)
+@settings(max_examples=4, deadline=None)
+@given(word=st.lists(st.integers(0, 10_000), max_size=12))
+def test_weyl_conjugates_keep_class_data(spec, word):
+    """g theta g^-1, for a word g in reflections, keeps the class invariants
+    and the catalog label of every catalog row, and on the chamber g(C) it
+    has the S-diagram that theta has on its S-chamber C.
+
+    The diagram find_s_chamber picks for the conjugate itself may differ:
+    S-diagrams of one class are not unique (B4 r1,0 conjugated by a single
+    reflection is drawn o---o---*==>o against *---o---o==>o)."""
+    R = rs.build(spec)
+    g = wg.identity_perm(len(R))
+    for w in word:
+        g = wg.perm_mul(R.reflection_perm(w % len(R)), g)
+    for lab, theta in iv.table2_representatives(R):
+        conj = iv.Involution(R, wg.perm_mul(g, wg.perm_mul(theta.perm, wg.perm_inv(g))))
+        assert conj.invariants() == theta.invariants()
+        assert iv.class_label(conj) == lab
+        ch = dg.find_s_chamber(theta)
+        moved = R.chamber_from_simple_basis([R.roots[g[b]] for b in ch.basis])
+        assert dg.s_diagram(conj, moved).render("json") == \
+            dg.s_diagram(theta, ch).render("json")
