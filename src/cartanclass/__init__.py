@@ -5,7 +5,7 @@ Dynkin diagrams, in exact arithmetic."""
 from .rootsys import Chamber, RootSystem, RootSystemError, RootSystemSpec, build
 from .weylgroup import (PermGroup, RootPermutation, full_aut_group,
                         klein_in_weyl, weyl_group)
-from .chevalley import (ChevalleySystem, DenseAlgebra, Qrt2, ad_k_char_polys,
+from .chevalley import (ChevalleySystem, DenseAlgebra, Qrt2, QuarterTurn, ad_k_char_polys,
                         apply_map, dense_algebra, exp_quarter_pi_adk,
                         structure_constants)
 from .involution import (Involution, SosClass, class_label, classify_sos,

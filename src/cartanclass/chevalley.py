@@ -73,9 +73,6 @@ class Qrt2:
     def __bool__(self):
         return self.a != 0 or self.b != 0
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def rational(self) -> Fraction:
         if self.b != 0:
             raise ValueError("%r is irrational" % (self,))
@@ -88,22 +85,6 @@ class Qrt2:
 
 
 SQRT2_HALF = Qrt2(0, Fraction(1, 2))  # sqrt(2)/2
-
-
-def _qrt2_solve(rows: list[list[Qrt2]], target: list[Qrt2]) -> list[Qrt2]:
-    """Solve a small square system over Q(sqrt2) by elimination."""
-    n = len(rows)
-    m = [list(r) + [t] for r, t in zip(rows, target)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if m[i][c])
-        m[c], m[piv] = m[piv], m[c]
-        inv = m[c][c].inverse()
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return [m[i][n] for i in range(n)]
 
 
 # -- structure constants -------------------------------------------------------
@@ -630,83 +611,78 @@ def _det(m) -> Fraction:
     return out
 
 
-# -- exact quarter-turn exponentials -------------------------------------------
+# -- exact quarter turns -------------------------------------------------------
+
+# exp(pi/4 * M) v as sum_k c_k M^k v for a vector v with P(M) v = 0, keyed by
+# P: cos and sin at pi/4 reduced modulo P.  The turn by -pi/4 negates the
+# odd terms.
+_TURN_ROWS = {
+    POLY_LAMBDA: (Qrt2(1),),
+    POLY_L2P1: (SQRT2_HALF, SQRT2_HALF),
+    POLY_L_L2P4: (Qrt2(1), Qrt2(Fraction(1, 2)), Qrt2(Fraction(1, 4))),
+    POLY_L2P1_L2P9: tuple(SQRT2_HALF * Fraction(n, d)
+                          for n, d in ((5, 4), (13, 12), (1, 4), (1, 12))),
+}
+# block polynomial of X_gamma by the length of its beta-string
+_STRING_POLY = {1: POLY_LAMBDA, 2: POLY_L2P1, 3: POLY_L_L2P4, 4: POLY_L2P1_L2P9}
 
 
-def _interp_coeffs(sign: int) -> list[Qrt2]:
-    """Coefficients a_0..a_6 with p(M) = exp(sign * pi/4 * M) for any M
-    annihilated by M(M^2+1)(M^2+4)(M^2+9)."""
-    s = SQRT2_HALF
-    one = Qrt2(1)
-    zero = Qrt2(0)
-    # even part: a0 + a2 (ik)^2 + a4 (ik)^4 + a6 (ik)^6 = cos(k pi/4), k=0..3
-    rows = [[one, Qrt2(-(k * k)), Qrt2(k ** 4), Qrt2(-(k ** 6))] for k in range(4)]
-    cos_vals = [one, s, zero, -s]
-    even = _qrt2_solve(rows, cos_vals)
-    # odd part: a1 k - a3 k^3 + a5 k^5 = sign*sin(k pi/4), k=1..3
-    rows = [[Qrt2(k), Qrt2(-(k ** 3)), Qrt2(k ** 5)] for k in range(1, 4)]
-    sin_vals = [s, one, s]
-    if sign < 0:
-        sin_vals = [-v for v in sin_vals]
-    odd = _qrt2_solve(rows, sin_vals)
-    return [even[0], odd[0], even[1], odd[1], even[2], odd[2], even[3]]
+class QuarterTurn:
+    """exp(sign * pi/4 * ad(K_B)) for a strongly orthogonal set B, applied
+    to vectors one root at a time (the single-root turns commute).
 
+    A basis element e is turned in closed form: it is killed by the block
+    polynomial P of its beta-string (Cartan elements and X_{+-beta}: the
+    polynomial of the H/T block), so exp e is a combination of the powers
+    (ad K)^k e below deg P.  P(ad K) e = 0 is checked on every element."""
 
-def _exp_single(A: DenseAlgebra, beta_idx: int, sign: int) -> LinearMap:
-    k_elem = A.k_elem(beta_idx)
+    def __init__(self, algebra: DenseAlgebra, b_indices, sign: int):
+        self.b_indices = list(b_indices)
+        if not algebra.system.strongly_orthogonal_set(self.b_indices):
+            raise ChevalleyError("set is not strongly orthogonal")
+        self.algebra = algebra
+        self.sign = sign
+        self._cols: dict[tuple[int, int], dict[int, Qrt2]] = {}
 
-    def ad(v: dict) -> dict:
-        return {i: Qrt2.of(c) for i, c in A.bracket(k_elem, v).items()}
-
-    coeffs = _interp_coeffs(sign)
-    cols: dict[int, dict[int, Qrt2]] = {}
-    for i in range(A.dim):
-        v: dict[int, Qrt2] = {i: Qrt2(1)}
-        acc: dict[int, Qrt2] = {}
-        w = dict(v)
-        for j, a in enumerate(coeffs):
-            if j > 0:
-                w = ad(w)
-            if a:
-                for idx, c in w.items():
-                    val = acc.get(idx, Qrt2(0)) + a * c
-                    if val:
-                        acc[idx] = val
-                    elif idx in acc:
-                        del acc[idx]
-        # annihilator check: M(M^2+1)(M^2+4)(M^2+9) v = 0
-        w1 = ad(v)
-        m2 = lambda u: ad(ad(u))
-        chk = w1
-        for shift in (1, 4, 9):
-            chk = {k: c for k, c in _dict_add(m2(chk), {k: Qrt2.of(shift) * c for k, c in chk.items()}).items() if c}
-        if chk:
+    def _col(self, beta: int, i: int) -> dict[int, Qrt2]:
+        got = self._cols.get((beta, i))
+        if got is not None:
+            return got
+        A = self.algebra
+        R = A.system
+        gamma = i - A.rank
+        if gamma < 0 or gamma in (beta, R.negation_map[beta]):
+            poly = POLY_L_L2P4
+        else:
+            p, q = R.root_string(gamma, beta)
+            poly = _STRING_POLY[p + q + 1]
+        k_elem = A.k_elem(beta)
+        powers = [{i: Fraction(1)}]
+        for _ in range(len(poly) - 1):
+            powers.append(A.bracket(k_elem, powers[-1]))
+        if _combine(poly, powers):
             raise ChevalleyError("ad(K) spectrum escapes {0,+-i,+-2i,+-3i}")
-        cols[i] = acc
-    return LinearMap(A, cols)
+        row = [c * self.sign ** k for k, c in enumerate(_TURN_ROWS[poly])]
+        got = self._cols[(beta, i)] = _combine(row, powers)
+        return got
+
+    def apply(self, v: dict) -> dict[int, Qrt2]:
+        for beta in self.b_indices:
+            v = _combine(v.values(), [self._col(beta, i) for i in v])
+        return {j: Qrt2.of(c) for j, c in v.items()}
 
 
-def _dict_add(u: dict, v: dict) -> dict:
-    out = dict(u)
-    for k, c in v.items():
-        val = out.get(k, Qrt2(0)) + c
-        if val:
-            out[k] = val
-        elif k in out:
-            del out[k]
-    return out
+def _combine(coeffs, vecs) -> dict:
+    """sum_k coeffs[k] * vecs[k], zero entries dropped."""
+    out: dict = {}
+    for a, w in zip(coeffs, vecs):
+        for j, c in w.items():
+            out[j] = out.get(j, 0) + a * c
+    return {j: c for j, c in out.items() if c}
 
 
 def exp_quarter_pi_adk(algebra: DenseAlgebra, b_indices, sign: int = 1) -> LinearMap:
     """Exact matrix of exp(sign * pi/4 * ad(K_B)) for a strongly orthogonal
-    set B, computed as the product of the commuting single-root turns."""
-    b = list(b_indices)
-    R = algebra.system
-    for x in range(len(b)):
-        for y in range(x + 1, len(b)):
-            if not R.is_strongly_orthogonal(b[x], b[y]):
-                raise ChevalleyError("set is not strongly orthogonal")
-    out = LinearMap.identity(algebra)
-    for beta in b:
-        out = _exp_single(algebra, beta, sign).compose(out)
-    return out
+    set B, one column per basis element."""
+    turn = QuarterTurn(algebra, b_indices, sign)
+    return LinearMap(algebra, {i: turn.apply({i: Fraction(1)}) for i in range(algebra.dim)})

@@ -46,6 +46,8 @@ def _involution_from_args(args, system: rs.RootSystem) -> iv.Involution:
     if getattr(args, "label", None):
         if args.label == "id":
             return iv.identity_involution(system)
+        if args.label == "-1":
+            return iv.antipodal_involution(system)
         for lab, rep in iv.table2_representatives(system):
             if lab == args.label:
                 return rep
@@ -183,6 +185,9 @@ def cmd_realforms(args) -> int:
     system = _system(args)
     names: dict[str, dict] = {}
     thetas = [("id", iv.identity_involution(system))] + iv.table2_representatives(system)
+    # the compact Cartan needs a row negating every root (-1 is outer in E6)
+    if not any(len(t.imaginary_set) == len(system.roots) for _, t in thetas):
+        thetas.append(("-1", iv.antipodal_involution(system)))
     for lab, theta in thetas:
         lift = rf.quasi_split_lift(theta)
         chamber = dg.find_s_chamber(theta)
@@ -361,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             common(sp)
         sp.add_argument("--label", default=None,
-                        help="catalog label of the involution (or 'id')")
+                        help="catalog label of the involution (or 'id', '-1')")
         sp.add_argument("--images", default=None,
                         help="JSON list of simple-root images ('-' for stdin)")
         if verb in ("sigma", "cayley", "cartans"):

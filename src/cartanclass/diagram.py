@@ -44,29 +44,34 @@ def is_v_chamber(theta: Involution, chamber: Chamber) -> bool:
 def find_s_chamber(theta: Involution) -> Chamber:
     """Deterministic S-chamber from the split witness t*H+ + H-.
 
-    The seed is a positive combination of the coweights; geometric weights
-    grow until the averaged part stays off every non-negated root wall."""
+    The seed h = sum_j scale^j omega_j is a positive combination of the
+    coweights; geometric weights grow until the averaged part stays off
+    every non-negated root wall.  Pairings are integers read off the
+    canonical coordinates, <alpha, h> = sum_j scale^j c_j(alpha), and
+    <alpha, theta h> = <theta alpha, h>."""
     R = theta.system
+    ch = R.canonical_chamber()
     movers = [i for i in range(len(R.roots)) if i not in theta.imaginary_set]
     if not movers:
-        return R.canonical_chamber()
-    cw = R.fundamental_coweights()
+        return ch
     for scale in range(1, 65):
-        h = la.zero_vec(R.dim)
-        for j, w in enumerate(cw):
-            h = la.vadd(h, la.vscale(Fraction(scale) ** j, w))
-        if not R.is_regular(h):
+        h = [sum(c * scale ** j for j, c in enumerate(ch.coords(i)))
+             for i in range(len(R.roots))]
+        if not all(h):
             continue
-        th = la.mat_vec(theta.matrix, h)
-        hplus = la.vscale(Fraction(1, 2), la.vadd(h, th))
-        hminus = la.vscale(Fraction(1, 2), la.vsub(h, th))
-        if any(la.vdot(R.roots[i], hplus) == 0 for i in movers):
+        # twice the pairings with H+ = (h + theta h)/2 and H- = (h - theta h)/2
+        plus = [x + h[theta(i)] for i, x in enumerate(h)]
+        minus = [x - h[theta(i)] for i, x in enumerate(h)]
+        if any(plus[i] == 0 for i in movers):
             continue
-        maxb = max(abs(la.vdot(R.roots[i], hminus)) for i in range(len(R.roots)))
-        mina = min(abs(la.vdot(R.roots[i], hplus)) for i in movers)
-        t = 1 + (maxb / mina).__ceil__()
-        w = la.vadd(la.vscale(t, hplus), hminus)
-        chamber = R.chamber_from_witness(w)
+        maxb = max(abs(x) for x in minus)
+        mina = min(abs(plus[i]) for i in movers)
+        t = 1 - (-maxb // mina)  # 1 + ceil(maxb / mina)
+        w = [t * x + y for x, y in zip(plus, minus)]
+        witness = la.mat_vec(la.transpose(R.fundamental_coweights),
+                             [Fraction(w[b], 2) for b in ch.basis])
+        pos = frozenset(i for i, x in enumerate(w) if x > 0)
+        chamber = Chamber(R, R.simple_roots(pos), witness)
         if not is_s_chamber(theta, chamber):
             raise DiagramError("constructed chamber fails the S condition")
         return chamber

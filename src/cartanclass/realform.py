@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg as la
-from .chevalley import (ChevalleySystem, DenseAlgebra, LinearMap, Qrt2,
-                        dense_algebra, exp_quarter_pi_adk, structure_constants)
+from .chevalley import (ChevalleySystem, DenseAlgebra, LinearMap, Qrt2, QuarterTurn,
+                        dense_algebra, structure_constants)
 from .diagram import find_s_chamber
 from .involution import (Involution, InvolutionError, antipodal_involution,
                          decompose, first_max_clique, positive_representatives)
 from .rootsys import RootSystem
-from .weylgroup import Perm, identity_perm, perm_mul, weyl_group
+from .weylgroup import identity_perm, perm_mul, weyl_group
 
 
 class RealFormError(ValueError):
@@ -163,33 +163,6 @@ def sigma_dense(algebra: DenseAlgebra, sigma: AntiInvolution) -> LinearMap:
     return LinearMap(algebra, cols)
 
 
-def f_from_dense(algebra: DenseAlgebra, m: LinearMap) -> tuple[Perm, dict[int, int]]:
-    """Read (theta, f) off a monomial dense map; errors on any entry that
-    is not exactly 0 or +-1 on the root-vector block."""
-    R = algebra.system
-    rank = algebra.rank
-    images = []
-    f = {}
-    for i in range(len(R.roots)):
-        col = m.col(rank + i)
-        entries = [(k, v) for k, v in col.items() if v]
-        if len(entries) != 1:
-            raise RealFormError("root column is not monomial")
-        k, v = entries[0]
-        if k < rank:
-            raise RealFormError("root vector mapped into the torus part")
-        if not v.is_rational() or v.rational() not in (1, -1):
-            raise RealFormError("irrational or non-unit sign in the dense map")
-        images.append(k - rank)
-        f[i] = int(v.rational())
-    for k, b in enumerate(R.canonical_basis):
-        want = {kk: Qrt2.of(c) for kk, c in algebra.coroot_elem(images[b]).items()}
-        got = {kk: v for kk, v in m.col(k).items() if v}
-        if got != want:
-            raise RealFormError("torus block inconsistent with the root images")
-    return tuple(images), f
-
-
 def psi_map(algebra: DenseAlgebra, eta: SignHom) -> LinearMap:
     cols: dict[int, dict[int, Qrt2]] = {}
     for k in range(algebra.rank):
@@ -243,6 +216,33 @@ def eps_sharp_map(algebra: DenseAlgebra, eps: Involution, chamber) -> LinearMap:
     return LinearMap(algebra, cols)
 
 
+def _sign_datum(algebra: DenseAlgebra, theta: Involution, factors) -> AntiInvolution:
+    """The sign datum of the automorphism factors[0] o ... o factors[-1]
+    (dense maps or quarter turns), read off the simple root vectors: each
+    X_{+-b}, b in the canonical basis, must go to exactly +-X_{theta(+-b)},
+    with one sign for b and -b.  The signs extend by height to every root
+    and the cocycle law is checked on the result."""
+    R = theta.system
+    ch = R.canonical_chamber()
+    signs = {}
+    for b in ch.basis:
+        got = []
+        for g in (b, R.negation_map[b]):
+            v = algebra.x(g)
+            for m in reversed(factors):
+                v = m.apply(v)
+            key = algebra.rank + theta(g)
+            if v not in ({key: 1}, {key: -1}):
+                raise RealFormError("the map does not send X at root %d to +-X at "
+                                    "its image under the involution" % g)
+            got.append(1 if v[key] == 1 else -1)
+        if got[0] != got[1]:
+            raise RealFormError("sign differs at opposite roots %d" % b)
+        signs[b] = got[0]
+    f = _extend_signs_by_height(theta, ch, signs, algebra.constants)
+    return AntiInvolution(theta, f, algebra.constants, full=True)
+
+
 # -- dual-lattice vectors -------------------------------------------------------------
 
 
@@ -253,8 +253,7 @@ def omega_for_targets(system: RootSystem, b_indices, targets,
     alpha - parity_of(alpha) for every root (so its sign character is
     compatible with that involution).  None when no such vector exists."""
     ch = system.canonical_chamber()
-    coweights = system.fundamental_coweights()
-    ncw = len(coweights)
+    coweights = system.fundamental_coweights
     rows = []
     rhs = []
     slack = 0
@@ -281,10 +280,7 @@ def omega_for_targets(system: RootSystem, b_indices, targets,
     sol = la.solve_integer(full_rows, rhs)
     if sol is None:
         return None
-    out = la.zero_vec(system.dim)
-    for c, w in zip(sol[:ncw], coweights):
-        out = la.vadd(out, la.vscale(c, w))
-    return out
+    return la.mat_vec(la.transpose(coweights), sol[:len(coweights)])
 
 
 def omega_for_set(system: RootSystem, b_indices) -> la.Vector:
@@ -306,20 +302,16 @@ def quasi_split_lift(theta: Involution) -> AntiInvolution:
     R = theta.system
     if R.factors is not None:
         raise RealFormError("lifts are computed per irreducible factor")
-    constants = structure_constants(R)
-    A = dense_algebra(constants)
+    A = dense_algebra(structure_constants(R))
     eps, b_set = decompose(theta)
-    ident = identity_perm(len(R.roots))
-    special = eps.perm != ident
+    special = eps.perm != identity_perm(len(R.roots))
+    turns = (QuarterTurn(A, b_set, 1), QuarterTurn(A, b_set, -1)) if b_set else ()
 
     def sharp_of(omega):
         psi = psi_map(A, SignHom(R, omega))
-        if not b_set:
-            return psi
-        e_plus = exp_quarter_pi_adk(A, b_set, 1)
-        e_minus = exp_quarter_pi_adk(A, b_set, -1)
-        return e_plus.compose(psi).compose(e_minus)
+        return [turns[0], psi, turns[1]] if b_set else [psi]
 
+    # each candidate is a list of factors, applied right to left
     candidates = []
     if not special:
         candidates.append(sharp_of(omega_for_set(R, b_set)))
@@ -336,19 +328,14 @@ def quasi_split_lift(theta: Involution) -> AntiInvolution:
                                [0 if s > 0 else 1 for s in s_signs],
                                parity_of=eps)
         if omega is not None and mu is not None:
-            candidates.append(esh.compose(psi_map(A, SignHom(R, mu)))
-                              .compose(sharp_of(omega)))
+            candidates.append([esh, psi_map(A, SignHom(R, mu))] + sharp_of(omega))
         plain = omega_for_set(R, b_set)
-        candidates.append(esh.compose(sharp_of(plain)))
-        candidates.append(esh.compose(psi_map(A, SignHom(R, plain)))
-                          .compose(sharp_of(plain)))
+        candidates.append([esh] + sharp_of(plain))
+        candidates.append([esh, psi_map(A, SignHom(R, plain))] + sharp_of(plain))
     last_err = None
-    for cand in candidates:
+    for factors in candidates:
         try:
-            perm, f = f_from_dense(A, cand)
-            if perm != theta.perm:
-                raise RealFormError("candidate lift induces the wrong involution")
-            sigma = AntiInvolution(theta, f, constants, full=True)
+            sigma = _sign_datum(A, theta, factors)
         except RealFormError as exc:
             last_err = exc
             continue
@@ -441,16 +428,11 @@ def cayley(sigma: AntiInvolution, beta: int, verify_dense: bool = True) -> AntiI
             raise RealFormError("new negated root outside the old negated set")
     if verify_dense and sigma.full:
         A = dense_algebra(sigma.constants)
-        e_plus = exp_quarter_pi_adk(A, [beta], 1)
-        e_minus = exp_quarter_pi_adk(A, [beta], -1)
-        dense2 = e_plus.compose(sigma_dense(A, sigma)).compose(e_minus)
-        perm, f_full = f_from_dense(A, dense2)
-        if perm != theta2.perm:
-            raise RealFormError("dense transform induces the wrong involution")
-        for i in theta2.imaginary_set:
-            if f_full[i] != f2[i]:
-                raise RealFormError("dense and combinatorial signs disagree")
-        return AntiInvolution(theta2, f_full, sigma.constants, full=True)
+        out = _sign_datum(A, theta2, [QuarterTurn(A, [beta], 1), sigma_dense(A, sigma),
+                                      QuarterTurn(A, [beta], -1)])
+        if any(out.f[i] != f2[i] for i in theta2.imaginary_set):
+            raise RealFormError("dense and combinatorial signs disagree")
+        return out
     return AntiInvolution(theta2, f2, sigma.constants, full=False)
 
 

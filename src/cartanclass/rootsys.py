@@ -541,19 +541,20 @@ class RootSystem:
             self._canonical_chamber = Chamber(self, self.canonical_basis, witness)
         return self._canonical_chamber
 
-    def fundamental_coweights(self) -> list[Vector]:
+    @cached_property
+    def fundamental_coweights(self) -> tuple[Vector, ...]:
         """Vectors pairing to 1 with one canonical simple root, 0 with the rest."""
         basis_vecs = [self.roots[b] for b in self.canonical_basis]
         cols = [tuple(bv[m] for bv in basis_vecs) for m in range(self.dim)]
-        out = [la.solve(cols, la.unit_vec(len(basis_vecs), j))
-               for j in range(len(basis_vecs))]
+        out = tuple(la.solve(cols, la.unit_vec(len(basis_vecs), j))
+                    for j in range(len(basis_vecs)))
         if None in out:
             raise RootSystemError("no coweight vector found")
         return out
 
     def fundamental_coweight_sum(self) -> Vector:
         """Regular vector pairing to 1 with every canonical simple root."""
-        return reduce(vadd, self.fundamental_coweights(), la.zero_vec(self.dim))
+        return reduce(vadd, self.fundamental_coweights, la.zero_vec(self.dim))
 
     def in_dual_lattice(self, omega: Vector) -> bool:
         omega = tuple(Fraction(x) for x in omega)

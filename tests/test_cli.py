@@ -135,6 +135,32 @@ def test_realforms_b2():
     assert names == {"so(5)", "so(1,4)", "so(2,3)"}
 
 
+def test_realforms_e6_lists_all_five_forms():
+    """-1 is an outer automorphism of E6, so no catalog row negates every
+    root; the compact Cartan of e6, EII and EIII comes from the extra
+    row -1, whose label can be passed back."""
+    code, out = run(["realforms", "--type", "E6", "--format", "json"])
+    assert code == 0
+    rows = {r["name"]: r for r in json.loads(out)}
+    assert set(rows) == {"EI", "EII", "EIII", "EIV", "e6"}
+    assert rows["e6"]["cartan_involutions"] == ["-1"]
+    for r in rows.values():
+        for lab in r["cartan_involutions"]:
+            assert run(["cartans", "--type", "E6", "--label", lab])[0] == 0
+    code, out = run(["realforms", "--type", "E6", "--realization", "prime",
+                     "--format", "json"])
+    assert code == 0 and "e6" in {r["name"] for r in json.loads(out)}
+
+
+def test_label_minus_one_is_the_antipodal_involution():
+    for argv in (["--type", "G2"], ["--type", "B", "--rank", "2"], ["--type", "E6"]):
+        code, out = run(["diagram", "--label", "-1", "--format", "json"] + argv)
+        assert code == 0
+        assert {n["color"] for n in json.loads(out)["nodes"]} == {"black"}
+    code, out = run(["cayley", "--type", "E6", "--label", "-1", "--format", "json"])
+    assert code == 0 and json.loads(out)["name"] == "EII"
+
+
 def test_verify_suites():
     for suite in ("empty-system", "table2", "sos-table"):
         code, out = run(["verify", suite, "--type", "G2"])

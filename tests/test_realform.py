@@ -1,8 +1,10 @@
 """Sign-function data: lifts, twists, transforms, identification."""
 
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cartanclass import _linalg as la
 from cartanclass import chevalley as cv
@@ -326,3 +328,46 @@ def test_hom_constraints_projection_g2():
         # exactly one negated simple root, forced to +1: projection trivial
         assert bin(bullet_mask).count("1") == 1
         assert proj == {0}
+
+
+@functools.lru_cache(maxsize=None)
+def _twisted_lifts(spec):
+    """Sign data with a nonempty noncompact set over id, -1 and every
+    catalog row: each row's quasi-split lift times every compatible sign
+    character, as `realforms` builds them."""
+    R = rs.build(spec)
+    out = []
+    thetas = ([iv.identity_involution(R), iv.antipodal_involution(R)]
+              + [t for _, t in iv.table2_representatives(R)])
+    for theta in thetas:
+        lift = rf.quasi_split_lift(theta)
+        ch = dg.find_s_chamber(theta)
+        rows, _ = rf.hom_theta_constraints(theta, ch)
+        basis = list(ch.basis)
+        for mask in rf.project_span(rf.f2_solution_space(rows, len(basis)),
+                                    (1 << len(basis)) - 1):
+            signs = {b: lift.f[b] * (-1 if mask >> k & 1 else 1)
+                     for k, b in enumerate(basis)}
+            try:
+                sigma = rf.sigma_from_chamber_signs(theta, ch, signs)
+            except rf.RealFormError:
+                continue
+            if sigma.noncompact_set:
+                out.append(sigma)
+    return out
+
+
+@pytest.mark.parametrize("spec", [rs.RootSystemSpec("B", 4), rs.RootSystemSpec("D", 5),
+                                  rs.RootSystemSpec("F4"), rs.RootSystemSpec("E6")],
+                         ids=lambda s: s.label)
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(0, 10_000), r=st.integers(0, 10_000))
+def test_cayley_keeps_the_form(spec, k, r):
+    """A Cayley transform along a drawn noncompact root, checked on the
+    dense oracle, keeps the name of the form."""
+    data = _twisted_lifts(spec)
+    sigma = data[k % len(data)]
+    beta = sorted(sigma.noncompact_set)[r % len(sigma.noncompact_set)]
+    moved = rf.cayley(sigma, beta)
+    assert moved.full
+    assert rf.identify(moved) == rf.identify(sigma)

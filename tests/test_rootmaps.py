@@ -9,6 +9,7 @@ one exact solve per root, and an ambient matrix pushed through every root.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,6 +52,45 @@ def test_s_chamber_coords_match_solve(spec):
     R = rs.build(spec)
     for _, theta in iv.table2_representatives(R):
         _check_chamber(R, dg.find_s_chamber(theta))
+
+
+def _reference_s_chamber(theta):
+    """The S-chamber by rational ambient geometry: h a combination of the
+    coweights, theta h by the matrix of theta, Fraction dots with every
+    root.  Returns the chamber and its witness t*H+ + H-."""
+    R = theta.system
+    movers = [i for i in range(len(R.roots)) if i not in theta.imaginary_set]
+    if not movers:
+        return R.canonical_chamber(), R.canonical_chamber().witness
+    for scale in range(1, 65):
+        h = la.zero_vec(R.dim)
+        for j, w in enumerate(R.fundamental_coweights):
+            h = la.vadd(h, la.vscale(Fraction(scale) ** j, w))
+        if not R.is_regular(h):
+            continue
+        th = la.mat_vec(theta.matrix, h)
+        hplus = la.vscale(Fraction(1, 2), la.vadd(h, th))
+        hminus = la.vscale(Fraction(1, 2), la.vsub(h, th))
+        if any(la.vdot(R.roots[i], hplus) == 0 for i in movers):
+            continue
+        maxb = max(abs(la.vdot(r, hminus)) for r in R.roots)
+        mina = min(abs(la.vdot(R.roots[i], hplus)) for i in movers)
+        w = la.vadd(la.vscale(1 + (maxb / mina).__ceil__(), hplus), hminus)
+        return R.chamber_from_witness(w), w
+    raise AssertionError("no witness")
+
+
+@pytest.mark.parametrize("spec", SPECS[:-1], ids=lambda s: s.label)
+def test_s_chamber_matches_rational_witness(spec):
+    """find_s_chamber on integer pairings gives the chamber of the rational
+    construction, and its witness has the same pairing with every root
+    (every catalog row up to rank 8; E7' has no catalog)."""
+    R = rs.build(spec)
+    for _, theta in iv.table2_representatives(R):
+        want, w = _reference_s_chamber(theta)
+        got = dg.find_s_chamber(theta)
+        assert (got.basis, got.positive_set) == (want.basis, want.positive_set)
+        assert all(la.vdot(r, got.witness) == la.vdot(r, w) for r in R.roots)
 
 
 def _matrix_perm(R, images):
