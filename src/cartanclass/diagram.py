@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import _linalg as la
 from .involution import Involution, _orthogonal_components
-from .rootsys import Chamber, RootSystem
+from .rootsys import Chamber, RootSystem, RootSystemError, build
 from .weylgroup import perm_mul
 
 WHITE, BLACK, STAR = "white", "black", "star"
@@ -197,20 +197,24 @@ class Diagram:
     def star_positions(self) -> frozenset[int]:
         return frozenset(i for i, c in enumerate(self.colors) if c == STAR)
 
-    def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {i: set() for i in range(self.rank)}
-        for i, j, _, _ in self.bonds:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
-
     def validate(self) -> None:
-        for pair in self.arrows:
-            i, j = sorted(pair)
-            if i == j:
-                raise DiagramError("arrow joins a node to itself")
-            if self.colors[i] != WHITE or self.colors[j] != WHITE:
-                raise DiagramError("arrow endpoint is not white")
+        if len(self.colors) != self.rank:
+            raise DiagramError("diagram has %d nodes for rank %d" % (len(self.colors), self.rank))
+        for k, c in enumerate(self.colors):
+            if c not in _SYMBOL:
+                raise DiagramError("node %d has unknown color %r" % (k, c))
+        seen: set[int] = set()
+        for pair in sorted(sorted(p) for p in self.arrows):
+            if len(pair) != 2:
+                raise DiagramError("arrow joins node %d to itself" % pair[0])
+            for k in pair:
+                if not 0 <= k < self.rank:
+                    raise DiagramError("arrow endpoint node %d is not on the diagram" % k)
+                if k in seen:
+                    raise DiagramError("node %d lies in two arrows" % k)
+                if self.colors[k] != WHITE:
+                    raise DiagramError("arrow endpoint node %d is not white" % k)
+                seen.add(k)
 
     # -- serialization ---------------------------------------------------------
 
@@ -226,16 +230,16 @@ class Diagram:
 
     @staticmethod
     def from_json(data: dict) -> "Diagram":
-        colors = [None] * len(data["nodes"])
-        for nd in data["nodes"]:
-            colors[nd["index"]] = nd["color"]
-        return Diagram(
+        colors = {nd["index"]: nd["color"] for nd in data["nodes"]}
+        d = Diagram(
             family=data["type"], rank=data["rank"],
             realization=data.get("realization", "standard"),
-            colors=tuple(colors),
+            colors=tuple(colors.get(k) for k in range(len(data["nodes"]))),
             bonds=tuple((b["i"], b["j"], b["mult"], b["dir"]) for b in data["bonds"]),
             arrows=frozenset(frozenset(p) for p in data["arrows"]),
         )
+        d.validate()
+        return d
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
@@ -398,192 +402,43 @@ def sigma_diagram(sigma, chamber: Chamber) -> Diagram:
 
 
 def admissible(d: Diagram) -> tuple[bool, str]:
-    """Whether the diagram belongs to the per-family catalog of diagrams
-    realizable by involutions; returns (flag, reason)."""
+    """Whether some involution draws the diagram on an S-chamber; returns
+    (flag, reason).
+
+    The rule: the node map tau that swaps the ends of each arrow, acts on
+    each black component as its opposition involution -w_B, and fixes every
+    other node must be a diagram symmetry.  If theta draws the diagram, each
+    white simple root goes to a simple root plus a black tail, so the
+    negated roots lie in the span of the black set B, theta(positive roots)
+    = w_B(positive roots), and tau = w_B theta keeps the positive roots.
+    Conversely tau keeps B, so it commutes with w_B, and theta = w_B tau is
+    an involution that draws the diagram on the canonical chamber."""
     d.validate()
-    fam = d.family
-    blk = d.black_positions()
-    arrows = {tuple(sorted(p)) for p in d.arrows}
-    adj = d.adjacency()
-    if fam == "A":
-        return _admissible_a(d, blk, arrows)
-    if fam in ("B", "C"):
-        if arrows:
-            return False, "unexpected arrow on a chain without symmetry"
-        comp = _component(adj, d.rank - 1, blk)
-        rest = blk - comp
-        if any(a in rest and b in rest for a in rest for b in adj[a]):
-            return False, "adjacent black nodes outside the end component"
-        return True, "end-component rule satisfied"
-    if fam == "D":
-        return _admissible_d(d, blk, arrows, adj)
-    if fam == "E6":
-        return _admissible_e6(d, blk, arrows, adj)
-    if fam in ("E7", "E8"):
-        if arrows:
-            return False, "unexpected arrow"
-        if len(blk) == d.rank:
-            return True, "all black"
-        shapes = _black_cluster_shapes(blk, adj)
-        if shapes in ([], [("D", 4)], [("D", 6)], [("E", 7)]):
-            return True, "black cluster shape admitted"
-        return False, "black cluster shape %r not admitted" % (shapes,)
-    if fam == "F4":
-        if arrows:
-            return False, "unexpected arrow"
-        if blk == {0, 1} or blk == {2, 3}:
-            return False, "forbidden half-chain black pattern"
-        return True, "not one of the excluded patterns"
-    if fam == "G2":
-        return True, "all patterns admitted"
-    raise DiagramError("no catalog for family %r" % (fam,))
-
-
-def _component(adj, node, subset) -> frozenset[int]:
-    if node not in subset:
-        return frozenset()
-    seen = {node}
-    queue = [node]
-    while queue:
-        x = queue.pop()
-        for y in adj[x]:
-            if y in subset and y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return frozenset(seen)
-
-
-def _admissible_a(d: Diagram, blk, arrows):
-    l = d.rank
-    sym_pairs = {(i, l - 1 - i) for i in range(l) if i < l - 1 - i}
-    if not blk:
-        if not arrows:
-            return True, "plain diagram"
-        if arrows == sym_pairs:
-            return True, "full flip"
-        return False, "arrows are not the full mirror pairing"
-    block = sorted(blk)
-    contiguous = all(block[k + 1] == block[k] + 1 for k in range(len(block) - 1))
-    if contiguous and block[0] + block[-1] == l - 1:
-        want = {(i, l - 1 - i) for i in range(block[0]) if i < l - 1 - i}
-        if arrows == want:
-            return True, "centered block with mirror arrows"
-    if not arrows:
-        adjacent = any(b + 1 in blk for b in blk)
-        if not adjacent:
-            return True, "isolated black nodes"
-        return False, "adjacent black nodes off center"
-    return False, "mixed arrows and blacks in a non-centered pattern"
-
-
-def _admissible_d(d: Diagram, blk, arrows, adj):
-    l = d.rank
-    if arrows:
-        if l == 4:
-            outer = {0, 2, 3}
-            if len(arrows) > 1:
-                return False, "more than one fork arrow"
-            (pair,) = arrows
-            if not set(pair) <= outer:
-                return False, "arrow off the fork nodes"
-        else:
-            if arrows != {(l - 2, l - 1)}:
-                return False, "arrow off the fork pair"
-        if any(d.colors[p] != WHITE for pair in arrows for p in pair):
-            return False, "arrow endpoint is not white"
-    non_isolated = {b for b in blk if adj[b] & blk}
-    if non_isolated:
-        comp = _component(adj, next(iter(non_isolated)), non_isolated)
-        if comp != non_isolated:
-            return False, "several clusters of adjacent black nodes"
-        if len(comp) < 3:
-            return False, "black cluster of size two"
-        rest = set(range(l)) - comp
-        if rest:
-            start = next(iter(rest))
-            seen = _component({k: v - comp for k, v in adj.items()}, start, rest)
-            if seen != frozenset(rest):
-                return False, "black cluster disconnects the diagram"
-    return True, "fork rules satisfied"
-
-
-def _admissible_e6(d: Diagram, blk, arrows, adj):
-    center = next(i for i in range(d.rank) if len(adj[i]) == 3)
-    arms = []
-    for n in sorted(adj[center]):
-        arm = [n]
-        prev, cur = center, n
-        while True:
-            nxt = [x for x in adj[cur] if x != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            arm.append(cur)
-        arms.append(arm)
-    arms.sort(key=len)
-    tip = arms[0][0]          # the length-one arm
-    left, right = arms[1], arms[2]
-    if len(blk) == d.rank:
-        if arrows:
-            return False, "arrows on an all-black diagram"
-        return True, "all black"
-    if not arrows:
-        adjacent = any(adj[b] & blk for b in blk)
-        if not adjacent:
-            return True, "isolated black nodes"
-        d4 = {center} | set(adj[center])
-        if blk == d4:
-            return True, "central fourfold cluster"
-    # flip patterns: tip white, blacks symmetric and connected on the chain,
-    # all remaining white chain nodes mirror-paired by arrows
-    allowed_blacks = [set(), {center},
-                      {center, left[0], right[0]},
-                      {center, left[0], right[0], left[1], right[1]}]
-    if d.colors[tip] == WHITE and blk in [frozenset(s) for s in allowed_blacks]:
-        want = set()
-        for k in range(2):
-            if left[k] not in blk:
-                want.add(tuple(sorted((left[k], right[k]))))
-        if arrows == want:
-            return True, "flip pattern"
-    if arrows:
-        return False, "arrows outside the flip pattern"
-    return False, "adjacent black nodes outside the admitted clusters"
-
-
-def _black_cluster_shapes(blk, adj):
-    non_isolated = {b for b in blk if adj[b] & blk}
-    shapes = []
-    left = set(non_isolated)
-    while left:
-        comp = _component(adj, next(iter(sorted(left))), left)
-        left -= comp
-        shapes.append(_shape_name(comp, adj))
-    return sorted(shapes)
-
-
-def _shape_name(nodes: frozenset[int], adj) -> tuple[str, int]:
-    k = len(nodes)
-    degs = {n: len(adj[n] & nodes) for n in nodes}
-    branch = [n for n, dg in degs.items() if dg == 3]
-    if not branch:
-        return ("A", k)
-    arms = []
-    b = branch[0]
-    for n in sorted(adj[b] & nodes):
-        ln = 1
-        prev, cur = b, n
-        while True:
-            nxt = [x for x in (adj[cur] & nodes) if x != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            ln += 1
-        arms.append(ln)
-    arms.sort()
-    if arms[:2] == [1, 1]:
-        return ("D", k)
-    return ("E", k)
+    try:
+        R = build(d.family, d.rank, d.realization)
+    except RootSystemError as exc:
+        raise DiagramError("no root system for the diagram: %s" % exc) from exc
+    cb = R.canonical_basis
+    pos = R.canonical_chamber().positive_set
+    black = [cb[k] for k in sorted(d.black_positions())]
+    # w_B, the longest element of the black subgroup: lengthen by a black
+    # reflection while some black root keeps a positive image
+    w = tuple(range(len(R)))
+    while (b := next((b for b in black if w[b] in pos), None)) is not None:
+        w = perm_mul(w, R.reflection_perm(b))
+    at = {b: k for k, b in enumerate(cb)}
+    tau = list(range(d.rank))
+    for i, j in map(tuple, d.arrows):
+        tau[i], tau[j] = j, i
+    for b in black:
+        tau[at[b]] = at[R.negation_map[w[b]]]
+    if tuple(tau) in R.diagram_symmetries:
+        return True, "arrows and black opposition form a diagram symmetry"
+    pm = R.pairing_matrix
+    k, j = next((k, j) for k in range(d.rank) for j in range(d.rank)
+                if pm[cb[k]][cb[j]] != pm[cb[tau[k]]][cb[tau[j]]])
+    return False, ("node %d goes to node %d and node %d to node %d, which changes "
+                   "their bond" % (k, tau[k], j, tau[j]))
 
 
 # -- restricted sigma-diagrams ----------------------------------------------------------

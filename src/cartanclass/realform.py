@@ -172,6 +172,10 @@ def psi_map(algebra: DenseAlgebra, eta: SignHom) -> LinearMap:
     return LinearMap(algebra, cols)
 
 
+def _root_name(R: RootSystem, i: int) -> str:
+    return "%s root %d (%s)" % (R.spec.label, i, ", ".join(str(c) for c in R.roots[i]))
+
+
 def _extend_signs_by_height(theta: Involution, chamber, signs: dict[int, int],
                            constants: ChevalleySystem) -> dict[int, int]:
     """Extend +-1 signs on a chamber basis to every root.
@@ -185,20 +189,20 @@ def _extend_signs_by_height(theta: Involution, chamber, signs: dict[int, int],
     neg = R.negation_map
     n = constants.n
     f = dict(signs)
-    pos = sorted(chamber.positive_set, key=lambda i: (chamber.q_degree(i), R.roots[i]))
-    for g in pos:
+    for g in chamber.height_order:
         if g in f:
             continue
         piece = next((b for b in chamber.basis if sums[g][neg[b]] in f), None)
         if piece is None:
-            raise RealFormError("no height reduction for positive root %d" % g)
+            raise RealFormError("no height reduction for positive %s" % _root_name(R, g))
         rest = sums[g][neg[piece]]
         num = n(theta(piece), theta(rest))
         den = n(piece, rest)
         if num % den or abs(num // den) != 1:
-            raise RealFormError("sign recurrence hit a non-unit ratio at root %d" % g)
+            raise RealFormError("sign recurrence hit a non-unit ratio at %s"
+                                % _root_name(R, g))
         f[g] = (num // den) * f[piece] * f[rest]
-    for g in pos:
+    for g in chamber.height_order:
         f[neg[g]] = f[g]
     return f
 
@@ -233,11 +237,12 @@ def _sign_datum(algebra: DenseAlgebra, theta: Involution, factors) -> AntiInvolu
                 v = m.apply(v)
             key = algebra.rank + theta(g)
             if v not in ({key: 1}, {key: -1}):
-                raise RealFormError("the map does not send X at root %d to +-X at "
-                                    "its image under the involution" % g)
+                raise RealFormError("the map does not send X at %s to +-X at "
+                                    "its image under the involution" % _root_name(R, g))
             got.append(1 if v[key] == 1 else -1)
         if got[0] != got[1]:
-            raise RealFormError("sign differs at opposite roots %d" % b)
+            raise RealFormError("sign differs between %s and its negative"
+                                % _root_name(R, b))
         signs[b] = got[0]
     f = _extend_signs_by_height(theta, ch, signs, algebra.constants)
     return AntiInvolution(theta, f, algebra.constants, full=True)

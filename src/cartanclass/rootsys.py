@@ -232,6 +232,12 @@ class Chamber:
     def positive_set(self) -> frozenset[int]:
         return frozenset(i for i, c in enumerate(self._coord_rows) if sum(c) > 0)
 
+    @cached_property
+    def height_order(self) -> tuple[int, ...]:
+        """The positive roots by height, ties by root vector (which is index
+        order, as roots are indexed by sorting their vectors)."""
+        return tuple(sorted(self.positive_set, key=lambda i: (self.q_degree(i), i)))
+
     def coords(self, idx: int) -> tuple[int, ...]:
         """Integer coordinates of a root in this chamber's simple basis."""
         return self._coord_rows[idx]

@@ -1,11 +1,13 @@
 """Adapted chambers, decorated diagram construction and the catalogs."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from cartanclass import _linalg as la
 from cartanclass import diagram as dg, involution as iv, realform as rf, rootsys as rs
+from cartanclass import weylgroup as wg
 
 F = Fraction
 
@@ -301,6 +303,196 @@ def test_table2_diagrams_all_admissible():
             d = dg.s_diagram(th, dg.find_s_chamber(th))
             ok, why = dg.admissible(d)
             assert ok, (fam, rank, lab, why)
+
+
+# -- admissibility against the drawn diagrams ---------------------------------------
+
+
+def _canonical_diagram(R, colors, arrows=()):
+    """A diagram on the canonical basis, node k at canonical_basis[k]."""
+    order = tuple(R.canonical_basis)
+    return dg.Diagram(R.spec.family, R.rank, R.spec.realization, tuple(colors),
+                      dg._bonds_of_basis(R, order),
+                      frozenset(frozenset(p) for p in arrows), node_roots=order)
+
+
+def _blacks(rank, positions):
+    return tuple("black" if k in positions else "white" for k in range(rank))
+
+
+def test_admissible_rejects_g2_arrow():
+    G2 = rs.build("G2")
+    assert not dg.admissible(_canonical_diagram(G2, ["white"] * 2, [(0, 1)]))[0]
+    assert dg.admissible(_canonical_diagram(G2, ["white"] * 2))[0]
+
+
+def test_admissible_rejects_f4_black_a2_beside_a_black_node():
+    F4 = rs.build("F4")
+    assert not dg.admissible(_canonical_diagram(F4, _blacks(4, {0, 1, 3})))[0]
+    assert not dg.admissible(_canonical_diagram(F4, _blacks(4, {0, 2, 3})))[0]
+
+
+def test_admissible_rejects_d5_black_a4():
+    D5 = rs.build("D", 5)
+    assert not dg.admissible(_canonical_diagram(D5, _blacks(5, {0, 1, 2, 3})))[0]
+
+
+@pytest.mark.parametrize("blacks,arrows", [
+    ({0, 1, 2, 3, 4}, []),
+    ({0, 1, 2, 4, 5}, []),
+    ({0, 1, 2, 4}, []),
+    ({0, 1, 2}, []),
+    ({0, 1, 2}, [(4, 5)]),
+])
+def test_admissible_rejects_d6_patterns(blacks, arrows):
+    D6 = rs.build("D", 6)
+    ok, why = dg.admissible(_canonical_diagram(D6, _blacks(6, blacks), arrows))
+    assert not ok, why
+
+
+@pytest.mark.parametrize("realization,tip,arrows", [
+    ("standard", 2, [(0, 5), (1, 4)]),
+    ("prime", 5, [(0, 4), (1, 3)]),
+])
+def test_admissible_accepts_e6_black_tip_with_flip(realization, tip, arrows):
+    # drawn on the canonical chamber by s_tip times the diagram flip, an
+    # involution of the coset -W
+    E6 = rs.build("E6", realization=realization)
+    d = _canonical_diagram(E6, _blacks(6, {tip}), arrows)
+    ok, why = dg.admissible(d)
+    assert ok, why
+    flip = next(p for p in E6.diagram_symmetries if p[tip] == tip and p != tuple(range(6)))
+    cb = E6.canonical_basis
+    tau = E6.perm_from_simple_images([cb[k] for k in flip])
+    theta = iv.Involution(E6, wg.perm_mul(E6.reflection_perm(cb[tip]), tau))
+    assert not theta.in_weyl
+    drawn = dg.s_diagram(theta, E6.canonical_chamber())
+    assert (drawn.colors, drawn.arrows) == (d.colors, d.arrows)
+
+
+def _matchings(nodes):
+    """Every set of disjoint pairs of the nodes."""
+    if not nodes:
+        yield frozenset()
+        return
+    first, rest = nodes[0], nodes[1:]
+    yield from _matchings(rest)
+    for k, other in enumerate(rest):
+        for m in _matchings(rest[:k] + rest[k + 1:]):
+            yield m | {frozenset((first, other))}
+
+
+ORACLE_SYSTEMS = ([("A", r, "standard") for r in range(2, 7)]
+                  + [(f, r, "standard") for f in "BC" for r in (3, 4, 5)]
+                  + [("D", r, "standard") for r in (4, 5, 6)]
+                  + [("G2", 2, "standard"), ("F4", 4, "standard"),
+                     ("E6", 6, "standard"), ("E6", 6, "prime")])
+
+
+@pytest.mark.parametrize("fam,rank,realization", ORACLE_SYSTEMS)
+def test_admissible_equals_drawn_diagrams(fam, rank, realization):
+    # brute force: every involution of the full automorphism group for
+    # which the canonical chamber is an S-chamber, drawn there
+    R = rs.build(fam, rank, realization)
+    ch = R.canonical_chamber()
+    drawn = set()
+    for g in wg.full_aut_group(R).iter_elements():
+        if any(g[g[b]] != b for b in R.canonical_basis):
+            continue
+        theta = iv.Involution(R, g)
+        if dg.is_s_chamber(theta, ch):
+            d = dg.s_diagram(theta, ch)
+            drawn.add((d.colors, d.arrows))
+    accepted = set()
+    for colors in itertools.product(("white", "black"), repeat=rank):
+        whites = [k for k, c in enumerate(colors) if c == "white"]
+        for arrows in _matchings(whites):
+            d = _canonical_diagram(R, colors, arrows)
+            if dg.admissible(d)[0]:
+                d = dg._normalize(R, d)
+                accepted.add((d.colors, d.arrows))
+    assert accepted == drawn
+
+
+def _longest_element(R, black):
+    w = tuple(range(len(R)))
+    pos = R.canonical_chamber().positive_set
+    while True:
+        b = next((b for b in black if w[b] in pos), None)
+        if b is None:
+            return w
+        w = wg.perm_mul(w, R.reflection_perm(b))
+
+
+@pytest.mark.parametrize("fam,n_accepted", [("E7", 40), ("E8", 64)])
+def test_admissible_e7_e8_colorings_are_drawn(fam, n_accepted):
+    R = rs.build(fam)
+    cb = R.canonical_basis
+    ch = R.canonical_chamber()
+    at = {b: k for k, b in enumerate(cb)}
+    accepted = 0
+    for colors in itertools.product(("white", "black"), repeat=R.rank):
+        black = [cb[k] for k, c in enumerate(colors) if c == "black"]
+        w = _longest_element(R, black)
+        tau = list(range(R.rank))
+        for b in black:
+            tau[at[b]] = at[R.negation_map[w[b]]]
+        ok, why = dg.admissible(_canonical_diagram(R, colors))
+        if not ok:
+            assert tuple(tau) not in R.diagram_symmetries, colors
+            continue
+        accepted += 1
+        theta = iv.Involution(R, wg.perm_mul(
+            w, R.perm_from_simple_images([cb[k] for k in tau])))
+        assert dg.is_s_chamber(theta, ch), colors
+        d = dg.s_diagram(theta, ch)
+        assert (d.colors, d.arrows) == (colors, frozenset()), colors
+    assert accepted == n_accepted
+
+
+def test_admissible_reason_names_the_node():
+    D5 = rs.build("D", 5)
+    ok, why = dg.admissible(_canonical_diagram(D5, _blacks(5, {0, 1, 2, 3})))
+    # the A4 opposition sends node 1 to node 2 and keeps the fork node 4
+    assert not ok and why.startswith("node 1 goes to node 2 and node 4 to node 4")
+    ok, why = dg.admissible(_canonical_diagram(D5, _blacks(5, {3, 4})))
+    assert ok, why
+
+
+def test_admissible_unknown_family():
+    A2 = rs.build("A", 2)
+    d = _canonical_diagram(A2, ["white"] * 2)
+    with pytest.raises(dg.DiagramError):
+        dg.admissible(dg.Diagram("H3", 2, "standard", d.colors, d.bonds, d.arrows))
+
+
+@pytest.mark.parametrize("colors,arrows,node", [
+    (["white"] * 4, [(0, 3), (1, 3)], "node 3"),
+    (["white"] * 4, [(0, 4)], "node 4"),
+    (["white"] * 3, [], "3 nodes"),
+    (["white", "grey", "white", "white"], [], "node 1"),
+])
+def test_validate_rejects_malformed(colors, arrows, node):
+    A4 = rs.build("A", 4)
+    d = _canonical_diagram(A4, ["white"] * 4)
+    bad = dg.Diagram("A", 4, "standard", tuple(colors), d.bonds,
+                     frozenset(frozenset(p) for p in arrows))
+    with pytest.raises(dg.DiagramError, match=node):
+        bad.validate()
+    with pytest.raises(dg.DiagramError, match=node):
+        dg.admissible(bad)
+
+
+def test_from_json_rejects_malformed():
+    A4 = rs.build("A", 4)
+    data = _canonical_diagram(A4, ["white"] * 4, [(0, 3)]).to_json()
+    data["arrows"].append([3, 1])
+    with pytest.raises(dg.DiagramError, match="node 3 lies in two arrows"):
+        dg.Diagram.from_json(data)
+    data = _canonical_diagram(A4, ["white"] * 4).to_json()
+    data["nodes"][2]["index"] = 7
+    with pytest.raises(dg.DiagramError, match="node 2"):
+        dg.Diagram.from_json(data)
 
 
 def test_render_formats():

@@ -371,3 +371,20 @@ def test_cayley_keeps_the_form(spec, k, r):
     moved = rf.cayley(sigma, beta)
     assert moved.full
     assert rf.identify(moved) == rf.identify(sigma)
+
+
+def test_sign_datum_errors_name_the_root():
+    A2 = rs.build("A", 2)
+    A = cv.dense_algebra(cv.structure_constants(A2))
+    theta = iv.identity_involution(A2)
+    b = A2.canonical_basis[0]
+    label = r"A2 root %d \(%s\)" % (b, ", ".join(str(c) for c in A2.roots[b]))
+    # X_b and X_-b keep their vectors up to different signs
+    flip = cv.LinearMap.identity(A)
+    flip.cols[A.rank + A2.negation_map[b]] = {A.rank + A2.negation_map[b]: cv.Qrt2(-1)}
+    with pytest.raises(rf.RealFormError, match="sign differs between " + label):
+        rf._sign_datum(A, theta, [flip])
+    # the identity map does not follow the all-negating involution
+    anti = iv.antipodal_involution(A2)
+    with pytest.raises(rf.RealFormError, match="at " + label):
+        rf._sign_datum(A, anti, [cv.LinearMap.identity(A)])

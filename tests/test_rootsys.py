@@ -221,3 +221,13 @@ def test_pairing_range_full_scan():
                 assert 0 <= p + q <= 3
                 seen.add(R.pairing(i, j))
         assert seen <= {-3, -2, -1, 0, 1, 2, 3}
+
+
+def test_height_order_is_height_then_root_vector():
+    for fam, rank in [("B", 3), ("F4", 4), ("E6", 6)]:
+        R = rs.build(fam, rank)
+        ch = R.chamber_from_witness(R.reflect(R.canonical_chamber().witness, 0))
+        for c in (R.canonical_chamber(), ch):
+            want = sorted(c.positive_set, key=lambda i: (c.q_degree(i), R.roots[i]))
+            assert list(c.height_order) == want
+            assert c.height_order is c.height_order
