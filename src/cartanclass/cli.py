@@ -77,11 +77,8 @@ def _sigma_from_args(args, system: rs.RootSystem):
     return sigma, chamber
 
 
-def _emit(obj, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(obj, indent=2, sort_keys=True))
-    else:
-        print(obj if isinstance(obj, str) else json.dumps(obj, indent=2, sort_keys=True))
+def _emit(obj) -> None:
+    print(json.dumps(obj, indent=2, sort_keys=True))
 
 
 # -- verbs ----------------------------------------------------------------------
@@ -113,7 +110,7 @@ def cmd_involutions(args) -> int:
             "in_weyl": rep.in_weyl,
         })
     if args.format == "json":
-        _emit(rows, "json")
+        _emit(rows)
     else:
         for r in rows:
             print("%-8s real=%-4d imag=%-4d complex=%-4d length=%d %s" %
@@ -141,7 +138,7 @@ def cmd_sos(args) -> int:
             row["klein"] = bool(lab.label[1])
         rows.append(row)
     if args.format == "json":
-        _emit(rows, "json")
+        _emit(rows)
     else:
         for r in rows:
             extra = " klein=%s" % r["klein"] if "klein" in r else ""
@@ -177,7 +174,7 @@ def cmd_cayley(args) -> int:
         sigma = rf.cayley(sigma, beta)
     else:
         sigma = rf.reduce_noncompact(sigma)
-    _emit(sigma.to_json(), args.format)
+    _emit(sigma.to_json())
     return 0
 
 
@@ -192,17 +189,11 @@ def cmd_realforms(args) -> int:
         lift = rf.quasi_split_lift(theta)
         chamber = dg.find_s_chamber(theta)
         rows, _ = rf.hom_theta_constraints(theta, chamber)
-        basis = list(chamber.basis)
-        for mask in rf.project_span(rf.f2_solution_space(rows, len(basis)), (1 << len(basis)) - 1):
-            eta_signs = {b: (-1 if mask >> k & 1 else 1) for k, b in enumerate(basis)}
-            try:
-                sigma = rf.sigma_from_chamber_signs(
-                    theta, chamber,
-                    {b: lift.f[b] * eta_signs[b] for b in basis})
-            except rf.RealFormError:
-                continue
-            red = rf.reduce_noncompact(sigma, verify_dense=False)
-            name = rf.identify(red)
+        nbits = len(chamber.basis)
+        # dim k, all that identify reads, is the same on every Cartan
+        # subalgebra of a form, so each twist is named as it stands
+        for mask in rf.project_span(rf.f2_solution_space(rows, nbits), (1 << nbits) - 1):
+            name = rf.identify(rf.twist(lift, rf.SignHom(system, mask=mask, chamber=chamber)))
             entry = names.setdefault(name.name, {
                 "name": name.name, "aliases": list(name.aliases),
                 "dim_k": name.dim_k, "compact": name.is_compact,
@@ -211,7 +202,7 @@ def cmd_realforms(args) -> int:
                 entry["cartan_involutions"].append(lab)
     rows = [names[k] for k in sorted(names)]
     if args.format == "json":
-        _emit(rows, "json")
+        _emit(rows)
     else:
         for r in rows:
             print("%-12s dim_k=%-4d cartans=%s" % (r["name"], r["dim_k"],
@@ -228,7 +219,7 @@ def cmd_cartans(args) -> int:
         "complex": len(t.complex_set), "length": t.length,
     } for t in classes]
     if args.format == "json":
-        _emit(rows, "json")
+        _emit(rows)
     else:
         print("%d Cartan subalgebra classes" % len(rows))
         for r in rows:

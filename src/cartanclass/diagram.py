@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import _linalg as la
 from .involution import Involution, _orthogonal_components
-from .rootsys import Chamber, RootSystem, RootSystemError, build
+from .rootsys import Chamber, RootSystem, RootSystemError, RootSystemSpec, build
 from .weylgroup import perm_mul
 
 WHITE, BLACK, STAR = "white", "black", "star"
@@ -215,6 +215,12 @@ class Diagram:
                 if self.colors[k] != WHITE:
                     raise DiagramError("arrow endpoint node %d is not white" % k)
                 seen.add(k)
+        R = _system_of(self)
+        want = _bonds_of_basis(R, R.canonical_basis)
+        bad = next((b for b in self.bonds + want if b not in want or b not in self.bonds), None)
+        if bad is not None:
+            raise DiagramError("bond %s (i, j, mult, dir) %s the %s diagram" % (
+                bad, "is missing from" if bad in want else "is not a bond of", R.spec.label))
 
     # -- serialization ---------------------------------------------------------
 
@@ -401,6 +407,15 @@ def sigma_diagram(sigma, chamber: Chamber) -> Diagram:
 # -- admissibility -------------------------------------------------------------------
 
 
+def _system_of(d: Diagram) -> RootSystem:
+    """The diagram's system, built as the command line builds (and caches) it."""
+    try:
+        RootSystemSpec(d.family, d.rank, d.realization)  # a wrong rank raises here
+        return build(d.family, d.rank if d.family in "ABCD" else None, d.realization)
+    except RootSystemError as exc:
+        raise DiagramError("no root system for the diagram: %s" % exc) from exc
+
+
 def admissible(d: Diagram) -> tuple[bool, str]:
     """Whether some involution draws the diagram on an S-chamber; returns
     (flag, reason).
@@ -414,10 +429,7 @@ def admissible(d: Diagram) -> tuple[bool, str]:
     Conversely tau keeps B, so it commutes with w_B, and theta = w_B tau is
     an involution that draws the diagram on the canonical chamber."""
     d.validate()
-    try:
-        R = build(d.family, d.rank, d.realization)
-    except RootSystemError as exc:
-        raise DiagramError("no root system for the diagram: %s" % exc) from exc
+    R = _system_of(d)
     cb = R.canonical_basis
     pos = R.canonical_chamber().positive_set
     black = [cb[k] for k in sorted(d.black_positions())]

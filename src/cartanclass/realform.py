@@ -27,45 +27,71 @@ class RealFormError(ValueError):
     pass
 
 
-# -- sign homomorphisms -------------------------------------------------------------
+# -- sign characters ----------------------------------------------------------------
 
 
 class SignHom:
-    """Multiplicative sign character of the root lattice, cut out by a
-    vector pairing integrally with every root."""
+    """Multiplicative sign character of the root lattice, kept as a bitmask
+    over the simple roots of a chamber (the canonical one by default): bit
+    k set means the sign -1 at basis[k].  The sign at a root is the parity
+    of the mask on the root's odd coordinates.
 
-    def __init__(self, system: RootSystem, omega):
+    SignHom(system, omega) is the character alpha -> (-1)^<alpha, omega>
+    of a vector pairing integrally with the roots; SignHom(system,
+    mask=..., chamber=...) takes the bitmask itself."""
+
+    def __init__(self, system: RootSystem, omega=None, *, mask: int | None = None,
+                 chamber=None):
         self.system = system
-        self.omega = tuple(Fraction(x) for x in omega)
-        if not system.in_dual_lattice(self.omega):
-            raise RealFormError("vector does not pair integrally with the roots")
-
-    def on_vec(self, v) -> int:
-        d = la.vdot(tuple(Fraction(x) for x in v), self.omega)
-        if d.denominator != 1:
-            raise RealFormError("sign undefined off the root lattice")
-        return -1 if int(d) % 2 else 1
+        self.chamber = chamber or system.canonical_chamber()
+        nbits = len(self.chamber.basis)
+        if omega is not None and mask is None:
+            mask, bad = _pairing_parities(system, self.chamber, omega)
+            if bad is not None:
+                raise RealFormError("vector does not pair integrally with %s"
+                                    % _root_name(system, bad))
+        elif omega is not None or mask is None or not 0 <= mask < 1 << nbits:
+            raise RealFormError("%s: a sign character takes a vector or a bitmask over the "
+                                "%d simple roots, not vector %s and mask %s"
+                                % (system.spec.label, nbits, omega, mask))
+        self.mask = mask
 
     def __call__(self, idx: int) -> int:
-        return self.on_vec(self.system.roots[idx])
+        return -1 if _parity(self.mask & self.chamber.parity_masks[idx]) else 1
 
 
-def eta_from_omega(system: RootSystem, omega) -> SignHom:
-    return SignHom(system, omega)
+def _pairing_parities(system: RootSystem, chamber, omega) -> tuple[int, int | None]:
+    """The bitmask of the chamber's simple roots that pair oddly with omega,
+    and the first simple root whose pairing is not an integer (None when
+    all are: every root is an integer combination of simple roots)."""
+    omega = tuple(Fraction(x) for x in omega)
+    if len(omega) != system.dim:
+        raise RealFormError("%s: the vector has %d coordinates, the roots have %d"
+                            % (system.spec.label, len(omega), system.dim))
+    mask = 0
+    for k, b in enumerate(chamber.basis):
+        d = la.vdot(system.roots[b], omega)
+        if d.denominator != 1:
+            return mask, b
+        mask |= (d.numerator & 1) << k
+    return mask, None
 
 
-def in_hom_theta(theta: Involution, omega) -> bool:
-    """Whether the sign character respects the involution: the pairing of
-    alpha - theta(alpha) against omega is even for every root."""
-    R = theta.system
-    om = tuple(Fraction(x) for x in omega)
-    if not R.in_dual_lattice(om):
-        return False
-    for i in range(len(R.roots)):
-        d = la.vdot(la.vsub(R.roots[i], R.roots[theta(i)]), om)
-        if d.denominator != 1 or int(d) % 2:
+eta_from_omega = SignHom  # the sign character of a vector
+
+
+def in_hom_theta(theta: Involution, eta) -> bool:
+    """Whether a sign character (a SignHom, or a vector; one off the dual
+    lattice defines none) respects the involution: eta(theta alpha) =
+    eta(alpha) for every root.  alpha -> eta(alpha) eta(theta alpha) is a
+    character, so the parity rows of hom_theta_constraints decide."""
+    if not isinstance(eta, SignHom):
+        mask, bad = _pairing_parities(theta.system, theta.system.canonical_chamber(), eta)
+        if bad is not None:
             return False
-    return True
+        eta = SignHom(theta.system, mask=mask)
+    rows, _ = hom_theta_constraints(theta, eta.chamber)
+    return not any(_parity(eta.mask & row) for row in rows)
 
 
 # -- the sign-function datum ---------------------------------------------------------
@@ -99,32 +125,25 @@ class AntiInvolution:
         neg = R.negation_map
         for i, v in self.f.items():
             if v not in (1, -1):
-                raise RealFormError("sign values must be +-1")
+                raise RealFormError("sign %r at %s is not +-1" % (v, _root_name(R, i)))
             j = self.theta(i)
             if j in self.f and self.f[i] * self.f[j] != 1:
-                raise RealFormError("sign is not constant along the involution")
+                raise RealFormError("sign at %s differs from the sign at its image %s "
+                                    "under the involution" % (_root_name(R, i), _root_name(R, j)))
             if neg[i] in self.f and self.f[neg[i]] != self.f[i]:
-                raise RealFormError("sign differs at opposite roots")
+                raise RealFormError("sign at %s differs from the sign at its negative %s"
+                                    % (_root_name(R, i), _root_name(R, neg[i])))
         if self.full:
             table = self.constants._table
             sums = R.sum_table
             th = self.theta.perm
             f = self.f
+            # the table holds N(i, j) for every pair whose sum is a root, none
+            # zero; theta(j) is never +-theta(i), so N(theta i, theta j) is a read
             for (i, j), nij in table.items():
-                if nij == 0:
-                    continue
-                k = sums[i][j]
-                if k < 0:
-                    continue
-                # theta(j) is never +-theta(i), so N(theta i, theta j) is a table read
-                if nij * f[k] != table.get((th[i], th[j]), 0) * f[i] * f[j]:
-                    raise RealFormError("cocycle law fails at roots (%d,%d)" % (i, j))
-
-    def f_at(self, idx: int) -> int:
-        got = self.f.get(idx)
-        if got is None:
-            raise RealFormError("sign unknown at root %d (partial datum)" % idx)
-        return got
+                if nij * f[sums[i][j]] != table.get((th[i], th[j]), 0) * f[i] * f[j]:
+                    raise RealFormError("cocycle law fails at %s and %s"
+                                        % (_root_name(R, i), _root_name(R, j)))
 
     def to_json(self) -> dict:
         out = {
@@ -150,26 +169,25 @@ class AntiInvolution:
 # -- dense-oracle bridge --------------------------------------------------------------
 
 
+def _signed_map(algebra: DenseAlgebra, perm, sign) -> LinearMap:
+    """H_b -> H_perm(b) on the canonical coroots, X_i -> sign(i) X_perm(i)."""
+    R, rank = algebra.system, algebra.rank
+    cols: dict[int, dict[int, Qrt2]] = {
+        k: {kk: Qrt2.of(c) for kk, c in algebra.coroot_elem(perm(b)).items()}
+        for k, b in enumerate(R.canonical_basis)}
+    for i in range(len(R.roots)):
+        cols[rank + i] = {rank + perm(i): Qrt2.of(sign(i))}
+    return LinearMap(algebra, cols)
+
+
 def sigma_dense(algebra: DenseAlgebra, sigma: AntiInvolution) -> LinearMap:
     if not sigma.full:
         raise RealFormError("dense form needs the full sign function")
-    R = algebra.system
-    cols: dict[int, dict[int, Qrt2]] = {}
-    for k, b in enumerate(R.canonical_basis):
-        tgt = sigma.theta(b)
-        cols[k] = {kk: Qrt2.of(c) for kk, c in algebra.coroot_elem(tgt).items()}
-    for i in range(len(R.roots)):
-        cols[algebra.rank + i] = {algebra.rank + sigma.theta(i): Qrt2.of(sigma.f[i])}
-    return LinearMap(algebra, cols)
+    return _signed_map(algebra, sigma.theta, sigma.f.__getitem__)
 
 
 def psi_map(algebra: DenseAlgebra, eta: SignHom) -> LinearMap:
-    cols: dict[int, dict[int, Qrt2]] = {}
-    for k in range(algebra.rank):
-        cols[k] = {k: Qrt2(1)}
-    for i in range(len(algebra.system.roots)):
-        cols[algebra.rank + i] = {algebra.rank + i: Qrt2.of(eta(i))}
-    return LinearMap(algebra, cols)
+    return _signed_map(algebra, lambda i: i, eta)
 
 
 def _root_name(R: RootSystem, i: int) -> str:
@@ -209,15 +227,9 @@ def _extend_signs_by_height(theta: Involution, chamber, signs: dict[int, int],
 
 def eps_sharp_map(algebra: DenseAlgebra, eps: Involution, chamber) -> LinearMap:
     """The canonical lift fixing the chosen simple root vectors."""
-    R = algebra.system
     sign = _extend_signs_by_height(eps, chamber, dict.fromkeys(chamber.basis, 1),
                                   algebra.constants)
-    cols: dict[int, dict[int, Qrt2]] = {}
-    for k, b in enumerate(R.canonical_basis):
-        cols[k] = {kk: Qrt2.of(c) for kk, c in algebra.coroot_elem(eps(b)).items()}
-    for i in range(len(R.roots)):
-        cols[algebra.rank + i] = {algebra.rank + eps(i): Qrt2.of(sign[i])}
-    return LinearMap(algebra, cols)
+    return _signed_map(algebra, eps, sign.__getitem__)
 
 
 def _sign_datum(algebra: DenseAlgebra, theta: Involution, factors) -> AntiInvolution:
@@ -259,29 +271,14 @@ def omega_for_targets(system: RootSystem, b_indices, targets,
     compatible with that involution).  None when no such vector exists."""
     ch = system.canonical_chamber()
     coweights = system.fundamental_coweights
-    rows = []
-    rhs = []
-    slack = 0
-    for b, t in zip(b_indices, targets):
-        rows.append(list(ch.coords(b)))
-        rhs.append(t)
-    if parity_of is not None:
-        for b in system.canonical_basis:
-            row = [x - y for x, y in zip(ch.coords(b), ch.coords(parity_of(b)))]
-            if any(c % 2 for c in row):
-                rows.append(row)
-                rhs.append(0)
-                slack += 1
-    if not rows:
+    # one even-slack column per parity row: <row, omega> - 2 s = 0
+    parity = _theta_differences(parity_of, ch) if parity_of is not None else []
+    if not b_indices and not parity:
         return la.zero_vec(system.dim)
-    n_parity = slack
-    full_rows = []
-    for k, row in enumerate(rows):
-        pad = [0] * n_parity
-        parity_index = k - (len(rows) - n_parity)
-        if parity_index >= 0:
-            pad[parity_index] = -2
-        full_rows.append(row + pad)
+    full_rows = [list(ch.coords(b)) + [0] * len(parity) for b in b_indices]
+    full_rows += [list(row) + [-2 * (m == k) for m in range(len(parity))]
+                  for k, row in enumerate(parity)]
+    rhs = list(targets) + [0] * len(parity)
     sol = la.solve_integer(full_rows, rhs)
     if sol is None:
         return None
@@ -323,15 +320,10 @@ def quasi_split_lift(theta: Involution) -> AntiInvolution:
     else:
         ch_eps = find_s_chamber(eps)
         esh = eps_sharp_map(A, eps, ch_eps)
-        # sign of the canonical special lift on the decomposition roots
-        s_signs = []
-        for b in b_set:
-            col = esh.col(A.rank + b)
-            s_signs.append(int(col[A.rank + eps(b)].rational()))
+        # 1 where the canonical special lift is -1 on a decomposition root
+        odd = [int(esh.col(A.rank + b)[A.rank + eps(b)].rational() < 0) for b in b_set]
         omega = omega_for_targets(R, b_set, [1] * len(b_set), parity_of=eps)
-        mu = omega_for_targets(R, b_set,
-                               [0 if s > 0 else 1 for s in s_signs],
-                               parity_of=eps)
+        mu = omega_for_targets(R, b_set, odd, parity_of=eps)
         if omega is not None and mu is not None:
             candidates.append([esh, psi_map(A, SignHom(R, mu))] + sharp_of(omega))
         plain = omega_for_set(R, b_set)
@@ -352,7 +344,9 @@ def quasi_split_lift(theta: Involution) -> AntiInvolution:
 
 
 def twist(sigma: AntiInvolution, eta: SignHom) -> AntiInvolution:
-    if not in_hom_theta(sigma.theta, eta.omega):
+    if eta.system is not sigma.system:
+        raise RealFormError("character and datum live on different systems")
+    if not in_hom_theta(sigma.theta, eta):
         raise RealFormError("character is not compatible with the involution")
     f2 = {i: v * eta(i) for i, v in sigma.f.items()}
     return AntiInvolution(sigma.theta, f2, sigma.constants, full=sigma.full)
@@ -687,22 +681,19 @@ def sigma_from_chamber_signs(theta: Involution, chamber,
     consistent assignment in +1-first order).  Raises when the
     prescription is inconsistent."""
     free = [b for b in chamber.basis if b not in signs]
-    if free:
-        last = None
-        for bits in itertools.product((1, -1), repeat=len(free)):
-            full_signs = dict(signs)
-            full_signs.update(zip(free, bits))
-            try:
-                return sigma_from_chamber_signs(theta, chamber, full_signs)
-            except RealFormError as exc:
-                last = exc
-        raise RealFormError("no consistent completion of the signs: %s" % last)
-    if any(signs[b] not in (1, -1) for b in chamber.basis):
-        raise RealFormError("sign values must be +-1")
     constants = structure_constants(theta.system)
-    f = _extend_signs_by_height(theta, chamber, {b: signs[b] for b in chamber.basis},
-                               constants)
-    return AntiInvolution(theta, f, constants, full=True)
+    last = None
+    for bits in itertools.product((1, -1), repeat=len(free)):
+        given = {**signs, **dict(zip(free, bits))}
+        try:
+            f = _extend_signs_by_height(theta, chamber, {b: given[b] for b in chamber.basis},
+                                       constants)
+            return AntiInvolution(theta, f, constants, full=True)
+        except RealFormError as exc:
+            if not free:
+                raise
+            last = exc
+    raise RealFormError("no consistent completion of the signs: %s" % last)
 
 
 # -- compact Cartan enumeration -----------------------------------------------------------
@@ -710,20 +701,17 @@ def sigma_from_chamber_signs(theta: Involution, chamber,
 
 def sigma_from_basis_signs(system: RootSystem, signs: dict[int, int],
                            theta: Involution | None = None) -> AntiInvolution:
-    """Multiplicative sign datum over the all-negating involution from
-    signs on the canonical simple roots."""
+    """Sign datum over the all-negating involution (or theta) given by the
+    character with the given signs on the canonical simple roots."""
     if theta is None:
         theta = antipodal_involution(system)
-    ch = system.canonical_chamber()
-    f = {}
-    for i in range(len(system.roots)):
-        cs = ch.coords(i)
-        v = 1
-        for k, b in enumerate(ch.basis):
-            if cs[k] % 2:
-                v *= signs[b]
-        f[i] = v
-    return AntiInvolution(theta, f, full=True)
+    basis = system.canonical_basis
+    bad = next((b for b in basis if signs[b] not in (1, -1)), None)
+    if bad is not None:
+        raise RealFormError("sign %r at %s is not +-1" % (signs[bad], _root_name(system, bad)))
+    eta = SignHom(system, mask=sum(1 << k for k, b in enumerate(basis) if signs[b] == -1))
+    return AntiInvolution(theta, dict(enumerate(map(eta, range(len(system.roots))))),
+                          full=True)
 
 
 def compact_cartan_enumeration(system: RootSystem, dedupe: bool = True) -> list[AntiInvolution]:
@@ -746,26 +734,26 @@ def compact_cartan_enumeration(system: RootSystem, dedupe: bool = True) -> list[
 # -- parity constraints (mod-2 description of the twist group) ------------------------------
 
 
+def _theta_differences(theta: Involution, chamber) -> list[tuple[int, ...]]:
+    """Coordinates of b - theta(b) over the chamber basis, for the simple
+    roots b where one of them is odd (never a negated or fixed root)."""
+    out = []
+    for b in chamber.basis:
+        row = tuple(x - y for x, y in zip(chamber.coords(b), chamber.coords(theta(b))))
+        if any(c & 1 for c in row):
+            out.append(row)
+    return out
+
+
 def hom_theta_constraints(theta: Involution, chamber) -> tuple[list[int], list[int]]:
     """Mod-2 description of the compatible sign characters on a chamber.
 
     Returns (rows, bullet_mask): each row is a bitmask over the chamber
     basis positions encoding one parity condition sum(c_j) = 0; the mask
     marks the positions of the negated simple roots."""
-    basis = list(chamber.basis)
-    rows = []
-    for k, b in enumerate(basis):
-        if b in theta.imaginary_set or b in theta.real_set:
-            continue
-        # bit m: parity of coordinate m of b - theta(b) in the chamber basis
-        mask = sum(1 << m for m, c in enumerate(chamber.coords(theta(b)))
-                   if (c + (m == k)) % 2)
-        if mask:
-            rows.append(mask)
-    bullet_mask = 0
-    for k, b in enumerate(basis):
-        if b in theta.imaginary_set:
-            bullet_mask |= 1 << k
+    rows = [sum((c & 1) << m for m, c in enumerate(row))
+            for row in _theta_differences(theta, chamber)]
+    bullet_mask = sum(1 << k for k, b in enumerate(chamber.basis) if b in theta.imaginary_set)
     return rows, bullet_mask
 
 
@@ -795,7 +783,7 @@ def f2_solution_space(rows: list[int], nbits: int) -> list[int]:
 
 
 def _parity(x: int) -> int:
-    return bin(x).count("1") & 1
+    return x.bit_count() & 1
 
 
 def project_span(vectors: list[int], mask: int) -> set[int]:

@@ -238,6 +238,11 @@ class Chamber:
         order, as roots are indexed by sorting their vectors)."""
         return tuple(sorted(self.positive_set, key=lambda i: (self.q_degree(i), i)))
 
+    @cached_property
+    def parity_masks(self) -> tuple[int, ...]:
+        """Per root, the bitmask of its odd coordinates (bit k for basis[k])."""
+        return tuple(sum((c & 1) << k for k, c in enumerate(row)) for row in self._coord_rows)
+
     def coords(self, idx: int) -> tuple[int, ...]:
         """Integer coordinates of a root in this chamber's simple basis."""
         return self._coord_rows[idx]
@@ -563,10 +568,12 @@ class RootSystem:
         return reduce(vadd, self.fundamental_coweights, la.zero_vec(self.dim))
 
     def in_dual_lattice(self, omega: Vector) -> bool:
+        """Whether omega pairs integrally with the roots; the simple roots decide."""
         omega = tuple(Fraction(x) for x in omega)
         if len(omega) != self.dim:
-            raise ValueError("dimension mismatch")
-        return all(vdot(r, omega).denominator == 1 for r in self.roots)
+            raise RootSystemError("%s: the vector has %d coordinates, the roots have %d"
+                                  % (self.spec.label, len(omega), self.dim))
+        return all(vdot(self.roots[b], omega).denominator == 1 for b in self.canonical_basis)
 
     # -- serialization -----------------------------------------------------
 

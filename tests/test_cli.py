@@ -152,6 +152,24 @@ def test_realforms_e6_lists_all_five_forms():
     assert code == 0 and "e6" in {r["name"] for r in json.loads(out)}
 
 
+REALFORMS_GOLDEN = json.loads((GOLDEN / "realforms.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(REALFORMS_GOLDEN))
+def test_realforms_golden(key):
+    """`realforms --format json` per system, recorded when each twist was
+    still re-derived by height and reduced by a Cayley chain before being
+    named; a key with a prime is the prime realization."""
+    label = key.rstrip("'")
+    argv = ["realforms", "--format", "json", "--type"]
+    argv += [label] if label in cli.rs.FAMILIES else [label[0], "--rank", label[1:]]
+    if key.endswith("'"):
+        argv += ["--realization", "prime"]
+    code, out = run(argv)
+    assert code == 0
+    assert json.loads(out) == REALFORMS_GOLDEN[key]
+
+
 def test_label_minus_one_is_the_antipodal_involution():
     for argv in (["--type", "G2"], ["--type", "B", "--rank", "2"], ["--type", "E6"]):
         code, out = run(["diagram", "--label", "-1", "--format", "json"] + argv)

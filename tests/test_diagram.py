@@ -483,6 +483,29 @@ def test_validate_rejects_malformed(colors, arrows, node):
         dg.admissible(bad)
 
 
+def test_validate_rejects_foreign_bonds():
+    A3 = rs.build("A", 3)
+    d = _canonical_diagram(A3, ["white"] * 3)
+    tripled = dg.Diagram("A", 3, "standard", d.colors, ((0, 2, 3, 1),), d.arrows)
+    for check in (tripled.validate, lambda: dg.admissible(tripled)):
+        with pytest.raises(dg.DiagramError, match=r"bond \(0, 2, 3, 1\)"):
+            check()
+    # a missing bond is named as well
+    short = dg.Diagram("A", 3, "standard", d.colors, d.bonds[:1], d.arrows)
+    with pytest.raises(dg.DiagramError, match=r"bond \(1, 2, 1, 0\)"):
+        short.validate()
+    data = d.to_json()
+    data["bonds"][0]["mult"] = 2
+    with pytest.raises(dg.DiagramError, match="bond"):
+        dg.Diagram.from_json(data)
+    # the canonical bonds, in any order, pass
+    dg.Diagram("A", 3, "standard", d.colors, d.bonds[::-1], d.arrows).validate()
+    # an exceptional family is checked against its own rank
+    g = _canonical_diagram(rs.build("G2"), ["white"] * 2)
+    with pytest.raises(dg.DiagramError, match="G2 has rank 2, not 3"):
+        dg.Diagram("G2", 3, "standard", ("white",) * 3, g.bonds, g.arrows).validate()
+
+
 def test_from_json_rejects_malformed():
     A4 = rs.build("A", 4)
     data = _canonical_diagram(A4, ["white"] * 4, [(0, 3)]).to_json()

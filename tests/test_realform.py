@@ -46,6 +46,96 @@ def test_in_hom_theta():
     assert not rf.in_hom_theta(th_a, (1, 0, 0))
 
 
+def _ref_sign(R, omega, i):
+    """The rational definition: (-1)^<alpha_i, omega>, or None when the
+    pairing is not an integer."""
+    d = la.vdot(R.roots[i], la.vec(omega))
+    return None if d.denominator != 1 else (-1 if d.numerator % 2 else 1)
+
+
+def _ref_in_hom_theta(theta, omega):
+    """The rational definition: omega pairs integrally with every root and
+    evenly with alpha - theta(alpha) for every root."""
+    R = theta.system
+    om = la.vec(omega)
+    if any(_ref_sign(R, om, i) is None for i in range(len(R))):
+        return False
+    return all(la.vdot(la.vsub(R.roots[i], R.roots[theta(i)]), om) % 2 == 0
+               for i in range(len(R)))
+
+
+_SIGN_SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G2", None), ("F4", None),
+                 ("E6", None)]
+
+
+@pytest.mark.parametrize("fam,rank", _SIGN_SYSTEMS)
+def test_sign_hom_matches_rational_definition(fam, rank):
+    R = rs.build(fam, rank)
+    cw = R.fundamental_coweights
+    thetas = ([iv.identity_involution(R), iv.antipodal_involution(R)]
+              + [t for _, t in iv.table2_representatives(R)])
+    # small integer combinations of the coweights, halves of them (mostly
+    # off the dual lattice), and unit vectors of the ambient space
+    vectors = [la.zero_vec(R.dim)] + list(cw)
+    vectors += [la.vadd(cw[k], cw[(k + 1) % len(cw)]) for k in range(len(cw))]
+    vectors += [la.vscale(F(1, 2), v) for v in vectors[1:4]]
+    vectors += [la.unit_vec(R.dim, k) for k in range(R.dim)]
+    chambers = [R.canonical_chamber()] + [dg.find_s_chamber(t) for t in thetas[1:3]]
+    for om in vectors:
+        ref = [_ref_sign(R, om, i) for i in range(len(R))]
+        for th in thetas:
+            assert rf.in_hom_theta(th, om) == _ref_in_hom_theta(th, om)
+        if None in ref:
+            with pytest.raises(rf.RealFormError, match="does not pair integrally"):
+                rf.SignHom(R, om)
+            continue
+        for ch in chambers:
+            eta = rf.SignHom(R, om, chamber=ch)
+            assert [eta(i) for i in range(len(R))] == ref
+            again = rf.SignHom(R, mask=eta.mask, chamber=ch)
+            assert [again(i) for i in range(len(R))] == ref
+            for th in thetas:
+                assert rf.in_hom_theta(th, eta) == _ref_in_hom_theta(th, om)
+
+
+def test_sign_hom_input_errors():
+    G2 = rs.build("G2")
+    with pytest.raises(rf.RealFormError, match=r"G2: .* 2 coordinates, the roots have 3"):
+        rf.SignHom(G2, (1, 0))
+    with pytest.raises(rf.RealFormError, match=r"G2: .* 2 coordinates, the roots have 3"):
+        rf.in_hom_theta(iv.identity_involution(G2), (1, 0))
+    E8 = rs.build("E8")
+    bad = (1, F(1, 2), 0, 0, 0, 0, 0, 0)
+    first = next(b for b in E8.canonical_basis
+                 if la.vdot(E8.roots[b], la.vec(bad)).denominator != 1)
+    with pytest.raises(rf.RealFormError, match=r"E8 root %d \(" % first):
+        rf.SignHom(E8, bad)
+    for kwargs in ({}, {"omega": (1, 0, 0), "mask": 1}, {"mask": 4}, {"mask": -1}):
+        with pytest.raises(rf.RealFormError, match="vector or a bitmask over the 2 simple"):
+            rf.SignHom(G2, **kwargs)
+
+
+def test_antiinvolution_errors_name_the_roots():
+    B2 = rs.build("B", 2)
+    s = rf.quasi_split_lift(iv.identity_involution(B2))
+    i, j = B2.root_index((1, 0)), B2.root_index((0, 1))
+    ni, nj = B2.negation_map[i], B2.negation_map[j]
+    f = dict(s.f)
+    f[i] = f[ni] = -f[i]
+    with pytest.raises(rf.RealFormError,
+                       match=r"cocycle law fails at B2 root \d+ \(.*\) and B2 root \d+ \("):
+        rf.AntiInvolution(s.theta, f)
+    rot = iv.from_reflections(B2, [(1, 0)])
+    with pytest.raises(rf.RealFormError, match=r"sign at B2 root %d \(1, 0\) differs from the "
+                       r"sign at its image B2 root %d \(-1, 0\)" % (i, ni)):
+        rf.AntiInvolution(rot, {i: 1, ni: -1})
+    with pytest.raises(rf.RealFormError, match=r"sign at B2 root %d \(0, 1\) differs from the "
+                       r"sign at its negative B2 root %d \(0, -1\)" % (j, nj)):
+        rf.AntiInvolution(rot, {i: 1, ni: 1, j: 1, nj: -1})
+    with pytest.raises(rf.RealFormError, match=r"sign 0 at B2 root %d \(1, 0\)" % i):
+        rf.AntiInvolution(rot, {i: 0, ni: 0})
+
+
 def test_lift_identity_is_split():
     for fam, rank in [("A", 1), ("B", 2), ("G2", 2)]:
         R = rs.build(fam, rank)
@@ -330,31 +420,55 @@ def test_hom_constraints_projection_g2():
         assert proj == {0}
 
 
-@functools.lru_cache(maxsize=None)
-def _twisted_lifts(spec):
-    """Sign data with a nonempty noncompact set over id, -1 and every
-    catalog row: each row's quasi-split lift times every compatible sign
-    character, as `realforms` builds them."""
-    R = rs.build(spec)
-    out = []
+def _hom_theta_pairs(R):
+    """(theta, quasi-split lift, S-chamber, mask) for theta over id, -1 and
+    every catalog row and the mask over every compatible sign character on
+    the S-chamber, as `realforms` walks them."""
     thetas = ([iv.identity_involution(R), iv.antipodal_involution(R)]
               + [t for _, t in iv.table2_representatives(R)])
     for theta in thetas:
         lift = rf.quasi_split_lift(theta)
         ch = dg.find_s_chamber(theta)
         rows, _ = rf.hom_theta_constraints(theta, ch)
-        basis = list(ch.basis)
-        for mask in rf.project_span(rf.f2_solution_space(rows, len(basis)),
-                                    (1 << len(basis)) - 1):
-            signs = {b: lift.f[b] * (-1 if mask >> k & 1 else 1)
-                     for k, b in enumerate(basis)}
-            try:
-                sigma = rf.sigma_from_chamber_signs(theta, ch, signs)
-            except rf.RealFormError:
-                continue
-            if sigma.noncompact_set:
-                out.append(sigma)
+        n = len(ch.basis)
+        for mask in rf.project_span(rf.f2_solution_space(rows, n), (1 << n) - 1):
+            yield theta, lift, ch, mask
+
+
+@functools.lru_cache(maxsize=None)
+def _twisted_lifts(spec):
+    """Sign data with a nonempty noncompact set: each quasi-split lift of
+    _hom_theta_pairs twisted by each compatible sign character."""
+    R = rs.build(spec)
+    out = []
+    for _, lift, ch, mask in _hom_theta_pairs(R):
+        sigma = rf.twist(lift, rf.SignHom(R, mask=mask, chamber=ch))
+        if sigma.noncompact_set:
+            out.append(sigma)
     return out
+
+
+_TWIST_SPECS = ([rs.RootSystemSpec("A", r) for r in range(1, 7)]
+                + [rs.RootSystemSpec("B", r) for r in range(2, 6)]
+                + [rs.RootSystemSpec("C", r) for r in range(3, 6)]
+                + [rs.RootSystemSpec("D", r) for r in range(4, 7)]
+                + [rs.RootSystemSpec(f) for f in ("G2", "F4", "E6", "E7")]
+                + [rs.RootSystemSpec("E6", realization="prime")])
+
+
+@pytest.mark.parametrize("spec", _TWIST_SPECS, ids=lambda s: s.label)
+def test_twist_equals_height_rederivation(spec):
+    """The twisted lift is the datum the height recursion derives from its
+    signs on the S-chamber, and naming it needs no Cayley chain: dim k is
+    the same on every Cartan subalgebra of a form."""
+    R = rs.build(spec)
+    for theta, lift, ch, mask in _hom_theta_pairs(R):
+        eta = rf.SignHom(R, mask=mask, chamber=ch)
+        tw = rf.twist(lift, eta)
+        derived = rf.sigma_from_chamber_signs(theta, ch, {b: lift.f[b] * eta(b)
+                                                          for b in ch.basis})
+        assert tw.f == derived.f, (theta, mask)
+        assert rf.identify(tw) == rf.identify(rf.reduce_noncompact(tw, verify_dense=False))
 
 
 @pytest.mark.parametrize("spec", [rs.RootSystemSpec("B", 4), rs.RootSystemSpec("D", 5),

@@ -174,6 +174,19 @@ def test_in_dual_lattice_examples():
     assert C3.in_dual_lattice((F(1, 2), F(1, 2), F(1, 2)))
     E8 = rs.build("E8")
     assert not E8.in_dual_lattice((1, F(1, 2), 0, 0, 0, 0, 0, 0))
+    with pytest.raises(rs.RootSystemError, match="G2: the vector has 2 coordinates"):
+        G.in_dual_lattice((1, 0))
+    # the simple roots decide: the same answer as a scan of every root
+    seen = set()
+    for R in (G, C3, E8, rs.build("F4"), rs.build("B", 3)):
+        for bits in range(1 << R.dim):
+            for c in (F(1, 2), F(1, 3)):
+                om = tuple(c if bits >> m & 1 else m for m in range(R.dim))
+                got = R.in_dual_lattice(om)
+                assert got == all(sum(a * b for a, b in zip(r, om)).denominator == 1
+                                  for r in R.roots)
+                seen.add((R.spec.label, got))
+    assert len(seen) == 10
 
 
 def test_union_and_empty():
