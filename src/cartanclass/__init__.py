@@ -3,7 +3,7 @@ Cartan subalgebra) through root-system involutions and decorated
 Dynkin diagrams, in exact arithmetic."""
 
 from .rootsys import Chamber, RootSystem, RootSystemError, RootSystemSpec, build
-from .weylgroup import (PermGroup, RootPermutation, full_aut_group,
+from .weylgroup import (PermGroup, RootPermutation, full_aut_group, in_weyl,
                         klein_in_weyl, weyl_group)
 from .chevalley import (ChevalleySystem, DenseAlgebra, Qrt2, QuarterTurn, ad_k_char_polys,
                         apply_map, dense_algebra, exp_quarter_pi_adk,

@@ -408,7 +408,7 @@ def sigma_diagram(sigma, chamber: Chamber) -> Diagram:
 
 
 def _system_of(d: Diagram) -> RootSystem:
-    """The diagram's system, built as the command line builds (and caches) it."""
+    """The diagram's system; build gets the command line's arguments, which traced runs record."""
     try:
         RootSystemSpec(d.family, d.rank, d.realization)  # a wrong rank raises here
         return build(d.family, d.rank if d.family in "ABCD" else None, d.realization)

@@ -12,8 +12,8 @@ from functools import cached_property
 
 from . import _linalg as la
 from .rootsys import RootSystem, RootSystemError
-from .weylgroup import (Perm, diagram_automorphisms, full_aut_group,
-                        identity_perm, klein_in_weyl, perm_mul, weyl_group)
+from .weylgroup import (Perm, diagram_automorphisms, full_aut_group, identity_perm,
+                        in_weyl, klein_in_weyl, perm_mul, weyl_group)
 
 
 class InvolutionError(ValueError):
@@ -60,7 +60,7 @@ class Involution:
 
     @cached_property
     def in_weyl(self) -> bool:
-        return weyl_group(self.system).contains(self.perm)
+        return in_weyl(self.system, self.perm)
 
     @cached_property
     def length(self) -> int:

@@ -49,7 +49,7 @@ class SignHom:
             mask, bad = _pairing_parities(system, self.chamber, omega)
             if bad is not None:
                 raise RealFormError("vector does not pair integrally with %s"
-                                    % _root_name(system, bad))
+                                    % system.root_name(bad))
         elif omega is not None or mask is None or not 0 <= mask < 1 << nbits:
             raise RealFormError("%s: a sign character takes a vector or a bitmask over the "
                                 "%d simple roots, not vector %s and mask %s"
@@ -125,14 +125,14 @@ class AntiInvolution:
         neg = R.negation_map
         for i, v in self.f.items():
             if v not in (1, -1):
-                raise RealFormError("sign %r at %s is not +-1" % (v, _root_name(R, i)))
+                raise RealFormError("sign %r at %s is not +-1" % (v, R.root_name(i)))
             j = self.theta(i)
             if j in self.f and self.f[i] * self.f[j] != 1:
                 raise RealFormError("sign at %s differs from the sign at its image %s "
-                                    "under the involution" % (_root_name(R, i), _root_name(R, j)))
+                                    "under the involution" % (R.root_name(i), R.root_name(j)))
             if neg[i] in self.f and self.f[neg[i]] != self.f[i]:
                 raise RealFormError("sign at %s differs from the sign at its negative %s"
-                                    % (_root_name(R, i), _root_name(R, neg[i])))
+                                    % (R.root_name(i), R.root_name(neg[i])))
         if self.full:
             table = self.constants._table
             sums = R.sum_table
@@ -143,7 +143,7 @@ class AntiInvolution:
             for (i, j), nij in table.items():
                 if nij * f[sums[i][j]] != table.get((th[i], th[j]), 0) * f[i] * f[j]:
                     raise RealFormError("cocycle law fails at %s and %s"
-                                        % (_root_name(R, i), _root_name(R, j)))
+                                        % (R.root_name(i), R.root_name(j)))
 
     def to_json(self) -> dict:
         out = {
@@ -190,10 +190,6 @@ def psi_map(algebra: DenseAlgebra, eta: SignHom) -> LinearMap:
     return _signed_map(algebra, lambda i: i, eta)
 
 
-def _root_name(R: RootSystem, i: int) -> str:
-    return "%s root %d (%s)" % (R.spec.label, i, ", ".join(str(c) for c in R.roots[i]))
-
-
 def _extend_signs_by_height(theta: Involution, chamber, signs: dict[int, int],
                            constants: ChevalleySystem) -> dict[int, int]:
     """Extend +-1 signs on a chamber basis to every root.
@@ -212,13 +208,13 @@ def _extend_signs_by_height(theta: Involution, chamber, signs: dict[int, int],
             continue
         piece = next((b for b in chamber.basis if sums[g][neg[b]] in f), None)
         if piece is None:
-            raise RealFormError("no height reduction for positive %s" % _root_name(R, g))
+            raise RealFormError("no height reduction for positive %s" % R.root_name(g))
         rest = sums[g][neg[piece]]
         num = n(theta(piece), theta(rest))
         den = n(piece, rest)
         if num % den or abs(num // den) != 1:
             raise RealFormError("sign recurrence hit a non-unit ratio at %s"
-                                % _root_name(R, g))
+                                % R.root_name(g))
         f[g] = (num // den) * f[piece] * f[rest]
     for g in chamber.height_order:
         f[neg[g]] = f[g]
@@ -250,11 +246,11 @@ def _sign_datum(algebra: DenseAlgebra, theta: Involution, factors) -> AntiInvolu
             key = algebra.rank + theta(g)
             if v not in ({key: 1}, {key: -1}):
                 raise RealFormError("the map does not send X at %s to +-X at "
-                                    "its image under the involution" % _root_name(R, g))
+                                    "its image under the involution" % R.root_name(g))
             got.append(1 if v[key] == 1 else -1)
         if got[0] != got[1]:
             raise RealFormError("sign differs between %s and its negative"
-                                % _root_name(R, b))
+                                % R.root_name(b))
         signs[b] = got[0]
     f = _extend_signs_by_height(theta, ch, signs, algebra.constants)
     return AntiInvolution(theta, f, algebra.constants, full=True)
@@ -708,7 +704,7 @@ def sigma_from_basis_signs(system: RootSystem, signs: dict[int, int],
     basis = system.canonical_basis
     bad = next((b for b in basis if signs[b] not in (1, -1)), None)
     if bad is not None:
-        raise RealFormError("sign %r at %s is not +-1" % (signs[bad], _root_name(system, bad)))
+        raise RealFormError("sign %r at %s is not +-1" % (signs[bad], system.root_name(bad)))
     eta = SignHom(system, mask=sum(1 << k for k, b in enumerate(basis) if signs[b] == -1))
     return AntiInvolution(theta, dict(enumerate(map(eta, range(len(system.roots))))),
                           full=True)

@@ -317,6 +317,9 @@ class RootSystem:
                        if any(self.roots[i][j] != 0 for j in range(lo, hi))]
         return self._norms[idx] == max(block_norms)
 
+    def root_name(self, i: int) -> str:  # for error messages
+        return "%s root %d (%s)" % (self.spec.label, i, ", ".join(str(c) for c in self.roots[i]))
+
     def root_index(self, v: Vector) -> int:
         try:
             return self.index[tuple(Fraction(x) for x in v)]
@@ -361,6 +364,10 @@ class RootSystem:
         ints = self._int_roots
         base = 4 * max((abs(x) for r in ints for x in r), default=0) + 1
         return tuple(sum(x * base ** k for k, x in enumerate(r)) for r in ints)
+
+    @cached_property
+    def _int_index(self) -> dict[tuple[int, ...], int]:
+        return {r: i for i, r in enumerate(self._int_roots)}
 
     @cached_property
     def _key_index(self) -> dict[int, int]:
@@ -455,11 +462,21 @@ class RootSystem:
         """The root permutation of the product of the reflections across the
         given vectors, the first applied first, or None when the product
         does not keep the root set.  The product is an isometry, so the
-        images of the simple roots decide."""
-        images = [self.roots[b] for b in self.canonical_basis]
+        images of the simple roots decide.  With u the vector scaled to
+        integers, the scaled simple roots y go to (u, u) y - 2 (y, u) u."""
+        images, scale = [self._int_roots[b] for b in self.canonical_basis], 1
         for v in vectors:
-            images = [self.reflect_vec(x, v) for x in images]
-        idx = [self.index.get(x) for x in images]
+            den = math.lcm(*(x.denominator for x in v))
+            u = [x.numerator * (den // x.denominator) for x in v]
+            d = sum(x * x for x in u)
+            if d == 0:
+                raise ValueError("pairing against the zero vector")
+            for k, y in enumerate(images):
+                t = 2 * sum(map(operator.mul, y, u))
+                images[k] = [d * a - t * b for a, b in zip(y, u, strict=True)]
+            scale *= d
+        idx = [None if any(a % scale for a in y) else
+               self._int_index.get(tuple(a // scale for a in y)) for y in images]
         return None if None in idx else self.perm_from_simple_images(idx)
 
     def perm_of_matrix(self, m: la.Matrix) -> tuple[int, ...] | None:
@@ -594,16 +611,13 @@ class RootSystem:
         return "RootSystem(%s, %d roots)" % (self.spec.label, len(self.roots))
 
 
-@lru_cache(maxsize=None)
-def build_cached(family: str, rank: int | None = None, realization: str = "standard") -> RootSystem:
-    return RootSystem(RootSystemSpec(family, rank, realization))
+_build_cached = lru_cache(maxsize=None)(RootSystem)
 
 
 def build(spec: RootSystemSpec | str, rank: int | None = None,
           realization: str = "standard") -> RootSystem:
-    """Construct the root system for a spec (or family shorthand)."""
-    if isinstance(spec, RootSystemSpec):
-        if spec.factors is not None:
-            return RootSystem(spec)
-        return build_cached(spec.family, spec.rank, spec.realization)
-    return build_cached(spec, rank, realization)
+    """Construct the root system for a spec (or family shorthand), cached
+    by the normalised spec unless it is a union: build("F4") is build("F4", 4)."""
+    if not isinstance(spec, RootSystemSpec):
+        spec = RootSystemSpec(spec, rank, realization)
+    return RootSystem(spec) if spec.factors is not None else _build_cached(spec)

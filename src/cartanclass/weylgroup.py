@@ -458,22 +458,37 @@ def reflection_matrix(n: int, v: la.Vector) -> la.Matrix:
     return tuple(zip(*cols))
 
 
+def in_weyl(system: RootSystem, perm) -> bool:
+    """Whether a root automorphism g lies in W, by descent: while g sends a
+    canonical simple root b below zero, g becomes g s_b (one inversion fewer;
+    c goes to g(c) - <c, b^vee> g(b)).  W acts simply transitively on chambers,
+    so g is in W iff what is left, which keeps Phi+, fixes every simple root.
+    Keeping the Cartan matrix on the simple roots makes g an automorphism."""
+    cb, pos = system.canonical_basis, system.canonical_chamber().positive_set
+    keys, look, pm = system._keys, system._key_index, system.pairing_matrix
+    images = [perm[b] for b in cb]
+    if any(pm[i][j] != pm[b][c] for i, b in zip(images, cb) for j, c in zip(images, cb)):
+        raise ValueError("%s: the permutation does not keep the Cartan matrix" % system.spec.label)
+    while (k := next((k for k, i in enumerate(images) if i not in pos), None)) is not None:
+        images = [look[keys[i] - pm[c][cb[k]] * keys[images[k]]] for i, c in zip(images, cb)]
+    return images == list(cb)
+
+
 def klein_in_weyl(system: RootSystem, quad) -> bool:
     """Whether the three double reflections attached to a 4-set of pairwise
-    orthogonal roots all lie in the Weyl group.
-
-    The reflections are taken across the differences v_i - v_j, which need
-    not be roots; the double reflection, read off the simple roots, is
-    tested for membership."""
+    orthogonal roots all lie in the Weyl group.  The reflections are taken
+    across the differences v_i - v_j, which need not be roots."""
     q = list(quad)
     if len(q) != 4:
-        raise ValueError("need exactly four roots")
-    vs = [system.roots[i] for i in q]
-    if any(la.vdot(u, v) for u, v in itertools.combinations(vs, 2)):
-        raise ValueError("roots are not pairwise orthogonal")
-    W = weyl_group(system)
+        raise ValueError("%s: a Klein set needs exactly four roots, got %d"
+                         % (system.spec.label, len(q)))
+    for a, b in itertools.combinations(q, 2):
+        if system.pairing_matrix[a][b]:
+            raise ValueError("%s and %s are not orthogonal"
+                             % (system.root_name(a), system.root_name(b)))
+    vs = [system._int_roots[i] for i in q]
     for (i, j), (k, l) in [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]:
         perm = system.perm_of_reflections([la.vsub(vs[k], vs[l]), la.vsub(vs[i], vs[j])])
-        if perm is None or not W.contains(perm):
+        if perm is None or not in_weyl(system, perm):
             return False
     return True

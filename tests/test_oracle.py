@@ -55,6 +55,22 @@ def test_brute_group_orders(fam, rank):
 
 
 @pytest.mark.parametrize("fam,rank", SMALL)
+def test_in_weyl_matches_brute_group(fam, rank):
+    """in_weyl against W closed by brute force from the simple reflections,
+    on every element of the brute-force full group."""
+    R = rs.build(fam, rank)
+    weyl = {wg.identity_perm(len(R))}
+    frontier = list(weyl)
+    while frontier:
+        frontier = [g2 for g in frontier for b in R.canonical_basis
+                    for g2 in [wg.perm_mul(R.reflection_perm(b), g)] if g2 not in weyl]
+        weyl.update(frontier)
+    brute = brute_full_group(R)
+    assert [wg.in_weyl(R, g) for g in brute] == [g in weyl for g in brute]
+    assert (fam == "A" and rank > 1) == (len(weyl) < len(brute))
+
+
+@pytest.mark.parametrize("fam,rank", SMALL)
 def test_brute_involution_class_counts(fam, rank):
     R = rs.build(fam, rank)
     brute = brute_full_group(R)

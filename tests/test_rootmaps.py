@@ -3,9 +3,11 @@ against their rational definitions.
 
 The program reads these off integer keys: coordinates by walking upward
 from the simple roots, a root map by extending the images of the simple
-roots linearly, and the Klein test by mapping only the simple roots.  The
-references below are the rational computations those routines replace:
-one exact solve per root, and an ambient matrix pushed through every root.
+roots linearly, a product of reflections by reflecting the scaled simple
+roots in integers, and the Klein test by mapping only the simple roots.
+The references below are the rational computations those routines
+replace: one exact solve per root, an ambient matrix pushed through every
+root, and Fraction reflections of the simple roots.
 """
 
 import random
@@ -145,6 +147,82 @@ def test_union_generators_match_matrices(factors):
                     tuple(la.unit_vec(U.dim, swap[i]) for i in range(U.dim))))
     assert None not in want
     assert wg.full_aut_group(U).generators == want
+
+
+def _rational_perm_of_reflections(R, vectors):
+    """RootSystem.perm_of_reflections as it was in Fraction arithmetic:
+    reflect the simple root vectors, look the images up by vector."""
+    images = [R.roots[b] for b in R.canonical_basis]
+    for v in vectors:
+        images = [R.reflect_vec(x, v) for x in images]
+    idx = [R.index.get(x) for x in images]
+    return None if None in idx else R.perm_from_simple_images(idx)
+
+
+def _same_reflection_perm(R, vectors):
+    want = _rational_perm_of_reflections(R, vectors)
+    assert R.perm_of_reflections(vectors) == want, (R.spec.label, vectors)
+    return want
+
+
+@pytest.mark.parametrize("spec", CATALOG + [rs.RootSystemSpec("E8")], ids=lambda s: s.label)
+def test_perm_of_reflections_matches_rational_on_catalog_rows(spec):
+    R = rs.build(spec)
+    for label, vecs in iv._table2_rows(R):
+        assert _same_reflection_perm(R, vecs) is not None, label
+
+
+def test_perm_of_reflections_matches_rational_on_e7_double_reflections(monkeypatch):
+    E7 = rs.build("E7")
+    asked = []
+    integer = rs.RootSystem.perm_of_reflections
+
+    def record(system, vectors):
+        asked.append(list(vectors))
+        return integer(system, vectors)
+
+    monkeypatch.setattr(rs.RootSystem, "perm_of_reflections", record)
+    iv.sos_classes_by_size(E7)
+    monkeypatch.undo()
+    assert len(asked) > 100
+    got = [_same_reflection_perm(E7, vecs) for vecs in asked]
+    assert None in got and any(g is not None for g in got)
+
+
+@pytest.mark.parametrize("spec", SPECS + [rs.RootSystemSpec(factors=(
+    rs.RootSystemSpec("A", 2), rs.RootSystemSpec("G2")))], ids=lambda s: s.label)
+def test_perm_of_reflections_matches_rational_on_random_vectors(spec):
+    """Random rational vectors, alone and in pairs: nearly all of them give
+    a product that does not keep the root set, and the answer is None; then
+    pairs whose product does (a root scaled, then a root)."""
+    R = rs.build(spec)
+    rng = random.Random("reflections " + spec.label)
+    dropped = kept = 0
+    for _ in range(12):
+        vecs = [tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(R.dim))
+                for _ in range(rng.randint(1, 2))]
+        if all(any(v) for v in vecs):
+            dropped += _same_reflection_perm(R, vecs) is None
+    assert dropped >= 8
+    for _ in range(6):
+        a, b = rng.randrange(len(R)), rng.randrange(len(R))
+        vecs = [la.vscale(Fraction(rng.randint(1, 5), rng.randint(1, 5)), R.roots[a]), R.roots[b]]
+        kept += _same_reflection_perm(R, vecs) is not None
+    assert kept == 6
+
+
+@pytest.mark.parametrize("spec", [rs.RootSystemSpec("A", 2), rs.RootSystemSpec("E8")],
+                         ids=lambda s: s.label)
+def test_perm_of_reflections_rejects_zero_and_short_vectors(spec):
+    R = rs.build(spec)
+    zero, root = la.zero_vec(R.dim), R.roots[0]
+    for fn in (R.perm_of_reflections, lambda v: _rational_perm_of_reflections(R, v)):
+        with pytest.raises(ValueError):
+            fn([root[:-1]])
+    for vecs in ([zero], [root, zero], [zero, root]):
+        for fn in (R.perm_of_reflections, lambda v: _rational_perm_of_reflections(R, v)):
+            with pytest.raises(ValueError, match="zero vector"):
+                fn(vecs)
 
 
 def _klein_by_matrices(R, quad):

@@ -244,3 +244,20 @@ def test_height_order_is_height_then_root_vector():
             want = sorted(c.positive_set, key=lambda i: (c.q_degree(i), R.roots[i]))
             assert list(c.height_order) == want
             assert c.height_order is c.height_order
+
+
+def test_build_caches_by_normalised_spec():
+    F4 = rs.build("F4")
+    assert rs.build("F4", 4) is F4
+    assert rs.build(rs.RootSystemSpec("F4")) is F4
+    assert rs.build(rs.RootSystemSpec("F4", 4)) is F4
+    assert rs.build("B", 3) is rs.build(rs.RootSystemSpec("B", 3, "standard"))
+    assert rs.build("E6", realization="prime") is not rs.build("E6")
+    with pytest.raises(rs.RootSystemError):
+        rs.build("F4", 5)
+
+
+def test_root_name():
+    B2 = rs.build("B", 2)
+    i = B2.root_index((1, -1))
+    assert B2.root_name(i) == "B2 root %d (1, -1)" % i

@@ -1,10 +1,11 @@
 """Permutation group engine: orders, membership, transporters, Klein sets."""
 
 import itertools
+import random
 
 import pytest
 
-from cartanclass import rootsys as rs, weylgroup as wg
+from cartanclass import involution as iv, rootsys as rs, weylgroup as wg
 from cartanclass.rootsys import zeta
 
 WEYL_ORDERS = {
@@ -113,8 +114,19 @@ def test_klein_examples():
     quad = [D4.root_index(v) for v in [(1, -1, 0, 0), (1, 1, 0, 0),
                                        (0, 0, 1, -1), (0, 0, 1, 1)]]
     assert wg.klein_in_weyl(D4, quad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^D4: a Klein set needs exactly four roots, got 3$"):
         wg.klein_in_weyl(D4, quad[:3])
+
+
+def test_klein_errors_name_the_roots():
+    D4 = rs.build("D", 4)
+    a, b, c, d = (D4.root_index(v) for v in [(1, 1, 0, 0), (1, -1, 0, 0),
+                                               (0, 0, 1, -1), (0, 1, 1, 0)])
+    with pytest.raises(ValueError, match=r"^D4 root %d \(1, 1, 0, 0\) and D4 root %d "
+                       r"\(0, 1, 1, 0\) are not orthogonal$" % (a, d)):
+        wg.klein_in_weyl(D4, [a, b, c, d])
+    with pytest.raises(ValueError, match="not orthogonal"):
+        wg.klein_in_weyl(D4, [a, a, b, d])
 
 
 def test_klein_census_e8():
@@ -148,3 +160,69 @@ def test_union_group():
     U = rs.build(spec)
     assert wg.weyl_group(U).order == 4
     assert wg.full_aut_group(U).order == 8  # swap included
+
+
+# -- membership by descent ----------------------------------------------------------
+
+UP_TO_RANK_8 = ([rs.RootSystemSpec("A", r) for r in range(1, 9)]
+                + [rs.RootSystemSpec("B", r) for r in range(2, 9)]
+                + [rs.RootSystemSpec("C", r) for r in range(3, 9)]
+                + [rs.RootSystemSpec("D", r) for r in range(4, 9)]
+                + [rs.RootSystemSpec(f) for f in ("G2", "F4", "E6", "E7", "E8")]
+                + [rs.RootSystemSpec(f, realization="prime") for f in ("E6", "E7")])
+A2_A2 = rs.RootSystemSpec(factors=(rs.RootSystemSpec("A", 2), rs.RootSystemSpec("A", 2)))
+
+
+@pytest.mark.parametrize("spec", UP_TO_RANK_8 + [A2_A2], ids=lambda s: s.label)
+def test_in_weyl_matches_chain_on_random_words(spec):
+    """in_weyl against the stabilizer-chain sift of W, on seeded words in
+    the generators of the full automorphism group (reflections, diagram
+    symmetries and, for A2+A2, the factor swap); where the diagram has
+    symmetries both cosets occur."""
+    R = rs.build(spec)
+    gens, W = wg.full_aut_group(R).generators, wg.weyl_group(R)
+    rng = random.Random("in_weyl " + spec.label)
+    seen = set()
+    for _ in range(16):
+        g = wg.identity_perm(len(R))
+        for _ in range(rng.randrange(0, 3 * R.rank)):
+            g = wg.perm_mul(rng.choice(gens), g)
+        got = wg.in_weyl(R, g)
+        assert got == W.contains(g)
+        seen.add(got)
+    outer = R.factors is not None or len(R.diagram_symmetries) > 1
+    assert seen == ({True, False} if outer else {True})
+
+
+def test_in_weyl_rejects_maps_that_break_the_cartan_matrix():
+    B2 = rs.build("B", 2)
+    long_, short = B2.canonical_basis
+    swap = list(range(len(B2)))
+    swap[long_], swap[short] = short, long_
+    with pytest.raises(ValueError, match="^B2: the permutation does not keep the Cartan matrix$"):
+        wg.in_weyl(B2, swap)
+
+
+def test_in_weyl_on_d4_triality_and_outer_generators():
+    """D4 has Gamma = S3: each non-identity diagram symmetry, and its product
+    with any reflection, lies outside W; -1 lies in W."""
+    D4 = rs.build("D", 4)
+    W = wg.weyl_group(D4)
+    syms = wg.diagram_automorphisms(D4)
+    assert len(syms) == 6 and wg.in_weyl(D4, syms[0])
+    for g in syms[1:]:
+        assert not wg.in_weyl(D4, g) and not W.contains(g)
+        for b in D4.canonical_basis:
+            h = wg.perm_mul(D4.reflection_perm(b), g)
+            assert not wg.in_weyl(D4, h) and not W.contains(h)
+    assert wg.in_weyl(D4, D4.negation_map)
+
+
+@pytest.mark.parametrize("spec", [s for s in UP_TO_RANK_8 if s.label != "E7'"],
+                         ids=lambda s: s.label)
+def test_in_weyl_of_catalog_rows(spec):
+    """Every catalog row (E7' has no catalog), by descent and by the chain."""
+    R = rs.build(spec)
+    W = wg.weyl_group(R)
+    for label, theta in iv.table2_representatives(R):
+        assert theta.in_weyl == wg.in_weyl(R, theta.perm) == W.contains(theta.perm), label
