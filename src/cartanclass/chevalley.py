@@ -68,7 +68,8 @@ class Qrt2:
         return self.a == o.a and self.b == o.b
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        # equal numbers hash alike: a rational one hashes as its value
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
 
     def __bool__(self):
         return self.a != 0 or self.b != 0
@@ -199,12 +200,18 @@ class ChevalleySystem:
             raise ChevalleyError("N is undefined against +-alpha")
         return self._table.get((i, j), 0)
 
-    def coroot_coords(self, i: int) -> tuple[Fraction, ...]:
-        """Coordinates of H_alpha over the simple coroots H_{alpha_k}: from
-        alpha = sum m_k alpha_k, H_alpha = sum m_k |alpha_k|^2/|alpha|^2 H_{alpha_k}."""
+    def coroot_coords(self, i: int) -> tuple[int, ...]:
+        """Integer coordinates of H_alpha over the simple coroots H_{alpha_k}:
+        from alpha = sum m_k alpha_k, H_alpha = sum m_k |alpha_k|^2/|alpha|^2
+        H_{alpha_k}, with the norms of the roots scaled to integers."""
         R = self.system
         ch = R.canonical_chamber()
-        return tuple(m * R.norm2(b) / R.norm2(i) for m, b in zip(ch.coords(i), ch.basis))
+        norm = [sum(x * x for x in R._int_roots[j]) for j in (i,) + ch.basis]
+        out = [divmod(m * n, norm[0]) for m, n in zip(ch.coords(i), norm[1:])]
+        if any(r for _, r in out):
+            raise ChevalleyError("the coroot of %s has a non-integral coordinate"
+                                 % R.root_name(i))
+        return tuple(c for c, _ in out)
 
     def verify_identities(self) -> None:
         """Full scan of the defining constant identities."""
@@ -297,10 +304,10 @@ class DenseAlgebra:
         self.verified = 0  # index in VERIFY_LEVELS of the checks already run
 
     def x(self, root_idx: int) -> dict:
-        return {self.rank + root_idx: Fraction(1)}
+        return {self.rank + root_idx: 1}
 
     def h(self, k: int) -> dict:
-        return {k: Fraction(1)}
+        return {k: 1}
 
     def coroot_elem(self, root_idx: int) -> dict:
         return {k: c for k, c in enumerate(self._coroot_coords[root_idx]) if c}
@@ -312,7 +319,7 @@ class DenseAlgebra:
 
     def t_elem(self, root_idx: int) -> dict:
         out = dict(self.x(root_idx))
-        out[self.rank + self._neg[root_idx]] = Fraction(-1)
+        out[self.rank + self._neg[root_idx]] = -1
         return out
 
     def bracket_basis(self, i: int, j: int) -> dict:
@@ -323,11 +330,11 @@ class DenseAlgebra:
         if i < rank:
             a = j - rank
             c = self._cartan_act[a][i]
-            return {j: Fraction(c)} if c else {}
+            return {j: c} if c else {}
         if j < rank:
             a = i - rank
             c = self._cartan_act[a][j]
-            return {i: Fraction(-c)} if c else {}
+            return {i: -c} if c else {}
         a, b = i - rank, j - rank
         if b == a:
             return {}
@@ -337,7 +344,7 @@ class DenseAlgebra:
         if k < 0:
             return {}
         n = self.constants.n(a, b)
-        return {rank + k: Fraction(n)}
+        return {rank + k: n}
 
     def bracket(self, u: dict, v: dict) -> dict:
         out: dict = {}
@@ -363,7 +370,7 @@ class DenseAlgebra:
             hh = self.coroot_elem(b)
             xb = self.x(b)
             got = self.bracket(hh, xb)
-            want = {self.rank + b: Fraction(2)}
+            want = {self.rank + b: 2}
             if got != want:
                 raise ChevalleyError("[H_a, X_a] != 2 X_a")
             got = self.bracket(xb, self.x(self._neg[b]))
@@ -375,7 +382,7 @@ class DenseAlgebra:
         t = {}
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
             inner = self.bracket_basis(b, c)
-            for idx, coeff in self.bracket({a: Fraction(1)}, inner).items():
+            for idx, coeff in self.bracket({a: 1}, inner).items():
                 val = t.get(idx, 0) + coeff
                 if val:
                     t[idx] = val
@@ -489,15 +496,12 @@ class LinearMap:
         return self.equals(LinearMap.identity(self.algebra))
 
 
-def apply_map(algebra: DenseAlgebra, m: LinearMap, check_involution: bool = True,
-              pair_limit: int | None = None) -> MapReport:
+def apply_map(algebra: DenseAlgebra, m: LinearMap, check_involution: bool = True) -> MapReport:
     """Check the automorphism law [Mx,My] = M[x,y] on basis pairs and,
     optionally, involutivity; returns a report listing violations."""
     violations = []
     d = algebra.dim
-    pairs = ((i, j) for i in range(d) for j in range(i + 1, d))
-    count = 0
-    for i, j in pairs:
+    for i, j in ((i, j) for i in range(d) for j in range(i + 1, d)):
         lhs = m.apply(algebra.bracket_basis(i, j))
         rhs = algebra.bracket(
             {k: v for k, v in m.col(i).items()},
@@ -506,9 +510,6 @@ def apply_map(algebra: DenseAlgebra, m: LinearMap, check_involution: bool = True
         lhs = {k: Qrt2.of(v) for k, v in lhs.items() if Qrt2.of(v)}
         if lhs != rhs:
             violations.append((i, j))
-        count += 1
-        if pair_limit is not None and count >= pair_limit:
-            break
     is_inv = True
     if check_involution:
         is_inv = m.compose(m).is_identity()
@@ -657,7 +658,7 @@ class QuarterTurn:
             p, q = R.root_string(gamma, beta)
             poly = _STRING_POLY[p + q + 1]
         k_elem = A.k_elem(beta)
-        powers = [{i: Fraction(1)}]
+        powers = [{i: 1}]
         for _ in range(len(poly) - 1):
             powers.append(A.bracket(k_elem, powers[-1]))
         if _combine(poly, powers):
@@ -685,4 +686,4 @@ def exp_quarter_pi_adk(algebra: DenseAlgebra, b_indices, sign: int = 1) -> Linea
     """Exact matrix of exp(sign * pi/4 * ad(K_B)) for a strongly orthogonal
     set B, one column per basis element."""
     turn = QuarterTurn(algebra, b_indices, sign)
-    return LinearMap(algebra, {i: turn.apply({i: Fraction(1)}) for i in range(algebra.dim)})
+    return LinearMap(algebra, {i: turn.apply({i: 1}) for i in range(algebra.dim)})

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from . import _linalg as la
 from .involution import Involution, _orthogonal_components
-from .rootsys import Chamber, RootSystem, RootSystemError, RootSystemSpec, build
+from .rootsys import Chamber, RootSystem, RootSystemError, RootSystemSpec, _coordinate_rows, build
 from .weylgroup import perm_mul
 
 WHITE, BLACK, STAR = "white", "black", "star"
@@ -67,11 +65,8 @@ def find_s_chamber(theta: Involution) -> Chamber:
         maxb = max(abs(x) for x in minus)
         mina = min(abs(plus[i]) for i in movers)
         t = 1 - (-maxb // mina)  # 1 + ceil(maxb / mina)
-        w = [t * x + y for x, y in zip(plus, minus)]
-        witness = la.mat_vec(la.transpose(R.fundamental_coweights),
-                             [Fraction(w[b], 2) for b in ch.basis])
-        pos = frozenset(i for i, x in enumerate(w) if x > 0)
-        chamber = Chamber(R, R.simple_roots(pos), witness)
+        pos = frozenset(i for i, (x, y) in enumerate(zip(plus, minus)) if t * x + y > 0)
+        chamber = Chamber(R, R.simple_roots(pos))
         if not is_s_chamber(theta, chamber):
             raise DiagramError("constructed chamber fails the S condition")
         return chamber
@@ -98,10 +93,12 @@ def theta_on_simple(theta: Involution, chamber: Chamber, b: int) -> tuple[int, d
 
     Returns (b', tail) with theta(b) = b' + sum(tail) and tail supported on
     the negated simple roots with nonnegative coefficients."""
+    R = theta.system
     if not is_s_chamber(theta, chamber):
-        raise DiagramError("chamber is not an S-chamber for the involution")
+        raise DiagramError("the chamber given for %s is not an S-chamber for the involution"
+                           % R.root_name(b))
     if b in theta.imaginary_set:
-        raise DiagramError("simple root is negated; no tail decomposition")
+        raise DiagramError("%s is negated; it has no tail decomposition" % R.root_name(b))
     img = theta(b)
     cs = chamber.coords(img)
     prime = None
@@ -112,49 +109,54 @@ def theta_on_simple(theta: Involution, chamber: Chamber, b: int) -> tuple[int, d
         root = chamber.basis[pos]
         if root in theta.imaginary_set:
             if k < 0:
-                raise DiagramError("negative black tail coefficient")
+                raise DiagramError("the image of %s has a negative black tail coefficient"
+                                   % R.root_name(b))
             tail[root] = k
         else:
             if prime is not None or k != 1:
-                raise DiagramError("image is not simple plus a black tail")
+                raise DiagramError("the image of %s is not simple plus a black tail"
+                                   % R.root_name(b))
             prime = root
     if prime is None:
-        raise DiagramError("no simple part in the image")
+        raise DiagramError("the image of %s has no simple part" % R.root_name(b))
     return prime, tail
 
 
 def chamber_with_imaginary_basis(theta: Involution, bprime) -> Chamber:
     """An S-chamber whose negated simple roots are exactly the given basis
-    of the negated subsystem."""
+    of the negated subsystem.
+
+    Starting from the S-chamber of find_s_chamber, the chamber is reflected
+    across the first root of the basis that is negative on it; the positive
+    set moves along, pos(s_b C) = s_b pos(C).  Each step depends on the
+    chamber alone, so a walk that does not end comes back to a chamber."""
     R = theta.system
     bprime = tuple(bprime)
     for b in bprime:
         if b not in theta.imaginary_set:
-            raise DiagramError("root %d is not negated by the involution" % b)
-    # must integrally span the negated subsystem with uniform signs
-    span = [R.roots[b] for b in bprime]
-    for i in theta.imaginary_set:
-        sol = la.solve(span, R.roots[i])
-        if sol is None or any(c.denominator != 1 for c in sol):
-            raise DiagramError("set does not span the negated subsystem")
-        if not (all(c >= 0 for c in sol) or all(c <= 0 for c in sol)):
-            raise DiagramError("set is not a simple basis of the negated subsystem")
-    c0 = find_s_chamber(theta)
-    v = c0.witness
-    guard = 0
-    while True:
-        bad = next((b for b in bprime if la.vdot(R.roots[b], v) < 0), None)
-        if bad is None:
-            break
-        v = R.reflect_vec(v, R.roots[bad])
-        guard += 1
-        if guard > 10_000:
-            raise DiagramError("imaginary dominance walk did not terminate")
-    chamber = R.chamber_from_witness(v)
+            raise DiagramError("%s is not negated by the involution" % R.root_name(b))
+    # a simple basis of the negated subsystem reaches every negated root
+    rows = _coordinate_rows(R, bprime)
+    missed = next((i for i in sorted(theta.imaginary_set) if rows[i] is None), None)
+    if missed is not None:
+        raise DiagramError("the set is not a simple basis of the negated subsystem: "
+                           "it does not reach %s" % R.root_name(missed))
+    pos = find_s_chamber(theta).positive_set
+    seen = set()
+    while (bad := next((b for b in bprime if b not in pos), None)) is not None:
+        if pos in seen:
+            raise DiagramError("the imaginary dominance walk does not terminate: it comes "
+                               "back to a chamber where %s is negative" % R.root_name(bad))
+        seen.add(pos)
+        s = R.reflection_perm(bad)
+        pos = frozenset(s[i] for i in pos)
+    chamber = Chamber(R, R.simple_roots(pos))
     if not is_s_chamber(theta, chamber):
         raise DiagramError("adapted chamber lost the S condition")
-    if frozenset(bprime) != frozenset(chamber.basis) & theta.imaginary_set:
-        raise DiagramError("requested negated basis was not realized")
+    differ = sorted(frozenset(bprime) ^ (frozenset(chamber.basis) & theta.imaginary_set))
+    if differ:
+        raise DiagramError("the requested negated basis was not realized: %s differs"
+                           % R.root_name(differ[0]))
     return chamber
 
 
@@ -487,37 +489,30 @@ def restrict_sigma(sigma, chamber: Chamber | None = None):
 
 def _one_star_basis(R: RootSystem, sigma, comp: list[int]) -> list[int]:
     """Norm-descent inside one black cluster: find a basis of the cluster
-    subsystem in which exactly one simple root is noncompact."""
-    span_cols = [R.roots[b] for b in comp]
+    subsystem in which exactly one simple root is noncompact.
 
-    def solve_in_span(cond_roots, values):
-        # H in span(comp) with dot(cond, H) = value for each condition
-        cols = [tuple(la.vdot(R.roots[c], sc) for c in cond_roots)
-                for sc in span_cols]
-        sol = la.solve(cols, tuple(Fraction(v) for v in values))
-        if sol is None:
-            raise DiagramError("cluster gram system is singular")
-        out = la.zero_vec(R.dim)
-        for c, v in zip(sol, span_cols):
-            out = la.vadd(out, la.vscale(c, v))
-        return out
-
-    h0 = solve_in_span(comp, [1 if b in sigma.noncompact_set else 0 for b in comp])
+    The vector h0 of the cluster's span pairs to 1 with the noncompact roots
+    of comp and to 0 with the others; it is kept as its integer products
+    with the roots of the cluster (coordinates in comp times those values).
+    Subtracting twice the coweight of the basis root pick subtracts twice
+    the coordinate at pick in the current basis."""
+    h0 = {i: sum(c for c, b in zip(row, comp) if b in sigma.noncompact_set)
+          for i, row in enumerate(_coordinate_rows(R, comp)) if row is not None}
     basis = list(comp)
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 100_000:
-            raise DiagramError("parity descent did not terminate")
-        bad = next((b for b in basis if la.vdot(R.roots[b], h0) < 0), None)
+    for _ in range(100_000):
+        bad = next((b for b in basis if h0[b] < 0), None)
         if bad is not None:
-            basis = [R.root_index(R.reflect_vec(R.roots[x], R.roots[bad]))
-                     for x in basis]
+            s = R.reflection_perm(bad)
+            basis = [s[x] for x in basis]
             continue
-        pick = next((b for b in basis if la.vdot(R.roots[b], h0) > 0), None)
+        pick = next((b for b in basis if h0[b] > 0), None)
         if pick is None:
-            raise DiagramError("descent reached the zero vector")
-        coweight = solve_in_span(basis, [1 if b == pick else 0 for b in basis])
-        if coweight == h0:
+            raise DiagramError("descent in the cluster of %s reached the zero vector"
+                               % R.root_name(comp[0]))
+        if all(h0[b] == (b == pick) for b in basis):
             return basis
-        h0 = la.vsub(h0, la.vscale(2, coweight))
+        k = basis.index(pick)
+        rows = _coordinate_rows(R, basis)
+        h0 = {i: v - 2 * rows[i][k] for i, v in h0.items()}
+    raise DiagramError("parity descent in the cluster of %s did not terminate"
+                       % R.root_name(comp[0]))

@@ -629,8 +629,9 @@ def cartan_classes(sigma: AntiInvolution) -> list[Involution]:
     reduced = reduce_noncompact(sigma, verify_dense=False)
     eps, base = decompose(reduced.theta)
     W = weyl_group(R)
+    pm = R.pairing_matrix
     pool = [i for i in positive_representatives(R, eps.real_set)
-            if all(R.dot(i, b) == 0 for b in base)]
+            if all(pm[i][b] == 0 for b in base)]
 
     def theta_of(S) -> Involution:
         perm = eps.perm
@@ -656,7 +657,7 @@ def cartan_classes(sigma: AntiInvolution) -> list[Involution]:
         new_frontier = []
         for S in frontier:
             for g in pool:
-                if g in S or not all(R.dot(g, s) == 0 for s in S):
+                if g in S or any(pm[g][s] for s in S):
                     continue
                 S2 = tuple(sorted(S + (g,)))
                 t2 = theta_of(S2)

@@ -14,7 +14,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 
 from . import _linalg as la
 from ._linalg import Vector, vadd, vdot, vneg, vscale, vsub
@@ -216,13 +216,12 @@ def _coordinate_rows(system: "RootSystem", basis) -> tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class Chamber:
-    """A Weyl chamber: simple basis and a regular witness.  The root
-    coordinates in the basis, and with them the positive roots, are found
-    on first use and kept on the chamber."""
+    """A Weyl chamber, given by its simple basis.  The root coordinates in
+    the basis, and with them the positive roots, are found on first use and
+    kept on the chamber."""
 
     system: "RootSystem"
     basis: tuple[int, ...]
-    witness: Vector
 
     @cached_property
     def _coord_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -331,15 +330,6 @@ class RootSystem:
 
     # -- scalar products -------------------------------------------------
 
-    def dot(self, i: int, j: int) -> Fraction:
-        return vdot(self.roots[i], self.roots[j])
-
-    def pairing_vec(self, xi: Vector, eta: Vector) -> Fraction:
-        d = vdot(eta, eta)
-        if d == 0:
-            raise ValueError("pairing against the zero vector")
-        return 2 * vdot(xi, eta) / d
-
     def pairing(self, i: int, j: int) -> int:
         return self.pairing_matrix[i][j]
 
@@ -431,12 +421,6 @@ class RootSystem:
         return tuple(tuple(pos[b] for b in t) for t in self.basis_isomorphisms(cb, cb))
 
     # -- reflections -----------------------------------------------------
-
-    def reflect_vec(self, xi: Vector, alpha: Vector) -> Vector:
-        return vsub(xi, vscale(self.pairing_vec(xi, alpha), alpha))
-
-    def reflect(self, xi: Vector, alpha_idx: int) -> Vector:
-        return self.reflect_vec(xi, self.roots[alpha_idx])
 
     def reflection_perm(self, alpha_idx: int) -> tuple[int, ...]:
         got = self._reflection_perms.get(alpha_idx)
@@ -535,7 +519,7 @@ class RootSystem:
         if not self.is_regular(h):
             raise RootSystemError("witness is not regular")
         pos = frozenset(i for i, r in enumerate(self.roots) if vdot(r, h) > 0)
-        return Chamber(self, self.simple_roots(pos), h)
+        return Chamber(self, self.simple_roots(pos))
 
     def simple_roots(self, pos) -> tuple[int, ...]:
         """The roots of a positive set that are not the sum of two of them,
@@ -545,28 +529,20 @@ class RootSystem:
                             if not any(look(keys[i] - keys[j]) in pos for j in pos)))
 
     def chamber_from_simple_basis(self, vectors) -> Chamber:
-        """Chamber whose simple basis is the given set of root vectors."""
-        vecs = [tuple(Fraction(x) for x in v) for v in vectors]
-        idxs = {self.root_index(v) for v in vecs}
-        cols = [tuple(bv[j] for bv in vecs) for j in range(self.dim)]
-        w = la.solve(cols, tuple(la.ONE for _ in vecs))
-        if w is None:
-            raise RootSystemError("no witness vector for the requested basis")
-        ch = self.chamber_from_witness(tuple(w))
-        if set(ch.basis) != idxs:
+        """Chamber whose simple basis is the given set of root vectors: rank
+        many roots from which the coordinate walk reaches every root (they
+        span, so they are independent, and every root is a combination of
+        them with coefficients of one sign)."""
+        idxs = {self.root_index(v) for v in vectors}
+        ch = Chamber(self, tuple(sorted(idxs)))
+        if len(idxs) != self.rank or None in ch._coord_rows:
             raise RootSystemError("vectors are not a simple basis of a chamber")
         return ch
 
     def canonical_chamber(self) -> Chamber:
-        """The chamber of the canonical basis, witnessed by the sum of its
-        positive roots."""
+        """The chamber of the canonical basis."""
         if self._canonical_chamber is None:
-            rows = _coordinate_rows(self, self.canonical_basis)
-            witness = reduce(vadd, (r for r, c in zip(self.roots, rows) if sum(c) > 0),
-                             la.zero_vec(self.dim))
-            for b in self.canonical_basis:
-                assert vdot(self.roots[b], witness) > 0
-            self._canonical_chamber = Chamber(self, self.canonical_basis, witness)
+            self._canonical_chamber = Chamber(self, self.canonical_basis)
         return self._canonical_chamber
 
     @cached_property
@@ -579,10 +555,6 @@ class RootSystem:
         if None in out:
             raise RootSystemError("no coweight vector found")
         return out
-
-    def fundamental_coweight_sum(self) -> Vector:
-        """Regular vector pairing to 1 with every canonical simple root."""
-        return reduce(vadd, self.fundamental_coweights, la.zero_vec(self.dim))
 
     def in_dual_lattice(self, omega: Vector) -> bool:
         """Whether omega pairs integrally with the roots; the simple roots decide."""

@@ -252,9 +252,10 @@ class PermGroup:
 
     def _profile(self, xs):
         R = self.system
+        pm = R.pairing_matrix
         norms = sorted(R.norm2(x) for x in xs)
-        gram = sorted(sorted(R.dot(a, b) for b in xs) for a in xs)
-        return norms, gram
+        pairings = sorted(sorted(pm[a][b] for b in xs) for a in xs)
+        return norms, pairings
 
     def transporter_set(self, xs, ys) -> RootPermutation | None:
         """Some g in G with g(X) = Y as sets, or None."""
@@ -290,6 +291,7 @@ class PermGroup:
         so ties break lexicographically and results are deterministic.
         """
         R = self.system
+        pm = R.pairing_matrix
         points: list[int] = []
         block_of: list[int] = []
         for bi, (X, _) in enumerate(blocks):
@@ -317,8 +319,8 @@ class PermGroup:
                 y = g[c]
                 if y not in targets or y in used[bi] or R.norm2(y) != nx:
                     continue
-                if any(R.dot(x, points[j]) != R.dot(y, committed[j])
-                       for j in range(pi)):
+                # norms agree, so equal pairings mean equal scalar products
+                if any(pm[x][points[j]] != pm[y][committed[j]] for j in range(pi)):
                     continue
                 g2 = perm_mul(g, lev.orbit[c])
                 committed.append(y)

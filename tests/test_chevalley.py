@@ -1,5 +1,6 @@
 """Structure constants, the dense bracket oracle and exact exponentials."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -178,6 +179,35 @@ def test_qrt2_field():
     with pytest.raises(ValueError):
         cv.Qrt2(0, 1).rational()
     assert cv.SQRT2_HALF * cv.SQRT2_HALF == cv.Qrt2(F(1, 2))
+
+
+def test_qrt2_hashes_like_equal_numbers():
+    assert {cv.Qrt2(1): 0}.get(1) == 0
+    assert hash(cv.Qrt2(F(1, 2))) == hash(F(1, 2))
+    assert len({cv.Qrt2(F(-3, 4)), F(-3, 4), cv.Qrt2(-3, 0) / 4}) == 1
+    assert hash(cv.Qrt2(1, 1)) == hash(cv.Qrt2(1) + cv.Qrt2(0, 1))
+
+
+def test_dense_algebra_is_integral():
+    for fam, rank in [("G2", 2), ("B", 3), ("C", 3)]:
+        A = cv.DenseAlgebra(cv.structure_constants(rs.build(fam, rank)))
+        coeffs = [c for i in range(A.dim) for j in range(A.dim)
+                  for c in A.bracket_basis(i, j).values()]
+        assert coeffs and all(type(c) is int for c in coeffs)
+
+
+def test_non_integral_coroot_names_the_root():
+    R = rs.RootSystem(rs.RootSystemSpec("B", 2))  # a private system: its chamber is altered
+    C = cv.ChevalleySystem(R)
+    i = R.root_index((1, 1))  # alpha_1 + 2 alpha_2, with coroot H_1 + H_2
+    assert C.coroot_coords(i) == (1, 1)
+    ch = R.canonical_chamber()
+    rows = list(ch._coord_rows)
+    rows[i] = (1, 1)  # would give the coroot H_1 + H_2/2
+    ch.__dict__["_coord_rows"] = tuple(rows)
+    with pytest.raises(cv.ChevalleyError, match="the coroot of %s has a non-integral"
+                       % re.escape(R.root_name(i))):
+        C.coroot_coords(i)
 
 
 def test_csv_dump():

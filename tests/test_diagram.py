@@ -1,6 +1,7 @@
 """Adapted chambers, decorated diagram construction and the catalogs."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -194,8 +195,15 @@ def test_theta_on_simple_errors():
     th = iv.from_reflections(B2, [(1, 0)])
     ch = dg.find_s_chamber(th)
     bullet = next(b for b in ch.basis if b in th.imaginary_set)
-    with pytest.raises(dg.DiagramError):
+    with pytest.raises(dg.DiagramError, match=re.escape(B2.root_name(bullet)) + " is negated"):
         dg.theta_on_simple(th, ch, bullet)
+    B4 = rs.build("B", 4)
+    tp = iv.from_reflections(B4, [(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, -1)])
+    ch = B4.canonical_chamber()
+    b = ch.basis[0]
+    with pytest.raises(dg.DiagramError, match="the chamber given for %s is not an S-chamber"
+                       % re.escape(B4.root_name(b))):
+        dg.theta_on_simple(tp, ch, b)
 
 
 def test_chamber_with_imaginary_basis():
@@ -210,6 +218,39 @@ def test_chamber_with_imaginary_basis():
     with pytest.raises(dg.DiagramError):
         dg.chamber_with_imaginary_basis(anti, [B2.root_index((1, 1)),
                                                B2.root_index((1, -1))])
+
+
+def test_chamber_with_imaginary_basis_errors_name_the_root():
+    B2 = rs.build("B", 2)
+    th = iv.from_reflections(B2, [(1, 0)])
+    e1, e2 = B2.root_index((1, 0)), B2.root_index((0, 1))
+    with pytest.raises(dg.DiagramError, match=re.escape(B2.root_name(e2)) + " is not negated"):
+        dg.chamber_with_imaginary_basis(th, [e1, e2])
+    # the empty set reaches no negated root; -e1 comes first
+    minus = B2.negation_map[e1]
+    with pytest.raises(dg.DiagramError, match="does not reach " + re.escape(B2.root_name(minus))):
+        dg.chamber_with_imaginary_basis(th, [])
+    # e1 and -e1 reach both negated roots, but one of them is always negative
+    with pytest.raises(dg.DiagramError, match="walk does not terminate: it comes back to a "
+                       "chamber where %s is negative" % re.escape(B2.root_name(minus))):
+        dg.chamber_with_imaginary_basis(th, [e1, minus])
+    # three roots of the negated A2 of -1 on A2 reach everything, but only two are simple
+    A2 = rs.build("A", 2)
+    anti = iv.antipodal_involution(A2)
+    a, b = A2.canonical_basis
+    with pytest.raises(dg.DiagramError, match="not realized: %s differs"
+                       % re.escape(A2.root_name(A2.sum_table[a][b]))):
+        dg.chamber_with_imaginary_basis(anti, [a, b, A2.sum_table[a][b]])
+
+
+def test_one_star_descent_error_names_the_cluster():
+    C4 = rs.build("C", 4)
+    b = list(C4.canonical_chamber().basis)
+    compact = rf.sigma_from_basis_signs(C4, {x: 1 for x in b})
+    comp = sorted(compact.theta.imaginary_set & set(b))
+    with pytest.raises(dg.DiagramError, match="descent in the cluster of %s reached the zero"
+                       % re.escape(C4.root_name(comp[0]))):
+        dg._one_star_basis(C4, compact, comp)
 
 
 ADMISSIBLE_A = [
@@ -576,4 +617,5 @@ def test_canonical_node_order_matches_canonical_basis():
         for i in range(rank):
             assert R.norm2(order[i]) == R.norm2(cb[i])
             for j in range(rank):
-                assert R.dot(order[i], order[j]) == R.dot(cb[i], cb[j])
+                assert (la.vdot(R.roots[order[i]], R.roots[order[j]])
+                        == la.vdot(R.roots[cb[i]], R.roots[cb[j]]))

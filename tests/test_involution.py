@@ -50,7 +50,7 @@ def test_partition_orthogonality():
         th = iv.from_reflections(R, refl)
         for i in th.imaginary_set:
             for j in th.real_set:
-                assert R.dot(i, j) == 0
+                assert la.vdot(R.roots[i], R.roots[j]) == 0
 
 
 def test_commutation_with_reflections():

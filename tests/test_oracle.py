@@ -21,7 +21,7 @@ def brute_full_group(system: rs.RootSystem) -> list[tuple[int, ...]]:
     k = len(basis)
     n = len(system.roots)
     out = []
-    gram = [[system.dot(a, b) for b in basis] for a in basis]
+    gram = [[la.vdot(system.roots[a], system.roots[b]) for b in basis] for a in basis]
 
     def rec(imgs):
         pos = len(imgs)
@@ -33,7 +33,8 @@ def brute_full_group(system: rs.RootSystem) -> list[tuple[int, ...]]:
                 out.append(perm)
             return
         for cand in range(n):
-            if any(system.dot(cand, imgs[j]) != gram[pos][j] for j in range(pos)):
+            if any(la.vdot(system.roots[cand], system.roots[imgs[j]]) != gram[pos][j]
+                   for j in range(pos)):
                 continue
             if system.norm2(cand) != system.norm2(basis[pos]):
                 continue

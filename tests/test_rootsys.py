@@ -1,13 +1,43 @@
 """Root system construction, chamber geometry and lattice tests."""
 
+import functools
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cartanclass import _linalg as la
 from cartanclass import rootsys as rs
+from cartanclass import weylgroup as wg
 
 F = Fraction
+
+
+def pairing_vec(xi, eta):
+    """<xi, eta^vee> = 2 (xi, eta) / (eta, eta) in Fraction arithmetic."""
+    d = la.vdot(eta, eta)
+    if d == 0:
+        raise ValueError("pairing against the zero vector")
+    return 2 * la.vdot(xi, eta) / d
+
+
+def reflect_vec(xi, alpha):
+    """The reflection of the vector xi across alpha in Fraction arithmetic:
+    the rational reference for the reflection permutations."""
+    return la.vsub(xi, la.vscale(pairing_vec(xi, alpha), alpha))
+
+
+def witness(R, ch):
+    """A vector pairing to 1 with every simple root of the chamber."""
+    cols = [tuple(R.roots[b][j] for b in ch.basis) for j in range(R.dim)]
+    return la.solve(cols, (1,) * len(ch.basis))
+
+
+def coweight_sum(R):
+    """The regular vector pairing to 1 with every canonical simple root."""
+    return functools.reduce(la.vadd, R.fundamental_coweights, la.zero_vec(R.dim))
+
 
 COUNTS = {
     ("A", 2): 6, ("A", 3): 12, ("B", 2): 8, ("B", 3): 18, ("C", 3): 18,
@@ -53,22 +83,23 @@ def test_dot_and_pairing_examples():
     A2 = rs.build("A", 2)
     a1 = A2.root_index((1, -1, 0))
     a2 = A2.root_index((0, 1, -1))
-    assert A2.dot(a1, a2) == -1
+    assert la.vdot(A2.roots[a1], A2.roots[a2]) == -1
     assert A2.pairing(a1, a1) == 2
     B2 = rs.build("B", 2)
-    assert B2.pairing_vec((1, 0), (1, -1)) == 1
+    assert pairing_vec((1, 0), (1, -1)) == 1
     G = rs.build("G2")
     i = G.root_index((1, -1, 0))
     j = G.root_index((-1, -1, 2))
-    assert G.dot(i, j) == 0 and G.pairing(i, j) == 0
+    assert la.vdot(G.roots[i], G.roots[j]) == 0 and G.pairing(i, j) == 0
 
 
 def test_reflect_examples():
     A2 = rs.build("A", 2)
     a1 = A2.root_index((1, -1, 0))
-    assert A2.reflect(A2.roots[a1], a1) == A2.roots[A2.negation_map[a1]]
+    assert reflect_vec(A2.roots[a1], A2.roots[a1]) == A2.roots[A2.negation_map[a1]]
     a2 = A2.root_index((0, 1, -1))
-    assert A2.reflect(A2.roots[a2], a1) == (F(1), F(0), F(-1))
+    assert reflect_vec(A2.roots[a2], A2.roots[a1]) == (F(1), F(0), F(-1))
+    assert A2.roots[A2.reflection_perm(a1)[a2]] == (F(1), F(0), F(-1))
 
 
 def test_root_string_examples():
@@ -122,7 +153,7 @@ def test_strongly_orthogonal_examples():
     B2 = rs.build("B", 2)
     e1 = B2.root_index((1, 0))
     e2 = B2.root_index((0, 1))
-    assert B2.dot(e1, e2) == 0
+    assert la.vdot(B2.roots[e1], B2.roots[e2]) == 0
     assert not B2.is_strongly_orthogonal(e1, e2)
     assert not B2.is_strongly_orthogonal(e1, e1)
     assert not B2.is_strongly_orthogonal(e1, B2.negation_map[e1])
@@ -140,8 +171,8 @@ def test_strong_orthogonality_vs_orthogonality():
                 if j in (i, R.negation_map[i]):
                     continue
                 if R.is_strongly_orthogonal(i, j):
-                    assert R.dot(i, j) == 0
-                elif R.dot(i, j) == 0:
+                    assert la.vdot(R.roots[i], R.roots[j]) == 0
+                elif la.vdot(R.roots[i], R.roots[j]) == 0:
                     assert not (R.is_long(i) or R.is_long(j))
 
 
@@ -159,10 +190,42 @@ def test_chamber_from_witness():
     assert pos == {(F(1), F(0)), (F(0), F(1)), (F(1), F(1)), (F(1), F(-1))}
 
 
+def _rational_chamber_from_simple_basis(R, idxs):
+    """The chamber of a vector pairing to 1 with every given root, or None
+    when there is none or its chamber has another basis."""
+    w = witness(R, rs.Chamber(R, tuple(idxs)))
+    if w is None or not R.is_regular(w):
+        return None
+    ch = R.chamber_from_witness(w)
+    return ch if set(ch.basis) == set(idxs) else None
+
+
+@pytest.mark.parametrize("fam,rank", [("B", 2), ("G2", 2), ("A", 3), ("B", 3), ("C", 3)])
+def test_chamber_from_simple_basis_matches_rational_on_every_rank_subset(fam, rank):
+    R = rs.build(fam, rank)
+    accepted = 0
+    for idxs in itertools.combinations(range(len(R)), R.rank):
+        want = _rational_chamber_from_simple_basis(R, idxs)
+        try:
+            got = R.chamber_from_simple_basis([R.roots[i] for i in idxs])
+        except rs.RootSystemError:
+            got = None
+        assert got == want, idxs
+        accepted += got is not None
+    assert accepted == wg.weyl_group(R).order  # one basis per chamber
+
+
+def test_chamber_from_simple_basis_rejects():
+    B2 = rs.build("B", 2)
+    for bad in ([(1, 0), (0, 1)], [(1, -1)], [(1, -1), (0, 1), (1, 0)], [(1, 1), (2, 0)]):
+        with pytest.raises(rs.RootSystemError):
+            B2.chamber_from_simple_basis(bad)
+
+
 def test_witness_reproduces_canonical_chamber():
     for fam, rank in [("A", 3), ("B", 2), ("F4", 4), ("E6", 6)]:
         R = rs.build(fam, rank)
-        w = R.fundamental_coweight_sum()
+        w = coweight_sum(R)
         ch = R.chamber_from_witness(w)
         assert set(ch.basis) == set(R.canonical_basis)
 
@@ -214,8 +277,9 @@ def test_reflection_closure_property(famrank, seed):
     n = len(R)
     i = seed % n
     j = (seed // n) % n
-    img = R.reflect(R.roots[j], i)
+    img = reflect_vec(R.roots[j], R.roots[i])
     assert R.contains_vector(img)
+    assert R.roots[R.reflection_perm(i)[j]] == img
     p = R.pairing(j, i)
     assert p in (-3, -2, -1, 0, 1, 2, 3)
     if p in (-3, 3):
@@ -239,7 +303,10 @@ def test_pairing_range_full_scan():
 def test_height_order_is_height_then_root_vector():
     for fam, rank in [("B", 3), ("F4", 4), ("E6", 6)]:
         R = rs.build(fam, rank)
-        ch = R.chamber_from_witness(R.reflect(R.canonical_chamber().witness, 0))
+        w = reflect_vec(coweight_sum(R), R.roots[0])
+        ch = R.chamber_from_witness(w)
+        assert ch.positive_set == frozenset(
+            i for i, r in enumerate(R.roots) if la.vdot(r, w) > 0)
         for c in (R.canonical_chamber(), ch):
             want = sorted(c.positive_set, key=lambda i: (c.q_degree(i), R.roots[i]))
             assert list(c.height_order) == want
