@@ -104,22 +104,16 @@ class ChevalleySystem:
         self._dense: DenseAlgebra | None = None
         self._build()
 
-    # total order on positive roots: height then coordinate tuple
-    def _positive_order(self):
-        R = self.system
-        ch = R.canonical_chamber()
-        pos = sorted(ch.positive_set, key=lambda i: (ch.q_degree(i), R.roots[i]))
-        return ch, pos
-
     def _build(self) -> None:
         R = self.system
-        ch, pos = self._positive_order()
+        # positive roots in total order: height, then root vector
+        ch = R.canonical_chamber()
+        pos = ch.height_order
         rank_of = {idx: k for k, idx in enumerate(pos)}
-        self._pos_rank = rank_of
         sums = R.sum_table
         neg = R.negation_map
         table = self._table
-        norm2 = R.norm2
+        norm = R._norms  # their ratios are the ratios of the norms
 
         def nfun(x: int, y: int) -> int:
             """N for arbitrary sign pattern, reduced to the positive table."""
@@ -138,9 +132,8 @@ class ChevalleySystem:
             elif xp and not yp:
                 if z in rank_of:
                     # triple (x, y, -z): N(x,y)/|z|^2 = N(y,-z)/|x|^2
-                    val_f = norm2(z) * nfun(y, neg[z]) / norm2(x)
-                    assert val_f.denominator == 1
-                    val = int(val_f)
+                    val, r = divmod(norm[z] * nfun(y, neg[z]), norm[x])
+                    assert r == 0
                 else:
                     val = nfun(neg[x], neg[y])
             else:
@@ -169,19 +162,19 @@ class ChevalleySystem:
             table[(a1, b1)] = n1
             table[(b1, a1)] = -n1
             for (a, b) in specials[1:]:
-                # four roots a1, b1, -a, -b summing to zero
-                t1 = Fraction(0)
+                # four roots a1, b1, -a, -b summing to zero:
+                # N(a, b) = -|gi|^2 (t1 / |k1|^2 + t2 / |k2|^2) / n1
+                t1, nk1 = 0, 1
                 k = sums[b1][neg[a]]
                 if k >= 0:
-                    t1 = Fraction(nfun(b1, neg[a]) * nfun(a1, neg[b])) / norm2(k)
-                t2 = Fraction(0)
+                    t1, nk1 = nfun(b1, neg[a]) * nfun(a1, neg[b]), norm[k]
+                t2, nk2 = 0, 1
                 k = sums[neg[a]][a1]
                 if k >= 0:
-                    t2 = Fraction(nfun(neg[a], a1) * nfun(b1, neg[b])) / norm2(k)
-                val_f = -(norm2(gi) * (t1 + t2)) / n1
-                if val_f.denominator != 1:
+                    t2, nk2 = nfun(neg[a], a1) * nfun(b1, neg[b]), norm[k]
+                val, r = divmod(-norm[gi] * (t1 * nk2 + t2 * nk1), n1 * nk1 * nk2)
+                if r:
                     raise ChevalleyError("non-integral structure constant")
-                val = int(val_f)
                 _, qq = R.root_string(b, a)
                 if abs(val) != qq + 1:
                     raise ChevalleyError("constant violates the string law")
@@ -206,7 +199,7 @@ class ChevalleySystem:
         H_{alpha_k}, with the norms of the roots scaled to integers."""
         R = self.system
         ch = R.canonical_chamber()
-        norm = [sum(x * x for x in R._int_roots[j]) for j in (i,) + ch.basis]
+        norm = [R._norms[j] for j in (i,) + ch.basis]
         out = [divmod(m * n, norm[0]) for m, n in zip(ch.coords(i), norm[1:])]
         if any(r for _, r in out):
             raise ChevalleyError("the coroot of %s has a non-integral coordinate"
@@ -292,13 +285,13 @@ class DenseAlgebra:
         R = constants.system
         self.system = R
         self.rank = len(R.canonical_basis)
-        self.dim = self.rank + len(R.roots)
+        self.dim = self.rank + len(R)
         # integer pairing of every root against the simple coroots
         basis = R.canonical_basis
         self._cartan_act = [
-            tuple(R.pairing(i, b) for b in basis) for i in range(len(R.roots))
+            tuple(R.pairing(i, b) for b in basis) for i in range(len(R))
         ]
-        self._coroot_coords = [constants.coroot_coords(i) for i in range(len(R.roots))]
+        self._coroot_coords = [constants.coroot_coords(i) for i in range(len(R))]
         self._neg = R.negation_map
         self._sums = R.sum_table
         self.verified = 0  # index in VERIFY_LEVELS of the checks already run
@@ -546,7 +539,7 @@ def ad_k_char_polys(constants: ChevalleySystem, alpha_idx: int):
     out.append(("cartan_pair", _char_poly(m)))
     # V_beta blocks: strings through beta with beta - alpha not a root
     seen = set()
-    for b in range(len(R.roots)):
+    for b in range(len(R)):
         if b == alpha_idx or b == neg[alpha_idx] or b in seen:
             continue
         if sums[b][neg[alpha_idx]] >= 0:

@@ -17,7 +17,6 @@ from . import diagram as dg
 from . import involution as iv
 from . import realform as rf
 from . import rootsys as rs
-from ._linalg import vdot
 from .chevalley import ChevalleyError, dense_algebra, structure_constants
 from .tables import dual_vector_table
 from .weylgroup import weyl_group
@@ -90,7 +89,7 @@ def cmd_build(args) -> int:
         print(system.to_json_str())
     else:
         print("%s: %d roots in R^%d, rank %d" %
-              (system.spec.label, len(system.roots), system.dim, system.rank))
+              (system.spec.label, len(system), system.dim, system.rank))
         ch = system.canonical_chamber()
         for b in ch.basis:
             print("  simple %s" % (tuple(map(str, system.roots[b])),))
@@ -183,7 +182,7 @@ def cmd_realforms(args) -> int:
     names: dict[str, dict] = {}
     thetas = [("id", iv.identity_involution(system))] + iv.table2_representatives(system)
     # the compact Cartan needs a row negating every root (-1 is outer in E6)
-    if not any(len(t.imaginary_set) == len(system.roots) for _, t in thetas):
+    if not any(len(t.imaginary_set) == len(system) for _, t in thetas):
         thetas.append(("-1", iv.antipodal_involution(system)))
     for lab, theta in thetas:
         lift = rf.quasi_split_lift(theta)
@@ -283,7 +282,7 @@ def _verify_sos_table(args) -> list[tuple[str, bool]]:
 
 def _verify_empty(args) -> list[tuple[str, bool]]:
     system = rs.build(rs.RootSystemSpec(factors=()))
-    ok = len(system.roots) == 0
+    ok = len(system) == 0
     ok = ok and weyl_group(system).order == 1
     return [("empty-system vacuous checks", ok)]
 
@@ -292,7 +291,7 @@ def _verify_lemma_dual(args) -> list[tuple[str, bool]]:
     out = []
     for label, system, omega, msys in dual_vector_table():
         ok = system.in_dual_lattice(omega)
-        ok = ok and all(vdot(system.roots[i], omega) == 1 for i in msys)
+        ok = ok and all(system.pairing_with(i, omega) == 1 for i in msys)
         out.append(("dual-vector %s" % label, ok))
     return out
 
@@ -328,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="cartanclass")
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def common(sp, formats=("text", "json", "ascii", "dot")):
+    def common(sp, formats=("text", "json")):
         sp.add_argument("--type", required=True, choices=rs.FAMILIES)
         sp.add_argument("--rank", type=int, default=None)
         sp.add_argument("--realization", default="standard",
@@ -346,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sos", help="strongly orthogonal set classes")
     common(sp)
     sp.add_argument("--size", type=int, default=None)
-    sp.add_argument("--list-classes", action="store_true")
     sp.set_defaults(fn=cmd_sos)
 
     for verb, fn in (("diagram", cmd_diagram), ("sigma", cmd_sigma),
@@ -354,6 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(verb)
         if verb in ("diagram", "sigma"):
             common(sp, ("ascii", "json", "dot"))  # a diagram has no text form
+        elif verb == "cayley":
+            common(sp, ("json",))  # a sign datum prints as JSON only
         else:
             common(sp)
         sp.add_argument("--label", default=None,

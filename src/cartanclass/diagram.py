@@ -49,12 +49,12 @@ def find_s_chamber(theta: Involution) -> Chamber:
     <alpha, theta h> = <theta alpha, h>."""
     R = theta.system
     ch = R.canonical_chamber()
-    movers = [i for i in range(len(R.roots)) if i not in theta.imaginary_set]
+    movers = [i for i in range(len(R)) if i not in theta.imaginary_set]
     if not movers:
         return ch
     for scale in range(1, 65):
         h = [sum(c * scale ** j for j, c in enumerate(ch.coords(i)))
-             for i in range(len(R.roots))]
+             for i in range(len(R))]
         if not all(h):
             continue
         # twice the pairings with H+ = (h + theta h)/2 and H- = (h - theta h)/2
@@ -344,9 +344,9 @@ def _bonds_of_basis(system: RootSystem, order) -> tuple:
             m = system.pairing(i, j) * system.pairing(j, i)
             if m:
                 direction = 0
-                if system.norm2(i) > system.norm2(j):
+                if system._norms[i] > system._norms[j]:
                     direction = 1
-                elif system.norm2(i) < system.norm2(j):
+                elif system._norms[i] < system._norms[j]:
                     direction = -1
                 bonds.append((a, b, m, direction))
     return tuple(bonds)

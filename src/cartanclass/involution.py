@@ -26,7 +26,7 @@ class Involution:
     def __init__(self, system: RootSystem, perm: Perm):
         self.system = system
         self.perm = tuple(perm)
-        if perm_mul(self.perm, self.perm) != identity_perm(len(system.roots)):
+        if perm_mul(self.perm, self.perm) != identity_perm(len(system)):
             raise InvolutionError("permutation does not square to the identity")
         neg = system.negation_map
         real, imag, cplx = [], [], []
@@ -107,7 +107,7 @@ class Involution:
 
 
 def identity_involution(system: RootSystem) -> Involution:
-    return Involution(system, identity_perm(len(system.roots)))
+    return Involution(system, identity_perm(len(system)))
 
 
 def antipodal_involution(system: RootSystem) -> Involution:
@@ -177,7 +177,7 @@ def complex_type_involution(system: RootSystem, iso: la.Matrix | None = None) ->
                 row[j] = iso[i - d][j]
         rows.append(tuple(row))
     theta = involution_from_matrix(system, tuple(rows))
-    if theta.complex_set != frozenset(range(len(system.roots))):
+    if theta.complex_set != frozenset(range(len(system))):
         raise InvolutionError("swap did not make every root complex")
     return theta
 
@@ -188,7 +188,7 @@ def complex_type_involution(system: RootSystem, iso: la.Matrix | None = None) ->
 def positive_representatives(system: RootSystem, subset) -> list[int]:
     pos = system.canonical_chamber().positive_set
     out = [i for i in subset if i in pos]
-    out.sort(key=lambda i: (system.norm2(i), i))
+    out.sort(key=lambda i: (system._norms[i], i))
     return out
 
 
@@ -254,7 +254,7 @@ def decompose(theta: Involution) -> tuple[Involution, tuple[int, ...]]:
     pool = positive_representatives(R, theta.imaginary_set)
     b_orth = max_orthogonal_subset(R, pool)
     b_strong = strongly_orthogonalize(R, b_orth) if b_orth else ()
-    s_b = identity_perm(len(R.roots))
+    s_b = identity_perm(len(R))
     for b in b_strong:
         s_b = perm_mul(R.reflection_perm(b), s_b)
     eps = Involution(R, perm_mul(theta.perm, s_b))
@@ -288,14 +288,14 @@ def _orthogonal_components(system: RootSystem, idxs) -> list[list[int]]:
 def subsystem_type(system: RootSystem, subset) -> tuple:
     """Multiset of irreducible types of a closed subsystem, the roots lying
     in a subspace (such as an eigenspace of an involution), each reported
-    as (rank, size, long_count, top norm).  A component's rank is the size
-    of its simple system."""
+    as (rank, size, long_count, top norm), the norm as stored (den^2 times
+    the norm).  A component's rank is the size of its simple system."""
     pos = system.canonical_chamber().positive_set
     out = []
     for c in _orthogonal_components(system, sorted(subset)):
         rank = len(system.simple_roots({i for i in c if i in pos}))
-        top = max(system.norm2(j) for j in c)
-        longs = sum(1 for i in c if system.norm2(i) == top)
+        top = max(system._norms[j] for j in c)
+        longs = sum(1 for i in c if system._norms[i] == top)
         out.append((rank, len(c), longs, top))
     return tuple(sorted(out))
 
@@ -322,7 +322,7 @@ class SosClass:
 
 
 def _supports(system: RootSystem, idxs):
-    return [frozenset(k for k, c in enumerate(system.roots[i]) if c != 0) for i in idxs]
+    return [frozenset(k for k, c in enumerate(system._int_roots[i]) if c != 0) for i in idxs]
 
 
 def classify_sos(system: RootSystem, idxs) -> SosClass:
@@ -368,7 +368,7 @@ def classify_sos(system: RootSystem, idxs) -> SosClass:
 
 def _completes_to_klein(system: RootSystem, triple) -> bool:
     pm = system.pairing_matrix
-    for g in range(len(system.roots)):
+    for g in range(len(system)):
         if g in triple:
             continue
         if all(pm[g][s] == 0 for s in triple):
@@ -402,7 +402,7 @@ def sos_classes_by_size(system: RootSystem):
     class invariant, so label dedup realizes the classification (every
     class of size s+1 is reached by extending some size-s representative).
     """
-    n = len(system.roots)
+    n = len(system)
 
     def extensions_of(S):
         return [g for g in range(n) if g not in S
@@ -468,13 +468,13 @@ def special_involutions(system: RootSystem) -> list[Involution]:
         else:
             # the diagram flip of the canonical positive system
             for p in diagram_automorphisms(system):
-                if p != identity_perm(len(system.roots)) and \
-                        perm_mul(p, p) == identity_perm(len(system.roots)):
+                if p != identity_perm(len(system)) and \
+                        perm_mul(p, p) == identity_perm(len(system)):
                     eps = Involution(system, p)
                     break
     if eps is not None and not eps.is_special():
         raise InvolutionError("census produced a non-special involution")
-    if eps is not None and eps.perm != identity_perm(len(system.roots)):
+    if eps is not None and eps.perm != identity_perm(len(system)):
         out.append(eps)
     return out
 
@@ -582,7 +582,7 @@ def table2_representatives(system: RootSystem) -> list[tuple[str, Involution]]:
     listed once; rows acting as the identity are dropped."""
     out = []
     seen: set[Perm] = set()
-    ident = identity_perm(len(system.roots))
+    ident = identity_perm(len(system))
     for label, vecs in _table2_rows(system):
         theta = from_reflections(system, vecs)
         if theta.perm == ident or theta.perm in seen:
@@ -612,7 +612,7 @@ def class_label(theta: Involution, group: str = "W") -> str:
     vectors prefilter before any conjugacy search.  When no catalog row
     matches under W-conjugacy, the full automorphism group is tried (the
     D4 triality orbit folds several W-classes onto one catalog row)."""
-    if theta.perm == identity_perm(len(theta.system.roots)):
+    if theta.perm == identity_perm(len(theta.system)):
         return "id"
     rows = table2_representatives(theta.system)
     inv = theta.invariants()

@@ -70,7 +70,7 @@ def _pairing_parities(system: RootSystem, chamber, omega) -> tuple[int, int | No
                             % (system.spec.label, len(omega), system.dim))
     mask = 0
     for k, b in enumerate(chamber.basis):
-        d = la.vdot(system.roots[b], omega)
+        d = system.pairing_with(b, omega)
         if d.denominator != 1:
             return mask, b
         mask |= (d.numerator & 1) << k
@@ -111,7 +111,7 @@ class AntiInvolution:
         self.f = dict(f)
         self.constants = constants or structure_constants(self.system)
         if full is None:
-            full = len(self.f) == len(self.system.roots)
+            full = len(self.f) == len(self.system)
         self.full = full
         missing = [i for i in theta.imaginary_set if i not in self.f]
         if missing:
@@ -175,7 +175,7 @@ def _signed_map(algebra: DenseAlgebra, perm, sign) -> LinearMap:
     cols: dict[int, dict[int, Qrt2]] = {
         k: {kk: Qrt2.of(c) for kk, c in algebra.coroot_elem(perm(b)).items()}
         for k, b in enumerate(R.canonical_basis)}
-    for i in range(len(R.roots)):
+    for i in range(len(R)):
         cols[rank + i] = {rank + perm(i): Qrt2.of(sign(i))}
     return LinearMap(algebra, cols)
 
@@ -260,17 +260,18 @@ def _sign_datum(algebra: DenseAlgebra, theta: Involution, factors) -> AntiInvolu
 
 
 def omega_for_targets(system: RootSystem, b_indices, targets,
-                      parity_of: Involution | None = None) -> la.Vector | None:
-    """A dual-lattice vector with prescribed pairings against the given
-    roots; with parity_of set, the vector additionally pairs evenly with
-    alpha - parity_of(alpha) for every root (so its sign character is
-    compatible with that involution).  None when no such vector exists."""
+                      parity_of: Involution | None = None) -> SignHom | None:
+    """The sign character of a dual-lattice vector omega with prescribed
+    pairings against the given roots; with parity_of set, omega
+    additionally pairs evenly with alpha - parity_of(alpha) for every root
+    (so its character is compatible with that involution).  None when no
+    such vector exists.  The unknowns are the pairings <alpha_k, omega>
+    with the canonical simple roots, so the character is their parity."""
     ch = system.canonical_chamber()
-    coweights = system.fundamental_coweights
     # one even-slack column per parity row: <row, omega> - 2 s = 0
     parity = _theta_differences(parity_of, ch) if parity_of is not None else []
     if not b_indices and not parity:
-        return la.zero_vec(system.dim)
+        return SignHom(system, mask=0)
     full_rows = [list(ch.coords(b)) + [0] * len(parity) for b in b_indices]
     full_rows += [list(row) + [-2 * (m == k) for m in range(len(parity))]
                   for k, row in enumerate(parity)]
@@ -278,12 +279,12 @@ def omega_for_targets(system: RootSystem, b_indices, targets,
     sol = la.solve_integer(full_rows, rhs)
     if sol is None:
         return None
-    return la.mat_vec(la.transpose(coweights), sol[:len(coweights)])
+    return SignHom(system, mask=sum((c & 1) << k for k, c in enumerate(sol[:system.rank])))
 
 
-def omega_for_set(system: RootSystem, b_indices) -> la.Vector:
-    """A dual-lattice vector pairing to one with every root of a strongly
-    orthogonal set (integer solve over the coweight basis)."""
+def omega_for_set(system: RootSystem, b_indices) -> SignHom:
+    """The sign character of a dual-lattice vector pairing to one with every
+    root of a strongly orthogonal set (integer solve over the coweight basis)."""
     out = omega_for_targets(system, b_indices, [1] * len(list(b_indices)))
     if out is None:
         raise RealFormError("no integral vector pairs to one with the set")
@@ -302,11 +303,11 @@ def quasi_split_lift(theta: Involution) -> AntiInvolution:
         raise RealFormError("lifts are computed per irreducible factor")
     A = dense_algebra(structure_constants(R))
     eps, b_set = decompose(theta)
-    special = eps.perm != identity_perm(len(R.roots))
+    special = eps.perm != identity_perm(len(R))
     turns = (QuarterTurn(A, b_set, 1), QuarterTurn(A, b_set, -1)) if b_set else ()
 
     def sharp_of(omega):
-        psi = psi_map(A, SignHom(R, omega))
+        psi = psi_map(A, omega)
         return [turns[0], psi, turns[1]] if b_set else [psi]
 
     # each candidate is a list of factors, applied right to left
@@ -321,10 +322,10 @@ def quasi_split_lift(theta: Involution) -> AntiInvolution:
         omega = omega_for_targets(R, b_set, [1] * len(b_set), parity_of=eps)
         mu = omega_for_targets(R, b_set, odd, parity_of=eps)
         if omega is not None and mu is not None:
-            candidates.append([esh, psi_map(A, SignHom(R, mu))] + sharp_of(omega))
+            candidates.append([esh, psi_map(A, mu)] + sharp_of(omega))
         plain = omega_for_set(R, b_set)
         candidates.append([esh] + sharp_of(plain))
-        candidates.append([esh, psi_map(A, SignHom(R, plain))] + sharp_of(plain))
+        candidates.append([esh, psi_map(A, plain)] + sharp_of(plain))
     last_err = None
     for factors in candidates:
         try:
@@ -449,7 +450,7 @@ def reduce_noncompact(sigma: AntiInvolution, verify_dense: bool = True) -> AntiI
     guard = 0
     while cur.noncompact_set:
         guard += 1
-        if guard > len(sigma.system.roots):
+        if guard > len(sigma.system):
             raise RealFormError("transform chain did not terminate")
         pool = positive_representatives(cur.system, cur.noncompact_set)
         chain = _max_long_sos_in(cur.system, pool)
@@ -606,7 +607,7 @@ def identify(sigma: AntiInvolution) -> RealFormName:
     if not names:
         raise RealFormError("no real form of %s with dim k = %d"
                             % (R.spec.label, sig.dim_k))
-    total = rank + len(R.roots)
+    total = rank + len(R)
     return RealFormName(
         name=names[0], aliases=tuple(names[1:]), family=fam, rank=rank,
         dim_k=sig.dim_k,
@@ -639,7 +640,7 @@ def cartan_classes(sigma: AntiInvolution) -> list[Involution]:
             perm = perm_mul(perm, R.reflection_perm(b))
         return Involution(R, perm)
 
-    ident = identity_perm(len(R.roots))
+    ident = identity_perm(len(R))
     special = eps.perm != ident
 
     def same_class(t1: Involution, t2: Involution) -> bool:
@@ -707,7 +708,7 @@ def sigma_from_basis_signs(system: RootSystem, signs: dict[int, int],
     if bad is not None:
         raise RealFormError("sign %r at %s is not +-1" % (signs[bad], system.root_name(bad)))
     eta = SignHom(system, mask=sum(1 << k for k, b in enumerate(basis) if signs[b] == -1))
-    return AntiInvolution(theta, dict(enumerate(map(eta, range(len(system.roots))))),
+    return AntiInvolution(theta, dict(enumerate(map(eta, range(len(system))))),
                           full=True)
 
 

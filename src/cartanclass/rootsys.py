@@ -1,9 +1,13 @@
 """Exact realizations of the finite crystallographic root systems.
 
-All coordinates are rational (fractions.Fraction) in a fixed ambient
-euclidean space; the scalar product is the plain coordinate dot product.
-Roots are indexed deterministically by sorting coordinate tuples, so every
-permutation-level object downstream is reproducible byte for byte.
+The realizations live in a fixed ambient euclidean space with coordinates
+in (1/2)Z, and the scalar product is the plain coordinate dot product.  A
+root is stored as an integer vector: its realization times the system's
+denominator den (2 for E6, E7, E8 and F4, 1 for the rest), so the stored
+norms are den^2 times the true ones.  Roots are indexed deterministically
+by sorting their vectors, so every permutation-level object downstream is
+reproducible byte for byte.  The rational vectors (`roots`) are a view for
+printing and for reading vectors given from outside.
 """
 
 from __future__ import annotations
@@ -17,9 +21,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import _linalg as la
-from ._linalg import Vector, vadd, vdot, vneg, vscale, vsub
-
-HALF = Fraction(1, 2)
+from ._linalg import Vector, vdot
 
 FAMILIES = ("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2")
 
@@ -79,115 +81,69 @@ class RootSystemSpec:
         return base + ("'" if self.realization == "prime" else "")
 
 
-def zeta(plus_indices, n: int = 8) -> Vector:
-    """Half-integer vector with +1/2 at the given 1-based positions, -1/2 elsewhere."""
-    plus = set(plus_indices)
-    return tuple(HALF if i + 1 in plus else -HALF for i in range(n))
+def _e(i: int, n: int, c: int = 1) -> tuple[int, ...]:
+    """c times the i-th (1-based) unit vector of Z^n."""
+    return tuple(c * (k == i - 1) for k in range(n))
 
 
-def _e(i: int, n: int) -> Vector:
-    return la.unit_vec(n, i - 1)
+def _add(*vs) -> tuple[int, ...]:
+    return tuple(map(sum, zip(*vs)))
 
 
-def _pm_pairs(n: int):
-    out = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    out.append(vadd(vscale(si, _e(i, n)), vscale(sj, _e(j, n))))
-    return out
+def _pm_pairs(n: int, c: int = 1) -> list[tuple[int, ...]]:
+    """c (+-e_i +- e_j) for i < j."""
+    return [_add(_e(i, n, si * c), _e(j, n, sj * c))
+            for i in range(1, n + 1) for j in range(i + 1, n + 1)
+            for si in (1, -1) for sj in (1, -1)]
 
 
-def _roots_for(spec: RootSystemSpec) -> tuple[list[Vector], list[Vector]]:
-    """Return (roots, canonical basis) for an irreducible spec."""
+def _roots_for(spec: RootSystemSpec) -> tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """(den, roots, canonical basis) for an irreducible spec: the roots of
+    the realization times den, which makes them integer vectors."""
     fam, rk = spec.family, spec.rank
-    if fam == "A":
-        n = rk + 1
-        roots = []
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i != j:
-                    roots.append(vsub(_e(i, n), _e(j, n)))
-        basis = [vsub(_e(i, n), _e(i + 1, n)) for i in range(1, n)]
-        return roots, basis
-    if fam == "B":
+    if fam in ("A", "G2"):
+        # e_i - e_j; G2 adds +-(2 e_i - e_j - e_k) in R^3
+        n = 3 if fam == "G2" else rk + 1
+        roots = [_add(_e(i, n), _e(j, n, -1)) for i in range(1, n + 1)
+                 for j in range(1, n + 1) if i != j]
+        if fam == "A":
+            return 1, roots, [_add(_e(i, n), _e(i + 1, n, -1)) for i in range(1, n)]
+        roots += [_add(_e(i, n, 2 * s), *(_e(j, n, -s) for j in range(1, 4) if j != i))
+                  for i in range(1, 4) for s in (1, -1)]
+        return 1, roots, [(1, -1, 0), (-2, 1, 1)]
+    if fam in ("B", "C", "D"):
         n = rk
-        roots = [vscale(s, _e(i, n)) for i in range(1, n + 1) for s in (1, -1)]
-        roots += _pm_pairs(n)
-        basis = [vsub(_e(i, n), _e(i + 1, n)) for i in range(1, n)] + [_e(n, n)]
-        return roots, basis
-    if fam == "C":
-        n = rk
-        roots = [vscale(2 * s, _e(i, n)) for i in range(1, n + 1) for s in (1, -1)]
-        roots += _pm_pairs(n)
-        basis = [vsub(_e(i, n), _e(i + 1, n)) for i in range(1, n)] + [vscale(2, _e(n, n))]
-        return roots, basis
-    if fam == "D":
-        n = rk
-        roots = _pm_pairs(n)
-        basis = [vsub(_e(i, n), _e(i + 1, n)) for i in range(1, n)] + [vadd(_e(n - 1, n), _e(n, n))]
-        return roots, basis
-    if fam == "G2":
-        n = 3
-        roots = []
-        for i in range(1, 4):
-            for j in range(1, 4):
-                if i != j:
-                    roots.append(vsub(_e(i, n), _e(j, n)))
-        for i in range(1, 4):
-            j, k = (x for x in range(1, 4) if x != i)
-            for s in (1, -1):
-                roots.append(vscale(s, vsub(vscale(2, _e(i, n)), vadd(_e(j, n), _e(k, n)))))
-        basis = [vsub(_e(1, n), _e(2, n)),
-                 vsub(vadd(_e(2, n), _e(3, n)), vscale(2, _e(1, n)))]
-        return roots, basis
+        basis = [_add(_e(i, n), _e(i + 1, n, -1)) for i in range(1, n)]
+        if fam == "D":
+            return 1, _pm_pairs(n), basis + [_add(_e(n - 1, n), _e(n, n))]
+        c = 1 if fam == "B" else 2  # the roots on the axes are +-c e_i
+        roots = _pm_pairs(n) + [_e(i, n, s * c) for i in range(1, n + 1) for s in (1, -1)]
+        return 1, roots, basis + [_e(n, n, c)]
     if fam == "F4":
-        n = 4
-        roots = [vscale(s, _e(i, n)) for i in range(1, 5) for s in (1, -1)]
-        roots += _pm_pairs(n)
-        for signs in itertools.product((1, -1), repeat=4):
-            roots.append(tuple(HALF * s for s in signs))
-        basis = [vsub(_e(1, n), _e(2, n)), vsub(_e(2, n), _e(3, n)), _e(3, n),
-                 vscale(HALF, vsub(_e(4, n), vadd(_e(1, n), vadd(_e(2, n), _e(3, n)))))]
-        return roots, basis
-    if fam == "E8":
-        roots = list(_pm_pairs(8))
-        for k in range(0, 10, 2):
-            for plus in itertools.combinations(range(1, 9), k):
-                roots.append(zeta(plus))
-        basis = [zeta(()), vadd(_e(1, 8), _e(2, 8))] + \
-                [vsub(_e(i - 1, 8), _e(i - 2, 8)) for i in range(3, 9)]
-        return roots, basis
-    if fam == "E7" and spec.realization == "standard":
-        e8, _ = _roots_for(RootSystemSpec("E8"))
-        w = vsub(_e(7, 8), _e(8, 8))
-        roots = [r for r in e8 if vdot(r, w) == 0]
-        basis = [zeta(()), vadd(_e(1, 8), _e(2, 8))] + \
-                [vsub(_e(i - 1, 8), _e(i - 2, 8)) for i in range(3, 8)]
-        return roots, basis
-    if fam == "E6" and spec.realization == "standard":
-        e8, _ = _roots_for(RootSystemSpec("E8"))
-        w1 = vsub(_e(7, 8), _e(8, 8))
-        w2 = vsub(_e(6, 8), _e(7, 8))
-        roots = [r for r in e8 if vdot(r, w1) == 0 and vdot(r, w2) == 0]
-        basis = [zeta(()), vadd(_e(1, 8), _e(2, 8))] + \
-                [vsub(_e(i - 1, 8), _e(i - 2, 8)) for i in range(3, 7)]
-        return roots, basis
-    if fam == "E7" and spec.realization == "prime":
-        e8, _ = _roots_for(RootSystemSpec("E8"))
-        w = zeta(())
-        roots = [r for r in e8 if vdot(r, w) == 0]
-        basis = [vsub(_e(i, 8), _e(i + 1, 8)) for i in range(1, 7)] + [zeta((4, 5, 6, 7))]
-        return roots, basis
-    if fam == "E6" and spec.realization == "prime":
-        e8, _ = _roots_for(RootSystemSpec("E8"))
-        w1 = zeta(())
-        w2 = vadd(_e(7, 8), _e(8, 8))
-        roots = [r for r in e8 if vdot(r, w1) == 0 and vdot(r, w2) == 0]
-        basis = [vsub(_e(i, 8), _e(i + 1, 8)) for i in range(1, 6)] + [zeta((4, 5, 6, 7))]
-        return roots, basis
-    raise RootSystemError("unhandled spec %r" % (spec,))
+        roots = [_e(i, 4, 2 * s) for i in range(1, 5) for s in (1, -1)] + _pm_pairs(4, 2)
+        roots += list(itertools.product((1, -1), repeat=4))
+        return 2, roots, [(2, -2, 0, 0), (0, 2, -2, 0), (0, 0, 2, 0), (-1, -1, -1, 1)]
+    # E6, E7, E8 and the primed E6, E7: the roots of E8 orthogonal to the
+    # walls.  Twice the E8 roots are 2 (+-e_i +- e_j) and the sign vectors
+    # with an even number of +1.
+    e8 = _pm_pairs(8, 2) + [s for s in itertools.product((1, -1), repeat=8)
+                            if s.count(1) % 2 == 0]
+    if spec.realization == "standard":
+        walls = [_add(_e(7, 8), _e(8, 8, -1)), _add(_e(6, 8), _e(7, 8, -1))][:8 - rk]
+        basis = [(-1,) * 8, _add(_e(1, 8, 2), _e(2, 8, 2))] + \
+            [_add(_e(i - 1, 8, 2), _e(i - 2, 8, -2)) for i in range(3, rk + 1)]
+    else:
+        walls = [(1,) * 8, _add(_e(7, 8), _e(8, 8))][:8 - rk]
+        basis = [_add(_e(i, 8, 2), _e(i + 1, 8, -2)) for i in range(1, rk)] + \
+            [(-1, -1, -1, 1, 1, 1, 1, -1)]
+    roots = [r for r in e8 if not any(sum(map(operator.mul, r, w)) for w in walls)]
+    return 2, roots, basis
+
+
+def _as_ints(v) -> tuple[int, ...] | None:
+    """The vector with integer coordinates, or None when one is not an integer."""
+    v = [Fraction(x) for x in v]
+    return None if any(x.denominator != 1 for x in v) else tuple(map(int, v))
 
 
 def _coordinate_rows(system: "RootSystem", basis) -> tuple[tuple[int, ...], ...]:
@@ -196,7 +152,7 @@ def _coordinate_rows(system: "RootSystem", basis) -> tuple[tuple[int, ...], ...]
     each step adding a simple root and looking the sum up by its key; the
     negative roots are their negatives."""
     keys, look = system._keys, system._key_index.get
-    rows: list = [None] * len(system.roots)
+    rows: list = [None] * len(system)
     for p, b in enumerate(basis):
         rows[b] = tuple(int(q == p) for q in range(len(basis)))
     layer = list(basis)
@@ -261,34 +217,37 @@ class RootSystem:
         self.spec = spec
         if spec.factors is not None:
             blocks = [RootSystem(f) for f in spec.factors]
-            dims = [b.dim for b in blocks]
-            self.dim = sum(dims)
-            roots: list[Vector] = []
-            basis_vecs: list[Vector] = []
+            self.den = math.lcm(*(b.den for b in blocks))
+            self.dim = sum(b.dim for b in blocks)
+            roots: list[tuple[int, ...]] = []
+            basis_vecs: list[tuple[int, ...]] = []
             self.block_slices = []
             offset = 0
-            for b, d in zip(blocks, dims):
-                pad = lambda v, off=offset, dd=d: tuple(
-                    [la.ZERO] * off + list(v) + [la.ZERO] * (self.dim - off - dd))
-                roots += [pad(r) for r in b.roots]
-                basis_vecs += [pad(b.roots[i]) for i in b.canonical_basis]
-                self.block_slices.append((offset, offset + d))
-                offset += d
+            for b in blocks:
+                c, tail = self.den // b.den, self.dim - offset - b.dim
+                padded = [(0,) * offset + tuple(c * x for x in r) + (0,) * tail
+                          for r in b._int_roots]
+                roots += padded
+                basis_vecs += [padded[i] for i in b.canonical_basis]
+                self.block_slices.append((offset, offset + b.dim))
+                offset += b.dim
             self.rank = sum(b.rank for b in blocks)
             self.factors = tuple(blocks)
         else:
-            roots, basis_vecs = _roots_for(spec)
-            self.dim = len(roots[0]) if roots else 0
+            self.den, roots, basis_vecs = _roots_for(spec)
+            self.dim = len(roots[0])
             self.rank = spec.rank
             self.factors = None
-        self.roots: tuple[Vector, ...] = tuple(sorted(set(roots)))
-        if len(self.roots) != len(roots):
+        # sorting the vectors indexes the roots; the scale den keeps the order
+        self._int_roots: tuple[tuple[int, ...], ...] = tuple(sorted(set(roots)))
+        if len(self._int_roots) != len(roots):
             raise RootSystemError("duplicate roots in realization")
-        self.index: dict[Vector, int] = {r: i for i, r in enumerate(self.roots)}
-        self.canonical_basis: tuple[int, ...] = tuple(self.index[b] for b in basis_vecs)
-        self.negation_map: tuple[int, ...] = tuple(self.index[vneg(r)] for r in self.roots)
-        self._norms = tuple(vdot(r, r) for r in self.roots)
-        self._long_norm = max(self._norms) if self.roots else None
+        self._int_index = {r: i for i, r in enumerate(self._int_roots)}
+        self.canonical_basis: tuple[int, ...] = tuple(self._int_index[b] for b in basis_vecs)
+        self.negation_map: tuple[int, ...] = tuple(
+            self._int_index[tuple(-x for x in r)] for r in self._int_roots)
+        # den^2 times the norm of each root
+        self._norms = tuple(sum(x * x for x in r) for r in self._int_roots)
         self._reflection_perms: dict[int, tuple[int, ...]] = {}
         self._canonical_chamber: Chamber | None = None
         # Objects of the upper layers, built by their getters on first use
@@ -298,35 +257,53 @@ class RootSystem:
         self._full_aut_group = None
         self._constants = None
 
+    @cached_property
+    def roots(self) -> tuple[Vector, ...]:
+        """The root vectors of the realization, for printing and parsing."""
+        return tuple(tuple(Fraction(x, self.den) for x in r) for r in self._int_roots)
+
     # -- basic queries ---------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.roots)
+        return len(self._int_roots)
 
     def norm2(self, idx: int) -> Fraction:
-        return self._norms[idx]
+        return Fraction(self._norms[idx], self.den * self.den)
+
+    @cached_property
+    def _long(self) -> tuple[bool, ...]:
+        """Per root, whether its norm is maximal within its irreducible factor."""
+        out = [False] * len(self)
+        for lo, hi in self.block_slices if self.factors is not None else [(0, self.dim)]:
+            block = [i for i, r in enumerate(self._int_roots) if any(r[lo:hi])]
+            top = max(self._norms[i] for i in block)
+            for i in block:
+                out[i] = self._norms[i] == top
+        return tuple(out)
 
     def is_long(self, idx: int) -> bool:
         """Maximal length within the irreducible factor of the root."""
-        if self.factors is None:
-            return self._norms[idx] == self._long_norm
-        lo, hi = next(s for s in self.block_slices
-                      if any(self.roots[idx][i] != 0 for i in range(s[0], s[1])))
-        block_norms = [self._norms[i] for i in range(len(self.roots))
-                       if any(self.roots[i][j] != 0 for j in range(lo, hi))]
-        return self._norms[idx] == max(block_norms)
+        return self._long[idx]
 
     def root_name(self, i: int) -> str:  # for error messages
         return "%s root %d (%s)" % (self.spec.label, i, ", ".join(str(c) for c in self.roots[i]))
 
+    def _index_of(self, v) -> int | None:
+        """The index of the root with the vector v, or None."""
+        return self._int_index.get(_as_ints(Fraction(x) * self.den for x in v))
+
     def root_index(self, v: Vector) -> int:
-        try:
-            return self.index[tuple(Fraction(x) for x in v)]
-        except KeyError:
+        i = self._index_of(v)
+        if i is None:
             raise RootSystemError("%r is not a root of %s" % (v, self.spec.label))
+        return i
 
     def contains_vector(self, v: Vector) -> bool:
-        return tuple(Fraction(x) for x in v) in self.index
+        return self._index_of(v) is not None
+
+    def pairing_with(self, idx: int, v: Vector) -> Fraction:
+        """The scalar product of a root with an ambient vector."""
+        return vdot(self._int_roots[idx], v) / self.den
 
     # -- scalar products -------------------------------------------------
 
@@ -340,12 +317,6 @@ class RootSystem:
     # compute and store equal values.
 
     @cached_property
-    def _int_roots(self) -> tuple[tuple[int, ...], ...]:
-        """The roots scaled to integer vectors by their common denominator."""
-        den = math.lcm(*(x.denominator for r in self.roots for x in r))
-        return tuple(tuple(int(x * den) for x in r) for r in self.roots)
-
-    @cached_property
     def _keys(self) -> tuple[int, ...]:
         """Each scaled root read as the digits of one integer in a balanced
         base wide enough for the sum of two roots.  Keys are additive, and
@@ -354,10 +325,6 @@ class RootSystem:
         ints = self._int_roots
         base = 4 * max((abs(x) for r in ints for x in r), default=0) + 1
         return tuple(sum(x * base ** k for k, x in enumerate(r)) for r in ints)
-
-    @cached_property
-    def _int_index(self) -> dict[tuple[int, ...], int]:
-        return {r: i for i, r in enumerate(self._int_roots)}
 
     @cached_property
     def _key_index(self) -> dict[int, int]:
@@ -464,11 +431,11 @@ class RootSystem:
         return None if None in idx else self.perm_from_simple_images(idx)
 
     def perm_of_matrix(self, m: la.Matrix) -> tuple[int, ...] | None:
-        """Permutation induced on roots by an ambient linear map, if any."""
+        """Permutation induced on roots by an ambient linear map, if any.
+        The map sends a scaled root to the scaled image."""
         images = []
-        for r in self.roots:
-            img = la.mat_vec(m, r)
-            j = self.index.get(img)
+        for r in self._int_roots:
+            j = self._int_index.get(_as_ints(la.mat_vec(m, r)))
             if j is None:
                 return None
             images.append(j)
@@ -512,13 +479,13 @@ class RootSystem:
     # -- chambers ----------------------------------------------------------
 
     def is_regular(self, h: Vector) -> bool:
-        return all(vdot(r, h) != 0 for r in self.roots)
+        return all(vdot(r, h) != 0 for r in self._int_roots)
 
     def chamber_from_witness(self, h: Vector) -> Chamber:
         h = tuple(Fraction(x) for x in h)
         if not self.is_regular(h):
             raise RootSystemError("witness is not regular")
-        pos = frozenset(i for i, r in enumerate(self.roots) if vdot(r, h) > 0)
+        pos = frozenset(i for i, r in enumerate(self._int_roots) if vdot(r, h) > 0)
         return Chamber(self, self.simple_roots(pos))
 
     def simple_roots(self, pos) -> tuple[int, ...]:
@@ -545,24 +512,13 @@ class RootSystem:
             self._canonical_chamber = Chamber(self, self.canonical_basis)
         return self._canonical_chamber
 
-    @cached_property
-    def fundamental_coweights(self) -> tuple[Vector, ...]:
-        """Vectors pairing to 1 with one canonical simple root, 0 with the rest."""
-        basis_vecs = [self.roots[b] for b in self.canonical_basis]
-        cols = [tuple(bv[m] for bv in basis_vecs) for m in range(self.dim)]
-        out = tuple(la.solve(cols, la.unit_vec(len(basis_vecs), j))
-                    for j in range(len(basis_vecs)))
-        if None in out:
-            raise RootSystemError("no coweight vector found")
-        return out
-
     def in_dual_lattice(self, omega: Vector) -> bool:
         """Whether omega pairs integrally with the roots; the simple roots decide."""
         omega = tuple(Fraction(x) for x in omega)
         if len(omega) != self.dim:
             raise RootSystemError("%s: the vector has %d coordinates, the roots have %d"
                                   % (self.spec.label, len(omega), self.dim))
-        return all(vdot(self.roots[b], omega).denominator == 1 for b in self.canonical_basis)
+        return all(self.pairing_with(b, omega).denominator == 1 for b in self.canonical_basis)
 
     # -- serialization -----------------------------------------------------
 
@@ -580,7 +536,7 @@ class RootSystem:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
     def __repr__(self):
-        return "RootSystem(%s, %d roots)" % (self.spec.label, len(self.roots))
+        return "RootSystem(%s, %d roots)" % (self.spec.label, len(self))
 
 
 _build_cached = lru_cache(maxsize=None)(RootSystem)

@@ -202,7 +202,7 @@ class PermGroup:
 
     def __init__(self, system: RootSystem, generators: list[Perm], name: str = ""):
         self.system = system
-        self.n = len(system.roots)
+        self.n = len(system)
         self.generators = [tuple(g) for g in generators]
         self.name = name
         self._chains: dict[tuple[int, ...], StabChain] = {}
@@ -253,7 +253,7 @@ class PermGroup:
     def _profile(self, xs):
         R = self.system
         pm = R.pairing_matrix
-        norms = sorted(R.norm2(x) for x in xs)
+        norms = sorted(R._norms[x] for x in xs)
         pairings = sorted(sorted(pm[a][b] for b in xs) for a in xs)
         return norms, pairings
 
@@ -314,10 +314,10 @@ class PermGroup:
             lev = levels[pi]
             assert lev.point == x
             targets = blocks[bi][1]
-            nx = R.norm2(x)
+            nx = R._norms[x]
             for c in sorted(lev.orbit):
                 y = g[c]
-                if y not in targets or y in used[bi] or R.norm2(y) != nx:
+                if y not in targets or y in used[bi] or R._norms[y] != nx:
                     continue
                 # norms agree, so equal pairings mean equal scalar products
                 if any(pm[x][points[j]] != pm[y][committed[j]] for j in range(pi)):

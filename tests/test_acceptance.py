@@ -17,8 +17,8 @@ from cartanclass import involution as iv
 from cartanclass import realform as rf
 from cartanclass import rootsys as rs
 from cartanclass import weylgroup as wg
-from cartanclass.rootsys import zeta
 from cartanclass.tables import compact_cartan_identities, dual_vector_table
+from test_rootsys import zeta
 
 F = la.Fraction
 

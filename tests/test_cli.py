@@ -58,8 +58,7 @@ def test_involutions_g2():
 
 
 def test_sos_e8_classes():
-    code, out = run(["sos", "--type", "E8", "--size", "4", "--list-classes",
-                     "--format", "json"])
+    code, out = run(["sos", "--type", "E8", "--size", "4", "--format", "json"])
     assert code == 0
     rows = json.loads(out)
     assert len(rows) == 2
@@ -256,6 +255,15 @@ def test_diagram_and_sigma_default_to_ascii():
         with pytest.raises(SystemExit) as exc:
             run(argv + ["--format", "text"])
         assert exc.value.code == 2
+
+
+def test_format_takes_only_what_a_verb_prints():
+    for argv in (["build", "--type", "A", "--rank", "2", "--format", "dot"],
+                 ["sos", "--type", "G2", "--format", "ascii"],
+                 ["cayley", "--type", "G2", "--label", "3", "--format", "text"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_readme_commands_run():

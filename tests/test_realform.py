@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from cartanclass import _linalg as la
 from cartanclass import chevalley as cv
 from cartanclass import diagram as dg, involution as iv, realform as rf, rootsys as rs
+from test_rootsys import fundamental_coweights
 
 F = Fraction
 
@@ -71,7 +72,7 @@ _SIGN_SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G2", None), ("F4", No
 @pytest.mark.parametrize("fam,rank", _SIGN_SYSTEMS)
 def test_sign_hom_matches_rational_definition(fam, rank):
     R = rs.build(fam, rank)
-    cw = R.fundamental_coweights
+    cw = fundamental_coweights(R)
     thetas = ([iv.identity_involution(R), iv.antipodal_involution(R)]
               + [t for _, t in iv.table2_representatives(R)])
     # small integer combinations of the coweights, halves of them (mostly
@@ -96,6 +97,28 @@ def test_sign_hom_matches_rational_definition(fam, rank):
             assert [again(i) for i in range(len(R))] == ref
             for th in thetas:
                 assert rf.in_hom_theta(th, eta) == _ref_in_hom_theta(th, om)
+
+
+@pytest.mark.parametrize("fam,rank", _SIGN_SYSTEMS)
+def test_omega_for_targets_gives_the_target_signs(fam, rank):
+    """The character read off the integer solve is (-1)^target on each
+    requested root and, with parity_of given, respects that involution."""
+    R = rs.build(fam, rank)
+    thetas = ([iv.identity_involution(R), iv.antipodal_involution(R)]
+              + [t for _, t in iv.table2_representatives(R)])
+    solved = 0
+    for theta in thetas:
+        eps, b_set = iv.decompose(theta)
+        for targets in ([1] * len(b_set), [k % 2 for k in range(len(b_set))]):
+            for parity_of in (None, eps, theta):
+                eta = rf.omega_for_targets(R, b_set, targets, parity_of=parity_of)
+                if eta is None:
+                    continue
+                solved += 1
+                assert [eta(b) for b in b_set] == [(-1) ** t for t in targets]
+                if parity_of is not None:
+                    assert rf.in_hom_theta(parity_of, eta)
+    assert solved > len(thetas)
 
 
 def test_sign_hom_input_errors():
@@ -321,7 +344,7 @@ def test_identify_examples():
     lift = rf.quasi_split_lift(th4)
     omega = rf.omega_for_set(A3, sorted(lift.theta.imaginary_set & {
         A3.root_index((1, -1, 0, 0)), A3.root_index((0, 0, 1, -1))}))
-    tw = rf.twist(lift, rf.eta_from_omega(A3, omega))
+    tw = rf.twist(lift, omega)
     if not tw.noncompact_set:
         assert rf.identify(tw).name == "su*(4)"
     D4 = rs.build("D", 4)
@@ -329,7 +352,7 @@ def test_identify_examples():
     liftd = rf.quasi_split_lift(thd)
     omb = rf.omega_for_set(D4, sorted(liftd.noncompact_set & frozenset(
         [D4.root_index((1, -1, 0, 0)), D4.root_index((0, 0, 1, -1))])))
-    twd = rf.twist(liftd, rf.eta_from_omega(D4, omb))
+    twd = rf.twist(liftd, omb)
     if not twd.noncompact_set:
         got = rf.identify(twd)
         assert "so*(8)" in (got.name,) + got.aliases

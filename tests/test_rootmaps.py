@@ -21,7 +21,7 @@ from cartanclass import diagram as dg
 from cartanclass import involution as iv
 from cartanclass import rootsys as rs
 from cartanclass import weylgroup as wg
-from test_rootsys import coweight_sum, reflect_vec, witness
+from test_rootsys import coweight_sum, fundamental_coweights, reflect_vec, witness
 
 FAMILIES = ([("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 9)]
             + [("C", r) for r in range(3, 9)] + [("D", r) for r in range(4, 9)]
@@ -69,9 +69,10 @@ def _reference_s_chamber(theta):
     movers = [i for i in range(len(R.roots)) if i not in theta.imaginary_set]
     if not movers:
         return R.canonical_chamber(), coweight_sum(R)
+    coweights = fundamental_coweights(R)
     for scale in range(1, 65):
         h = la.zero_vec(R.dim)
-        for j, w in enumerate(R.fundamental_coweights):
+        for j, w in enumerate(coweights):
             h = la.vadd(h, la.vscale(Fraction(scale) ** j, w))
         if not R.is_regular(h):
             continue
@@ -160,7 +161,8 @@ def _rational_perm_of_reflections(R, vectors):
     images = [R.roots[b] for b in R.canonical_basis]
     for v in vectors:
         images = [reflect_vec(x, v) for x in images]
-    idx = [R.index.get(x) for x in images]
+    index = {r: i for i, r in enumerate(R.roots)}
+    idx = [index.get(x) for x in images]
     return None if None in idx else R.perm_from_simple_images(idx)
 
 

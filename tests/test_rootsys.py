@@ -14,6 +14,22 @@ from cartanclass import weylgroup as wg
 F = Fraction
 
 
+def zeta(plus_indices, n: int = 8):
+    """Half-integer vector with +1/2 at the given 1-based positions, -1/2 elsewhere."""
+    plus = set(plus_indices)
+    return tuple(F(1, 2) if i + 1 in plus else F(-1, 2) for i in range(n))
+
+
+def fundamental_coweights(R):
+    """Vectors pairing to 1 with one canonical simple root, 0 with the rest,
+    by a rational solve per simple root."""
+    basis_vecs = [R.roots[b] for b in R.canonical_basis]
+    cols = [tuple(bv[m] for bv in basis_vecs) for m in range(R.dim)]
+    out = tuple(la.solve(cols, la.unit_vec(len(basis_vecs), j)) for j in range(len(basis_vecs)))
+    assert None not in out
+    return out
+
+
 def pairing_vec(xi, eta):
     """<xi, eta^vee> = 2 (xi, eta) / (eta, eta) in Fraction arithmetic."""
     d = la.vdot(eta, eta)
@@ -36,7 +52,7 @@ def witness(R, ch):
 
 def coweight_sum(R):
     """The regular vector pairing to 1 with every canonical simple root."""
-    return functools.reduce(la.vadd, R.fundamental_coweights, la.zero_vec(R.dim))
+    return functools.reduce(la.vadd, fundamental_coweights(R), la.zero_vec(R.dim))
 
 
 COUNTS = {
@@ -78,7 +94,7 @@ def test_e8_norms_and_g2_norms():
 
 def test_dot_and_pairing_examples():
     E8 = rs.build("E8")
-    zeta0 = rs.zeta(())
+    zeta0 = zeta(())
     assert rs.la.vdot(zeta0, zeta0) == 2
     A2 = rs.build("A", 2)
     a1 = A2.root_index((1, -1, 0))

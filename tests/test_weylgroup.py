@@ -6,7 +6,7 @@ import random
 import pytest
 
 from cartanclass import involution as iv, rootsys as rs, weylgroup as wg
-from cartanclass.rootsys import zeta
+from test_rootsys import zeta
 
 WEYL_ORDERS = {
     ("A", 1): 2, ("A", 2): 6, ("A", 3): 24, ("A", 4): 120,
