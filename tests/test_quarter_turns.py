@@ -25,8 +25,8 @@ GOLDEN = Path(__file__).parent / "golden" / "quasi_split_lifts.json"
 GOLDEN_SPECS = ([rs.RootSystemSpec("A", r) for r in range(1, 7)]
                 + [rs.RootSystemSpec("B", r) for r in range(2, 7)]
                 + [rs.RootSystemSpec("C", r) for r in range(3, 7)]
-                + [rs.RootSystemSpec("D", r) for r in range(4, 7)]
-                + [rs.RootSystemSpec(f) for f in ("G2", "F4", "E6", "E7")]
+                + [rs.RootSystemSpec("D", r) for r in (4, 5, 6, 8)]
+                + [rs.RootSystemSpec(f) for f in ("G2", "F4", "E6", "E7", "E8")]
                 + [rs.RootSystemSpec("E6", realization="prime")])
 
 
