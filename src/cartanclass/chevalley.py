@@ -4,7 +4,7 @@ The constant table is built positive-height-first: each extraspecial pair
 gets the positive sign, every other pair follows from the two- and
 four-term bracket identities.  The dense oracle realizes the split form on
 the basis {H_1..H_l} + {X_alpha} and is used to verify involutions, lifts
-and quarter-turn exponentials exactly over Q(sqrt2).
+and turns exactly: half turns over Q, quarter turns over Q(sqrt2).
 """
 
 from __future__ import annotations
@@ -73,11 +73,6 @@ class Qrt2:
 
     def __bool__(self):
         return self.a != 0 or self.b != 0
-
-    def rational(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError("%r is irrational" % (self,))
-        return self.a
 
     def __repr__(self):
         if self.b == 0:
@@ -437,31 +432,30 @@ def dense_algebra(constants: ChevalleySystem, verify: str = "basic") -> DenseAlg
     return A
 
 
-# -- linear maps over Q(sqrt2) -------------------------------------------------
+# -- linear maps ---------------------------------------------------------------
 
 
 class LinearMap:
-    """Sparse linear self-map of a dense algebra, entries in Q(sqrt2)."""
+    """Sparse linear self-map of a dense algebra, entries int, Fraction or Qrt2."""
 
-    def __init__(self, algebra: DenseAlgebra, cols: dict[int, dict[int, Qrt2]]):
+    def __init__(self, algebra: DenseAlgebra, cols: dict[int, dict]):
         self.algebra = algebra
         self.cols = cols
 
     @staticmethod
     def identity(algebra: DenseAlgebra) -> "LinearMap":
-        return LinearMap(algebra, {i: {i: Qrt2(1)} for i in range(algebra.dim)})
+        return LinearMap(algebra, {i: {i: 1} for i in range(algebra.dim)})
 
-    def col(self, i: int) -> dict[int, Qrt2]:
+    def col(self, i: int) -> dict:
         return self.cols.get(i, {})
 
     def apply(self, v: dict) -> dict:
-        out: dict[int, Qrt2] = {}
+        out: dict = {}
         for i, c in v.items():
-            c = Qrt2.of(c)
             if not c:
                 continue
             for j, m in self.col(i).items():
-                val = out.get(j, Qrt2(0)) + c * m
+                val = out.get(j, 0) + c * m
                 if val:
                     out[j] = val
                 elif j in out:
@@ -495,13 +489,7 @@ def apply_map(algebra: DenseAlgebra, m: LinearMap, check_involution: bool = True
     violations = []
     d = algebra.dim
     for i, j in ((i, j) for i in range(d) for j in range(i + 1, d)):
-        lhs = m.apply(algebra.bracket_basis(i, j))
-        rhs = algebra.bracket(
-            {k: v for k, v in m.col(i).items()},
-            {k: v for k, v in m.col(j).items()})
-        rhs = {k: Qrt2.of(v) for k, v in rhs.items() if Qrt2.of(v)}
-        lhs = {k: Qrt2.of(v) for k, v in lhs.items() if Qrt2.of(v)}
-        if lhs != rhs:
+        if m.apply(algebra.bracket_basis(i, j)) != algebra.bracket(m.col(i), m.col(j)):
             violations.append((i, j))
     is_inv = True
     if check_involution:
@@ -605,7 +593,7 @@ def _det(m) -> Fraction:
     return out
 
 
-# -- exact quarter turns -------------------------------------------------------
+# -- exact turns ---------------------------------------------------------------
 
 # exp(pi/4 * M) v as sum_k c_k M^k v for a vector v with P(M) v = 0, keyed by
 # P: cos and sin at pi/4 reduced modulo P.  The turn by -pi/4 negates the
@@ -617,28 +605,40 @@ _TURN_ROWS = {
     POLY_L2P1_L2P9: tuple(SQRT2_HALF * Fraction(n, d)
                           for n, d in ((5, 4), (13, 12), (1, 4), (1, 12))),
 }
+# the same at pi/2, where cos and sin are 0 and +-1: rational rows
+_HALF_TURN_ROWS = {
+    POLY_LAMBDA: (1,),
+    POLY_L2P1: (0, 1),
+    POLY_L_L2P4: (1, 0, Fraction(1, 2)),
+    POLY_L2P1_L2P9: (0, Fraction(7, 6), 0, Fraction(1, 6)),
+}
 # block polynomial of X_gamma by the length of its beta-string
 _STRING_POLY = {1: POLY_LAMBDA, 2: POLY_L2P1, 3: POLY_L_L2P4, 4: POLY_L2P1_L2P9}
 
 
 class QuarterTurn:
-    """exp(sign * pi/4 * ad(K_B)) for a strongly orthogonal set B, applied
-    to vectors one root at a time (the single-root turns commute).
+    """exp(turn * pi/4 * ad(K_B)) for a strongly orthogonal set B and turn
+    1, -1 or 2 (the half turn, rational), applied to vectors one root at a
+    time (the single-root turns commute).
 
     A basis element e is turned in closed form: it is killed by the block
     polynomial P of its beta-string (Cartan elements and X_{+-beta}: the
     polynomial of the H/T block), so exp e is a combination of the powers
     (ad K)^k e below deg P.  P(ad K) e = 0 is checked on every element."""
 
-    def __init__(self, algebra: DenseAlgebra, b_indices, sign: int):
+    def __init__(self, algebra: DenseAlgebra, b_indices, turn: int):
+        if turn not in (1, -1, 2):
+            raise ChevalleyError("a turn is 1, -1 or 2 times pi/4, not %r" % (turn,))
         self.b_indices = list(b_indices)
         if not algebra.system.strongly_orthogonal_set(self.b_indices):
             raise ChevalleyError("set is not strongly orthogonal")
         self.algebra = algebra
-        self.sign = sign
-        self._cols: dict[tuple[int, int], dict[int, Qrt2]] = {}
+        self._rows = _HALF_TURN_ROWS if turn == 2 else {
+            poly: tuple(c * turn ** k for k, c in enumerate(row))
+            for poly, row in _TURN_ROWS.items()}
+        self._cols: dict[tuple[int, int], dict] = {}
 
-    def _col(self, beta: int, i: int) -> dict[int, Qrt2]:
+    def _col(self, beta: int, i: int) -> dict:
         got = self._cols.get((beta, i))
         if got is not None:
             return got
@@ -656,14 +656,13 @@ class QuarterTurn:
             powers.append(A.bracket(k_elem, powers[-1]))
         if _combine(poly, powers):
             raise ChevalleyError("ad(K) spectrum escapes {0,+-i,+-2i,+-3i}")
-        row = [c * self.sign ** k for k, c in enumerate(_TURN_ROWS[poly])]
-        got = self._cols[(beta, i)] = _combine(row, powers)
+        got = self._cols[(beta, i)] = _combine(self._rows[poly], powers)
         return got
 
-    def apply(self, v: dict) -> dict[int, Qrt2]:
+    def apply(self, v: dict) -> dict:
         for beta in self.b_indices:
             v = _combine(v.values(), [self._col(beta, i) for i in v])
-        return {j: Qrt2.of(c) for j, c in v.items()}
+        return v
 
 
 def _combine(coeffs, vecs) -> dict:

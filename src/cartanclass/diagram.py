@@ -40,13 +40,14 @@ def is_v_chamber(theta: Involution, chamber: Chamber) -> bool:
 
 
 def find_s_chamber(theta: Involution) -> Chamber:
-    """Deterministic S-chamber from the split witness t*H+ + H-.
+    """Deterministic S-chamber of the split witness t*H+ + H-, t large.
 
     The seed h = sum_j scale^j omega_j is a positive combination of the
-    coweights; geometric weights grow until the averaged part stays off
-    every non-negated root wall.  Pairings are integers read off the
-    canonical coordinates, <alpha, h> = sum_j scale^j c_j(alpha), and
-    <alpha, theta h> = <theta alpha, h>."""
+    coweights; geometric weights grow until H+ stays off every non-negated
+    root wall.  H+ vanishes on the negated roots, where H- = h: the chamber
+    is the roots with H+ > 0 and the negated roots with h > 0.  Pairings
+    are integers read off the canonical coordinates, <alpha, h> =
+    sum_j scale^j c_j(alpha), and <alpha, theta h> = <theta alpha, h>."""
     R = theta.system
     ch = R.canonical_chamber()
     movers = [i for i in range(len(R)) if i not in theta.imaginary_set]
@@ -57,15 +58,11 @@ def find_s_chamber(theta: Involution) -> Chamber:
              for i in range(len(R))]
         if not all(h):
             continue
-        # twice the pairings with H+ = (h + theta h)/2 and H- = (h - theta h)/2
+        # twice the pairings with H+ = (h + theta h)/2
         plus = [x + h[theta(i)] for i, x in enumerate(h)]
-        minus = [x - h[theta(i)] for i, x in enumerate(h)]
         if any(plus[i] == 0 for i in movers):
             continue
-        maxb = max(abs(x) for x in minus)
-        mina = min(abs(plus[i]) for i in movers)
-        t = 1 - (-maxb // mina)  # 1 + ceil(maxb / mina)
-        pos = frozenset(i for i, (x, y) in enumerate(zip(plus, minus)) if t * x + y > 0)
+        pos = frozenset(i for i, x in enumerate(plus) if x > 0 or (x == 0 and h[i] > 0))
         chamber = Chamber(R, R.simple_roots(pos))
         if not is_s_chamber(theta, chamber):
             raise DiagramError("constructed chamber fails the S condition")

@@ -3,8 +3,8 @@
 A real form with a chosen Cartan subalgebra is the pair (theta, f): the
 root-system involution plus a sign on every root, subject to the cocycle
 conditions tying the signs to the structure constants.  Negated roots
-split into compact (+1) and noncompact (-1); quarter-turn conjugations on
-the dense oracle move between Cartan subalgebras of the same form.
+split into compact (+1) and noncompact (-1); Cayley conjugations on the
+dense oracle move between Cartan subalgebras of the same form.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg as la
-from .chevalley import (ChevalleySystem, DenseAlgebra, LinearMap, Qrt2, QuarterTurn,
+from .chevalley import (ChevalleySystem, DenseAlgebra, LinearMap, QuarterTurn,
                         dense_algebra, structure_constants)
 from .diagram import find_s_chamber
 from .involution import (Involution, InvolutionError, antipodal_involution,
@@ -172,11 +172,9 @@ class AntiInvolution:
 def _signed_map(algebra: DenseAlgebra, perm, sign) -> LinearMap:
     """H_b -> H_perm(b) on the canonical coroots, X_i -> sign(i) X_perm(i)."""
     R, rank = algebra.system, algebra.rank
-    cols: dict[int, dict[int, Qrt2]] = {
-        k: {kk: Qrt2.of(c) for kk, c in algebra.coroot_elem(perm(b)).items()}
-        for k, b in enumerate(R.canonical_basis)}
+    cols = {k: algebra.coroot_elem(perm(b)) for k, b in enumerate(R.canonical_basis)}
     for i in range(len(R)):
-        cols[rank + i] = {rank + perm(i): Qrt2.of(sign(i))}
+        cols[rank + i] = {rank + perm(i): sign(i)}
     return LinearMap(algebra, cols)
 
 
@@ -230,7 +228,7 @@ def eps_sharp_map(algebra: DenseAlgebra, eps: Involution, chamber) -> LinearMap:
 
 def _sign_datum(algebra: DenseAlgebra, theta: Involution, factors) -> AntiInvolution:
     """The sign datum of the automorphism factors[0] o ... o factors[-1]
-    (dense maps or quarter turns), read off the simple root vectors: each
+    (dense maps or half turns), read off the simple root vectors: each
     X_{+-b}, b in the canonical basis, must go to exactly +-X_{theta(+-b)},
     with one sign for b and -b.  The signs extend by height to every root
     and the cocycle law is checked on the result."""
@@ -295,20 +293,24 @@ def omega_for_set(system: RootSystem, b_indices) -> SignHom:
 
 
 def quasi_split_lift(theta: Involution) -> AntiInvolution:
-    """The quasi-split sign datum over an involution: conjugate a sign
-    character by the quarter turn of the decomposition set, times the
-    canonical lift of the special part."""
+    """The quasi-split sign datum over an involution: a sign character's map
+    psi conjugated by the Cayley transform c = exp(pi/4 ad K_B) of the
+    decomposition set B, times the canonical lift of the special part.  As
+    psi negates every K_beta, c psi c^-1 = c^2 psi: one half turn."""
     R = theta.system
     if R.factors is not None:
         raise RealFormError("lifts are computed per irreducible factor")
     A = dense_algebra(structure_constants(R))
     eps, b_set = decompose(theta)
     special = eps.perm != identity_perm(len(R))
-    turns = (QuarterTurn(A, b_set, 1), QuarterTurn(A, b_set, -1)) if b_set else ()
+    half = QuarterTurn(A, b_set, 2)
 
     def sharp_of(omega):
-        psi = psi_map(A, omega)
-        return [turns[0], psi, turns[1]] if b_set else [psi]
+        for b in b_set:
+            if omega(b) != -1:
+                raise RealFormError("the sign character is +1 at decomposition root %s"
+                                    % R.root_name(b))
+        return [half, psi_map(A, omega)]
 
     # each candidate is a list of factors, applied right to left
     candidates = []
@@ -318,7 +320,7 @@ def quasi_split_lift(theta: Involution) -> AntiInvolution:
         ch_eps = find_s_chamber(eps)
         esh = eps_sharp_map(A, eps, ch_eps)
         # 1 where the canonical special lift is -1 on a decomposition root
-        odd = [int(esh.col(A.rank + b)[A.rank + eps(b)].rational() < 0) for b in b_set]
+        odd = [int(esh.col(A.rank + b)[A.rank + eps(b)] < 0) for b in b_set]
         omega = omega_for_targets(R, b_set, [1] * len(b_set), parity_of=eps)
         mu = omega_for_targets(R, b_set, odd, parity_of=eps)
         if omega is not None and mu is not None:
@@ -406,7 +408,8 @@ def cayley(sigma: AntiInvolution, beta: int, verify_dense: bool = True) -> AntiI
     The involution becomes theta o s_beta; negated roots orthogonal to
     beta keep their sign when strongly orthogonal and flip it when the sum
     or difference with beta is a root.  With verify_dense the same data is
-    recomputed by a quarter-turn conjugation on the dense oracle."""
+    recomputed on the dense oracle as c sigma c^-1 = c^2 sigma, c = exp(pi/4
+    ad K_beta), as sigma negates K_beta (beta is noncompact)."""
     R = sigma.system
     if beta not in sigma.noncompact_set:
         raise RealFormError("transform root must be negated and noncompact")
@@ -424,8 +427,7 @@ def cayley(sigma: AntiInvolution, beta: int, verify_dense: bool = True) -> AntiI
             raise RealFormError("new negated root outside the old negated set")
     if verify_dense and sigma.full:
         A = dense_algebra(sigma.constants)
-        out = _sign_datum(A, theta2, [QuarterTurn(A, [beta], 1), sigma_dense(A, sigma),
-                                      QuarterTurn(A, [beta], -1)])
+        out = _sign_datum(A, theta2, [QuarterTurn(A, [beta], 2), sigma_dense(A, sigma)])
         if any(out.f[i] != f2[i] for i in theta2.imaginary_set):
             raise RealFormError("dense and combinatorial signs disagree")
         return out

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from cartanclass import chevalley as cv
+from cartanclass import cli
 from cartanclass import involution as iv
 from cartanclass import realform as rf
 from cartanclass import rootsys as rs
@@ -132,6 +133,67 @@ def test_quarter_turn_of_a_set_is_the_product():
         for beta in b_set:
             want = _reference_turn(A, beta, sign).compose(want)
         assert cv.exp_quarter_pi_adk(A, b_set, sign).equals(want)
+
+
+# -- the half turn: c M c^-1 = c^2 M when M negates every K_beta ----------------
+
+
+@pytest.mark.parametrize("spec", [rs.RootSystemSpec(f, r) for f, r in
+                                  (("G2", None), ("B", 3), ("F4", None), ("E6", None))],
+                         ids=lambda s: s.label)
+def test_half_turn_is_the_quarter_turn_squared(spec):
+    """Every root of G2, B3 and F4 and one root of E6: the rational half
+    turn equals the Q(sqrt2) quarter turn applied twice, and sends each
+    root vector to +-1 times a single root vector."""
+    R = rs.build(spec)
+    A = cv.dense_algebra(cv.structure_constants(R), verify="none")
+    roots = R.canonical_basis[:1] if spec.family == "E6" else range(len(R.roots))
+    for beta in roots:
+        half = cv.QuarterTurn(A, [beta], 2)
+        cols = {i: half.apply({i: 1}) for i in range(A.dim)}
+        quarter = cv.exp_quarter_pi_adk(A, [beta])
+        assert cv.LinearMap(A, cols).equals(quarter.compose(quarter)), (spec.label, beta)
+        for i in range(A.rank, A.dim):
+            [(j, c)] = cols[i].items()
+            assert j >= A.rank and c in (1, -1), (spec.label, beta, i)
+
+
+def test_turn_must_be_a_quarter_or_a_half():
+    R = rs.build("G2")
+    A = cv.dense_algebra(cv.structure_constants(R), verify="none")
+    with pytest.raises(cv.ChevalleyError, match="not 3$"):
+        cv.QuarterTurn(A, [R.canonical_basis[0]], 3)
+
+
+def test_lift_checks_the_character_negates_every_k(monkeypatch):
+    R = rs.build("G2")
+    theta = iv.antipodal_involution(R)
+    assert iv.decompose(theta)[1]
+    monkeypatch.setattr(rf, "omega_for_set", lambda system, b_set: rf.SignHom(system, mask=0))
+    with pytest.raises(rf.RealFormError, match="sign character is \\+1 at decomposition root"):
+        rf.quasi_split_lift(theta)
+
+
+# images of the E6 simple roots under catalog row w3
+E6_W3_IMAGES = json.dumps([["1/2", "1/2"] + ["-1/2"] * 6,
+                           [-1, -1, 0, 0, 0, 0, 0, 0], [1, -1, 0, 0, 0, 0, 0, 0],
+                           [0, 1, 0, 1, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0, 0, 0],
+                           [0, 0, -1, 0, 1, 0, 0, 0]])
+
+
+@pytest.mark.parametrize("argv", [["realforms", "--type", "E6"],
+                                  ["cayley", "--type", "F4", "--label", "7"],
+                                  ["sigma", "--type", "F4", "--label", "7", "--restricted"],
+                                  ["cartans", "--type", "E6", "--images", E6_W3_IMAGES]],
+                         ids=lambda a: a[0])
+def test_sign_data_paths_make_no_qrt2(argv, monkeypatch, capsys):
+    """The lifts and Cayley checks run on rational half turns alone."""
+    def refuse(self, a=0, b=0):
+        raise AssertionError("a Q(sqrt2) number was made")
+
+    monkeypatch.setattr(cv.Qrt2, "__init__", refuse)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out
 
 
 if __name__ == "__main__":
