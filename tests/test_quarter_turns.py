@@ -63,6 +63,10 @@ def test_quasi_split_lifts_match_golden(spec):
 
 # -- the reference: a whole-algebra turn by degree-6 interpolation -------------
 
+# beta-strings of length 1 to 4 (G2, B3, F4) and a rank-6 algebra (E6)
+TURN_SPECS = [rs.RootSystemSpec(f, r) for f, r in
+              (("G2", None), ("B", 3), ("F4", None), ("E6", None))]
+
 
 def _qrt2_solve(rows, target):
     n = len(rows)
@@ -107,9 +111,7 @@ def _reference_turn(A, beta, sign):
     return cv.LinearMap(A, cols)
 
 
-@pytest.mark.parametrize("spec", [rs.RootSystemSpec(f, r) for f, r in
-                                  (("G2", None), ("B", 3), ("F4", None), ("E6", None))],
-                         ids=lambda s: s.label)
+@pytest.mark.parametrize("spec", TURN_SPECS, ids=lambda s: s.label)
 def test_quarter_turn_matches_interpolation(spec):
     """Every root of G2, B3 and F4 (beta-strings of length 1 to 4) and one
     root of E6, both signs."""
@@ -138,9 +140,7 @@ def test_quarter_turn_of_a_set_is_the_product():
 # -- the half turn: c M c^-1 = c^2 M when M negates every K_beta ----------------
 
 
-@pytest.mark.parametrize("spec", [rs.RootSystemSpec(f, r) for f, r in
-                                  (("G2", None), ("B", 3), ("F4", None), ("E6", None))],
-                         ids=lambda s: s.label)
+@pytest.mark.parametrize("spec", TURN_SPECS, ids=lambda s: s.label)
 def test_half_turn_is_the_quarter_turn_squared(spec):
     """Every root of G2, B3 and F4 and one root of E6: the rational half
     turn equals the Q(sqrt2) quarter turn applied twice, and sends each
