@@ -13,6 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import _linalg as la
 from .rootsys import RootSystem
@@ -366,17 +367,24 @@ class DenseAlgebra:
             if got != want:
                 raise ChevalleyError("[X_a, X_-a] != -H_a")
 
+    @cached_property
+    def _bracket_table(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+        """_bracket_table[i][j]: the nonzero (index, coefficient) pairs of
+        the bracket of basis elements i and j, built on first use."""
+        d = self.dim
+        return tuple(tuple(tuple(self.bracket_basis(i, j).items()) for j in range(d))
+                     for i in range(d))
+
     def _jacobi_triple(self, i: int, j: int, k: int) -> bool:
-        t = {}
+        """Whether [a, [b, c]] summed over the cyclic shifts of (i, j, k) is 0."""
+        br = self._bracket_table
+        t: dict = {}
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = self.bracket_basis(b, c)
-            for idx, coeff in self.bracket({a: 1}, inner).items():
-                val = t.get(idx, 0) + coeff
-                if val:
-                    t[idx] = val
-                elif idx in t:
-                    del t[idx]
-        return not t
+            row = br[a]
+            for m, cm in br[b][c]:
+                for idx, coeff in row[m]:
+                    t[idx] = t.get(idx, 0) + cm * coeff
+        return not any(t.values())
 
     def verify_jacobi_full(self) -> None:
         for i in range(self.dim):

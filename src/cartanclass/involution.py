@@ -6,6 +6,7 @@ of involution class representatives per family.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -129,17 +130,29 @@ def involution_from_images(system: RootSystem, images) -> Involution:
     Images are coordinate vectors in the ambient space; the induced map
     must be an isometry of order at most two preserving the root set.
     """
-    srcs = [system.roots[b] for b in system.canonical_basis]
+    basis = system.canonical_basis
     imgs = [tuple(Fraction(x) for x in v) for v in images]
-    if len(imgs) != len(srcs):
-        raise InvolutionError("expected %d images" % len(srcs))
+    if len(imgs) != len(basis):
+        raise InvolutionError("expected %d images" % len(basis))
     if any(len(v) != system.dim for v in imgs):
         raise InvolutionError("images need %d coordinates" % system.dim)
+    # Roots with the Gram matrix of the simple roots: the map is an isometry
+    # of the root span onto itself, fixing the complement, and it sends the
+    # simple roots to roots, hence every root to a root.
+    idx = [system._index_of(v) for v in imgs]
+    if None not in idx and _gram(system, idx) == _gram(system, basis):
+        return Involution(system, system.perm_from_simple_images(idx))
     try:
-        m = la.map_from_images(srcs, imgs)
+        m = la.map_from_images([system.roots[b] for b in basis], imgs)
     except ValueError as exc:
         raise InvolutionError(str(exc))
     return involution_from_matrix(system, m)
+
+
+def _gram(system: RootSystem, idxs) -> list[list[int]]:
+    """The scalar products of the given roots, in the integer scale."""
+    ints = [system._int_roots[i] for i in idxs]
+    return [[sum(map(operator.mul, u, v)) for v in ints] for u in ints]
 
 
 def from_reflections(system: RootSystem, vectors) -> Involution:

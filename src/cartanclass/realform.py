@@ -102,10 +102,18 @@ class AntiInvolution:
     together with the Cartan subalgebra cut out by theta.
 
     f maps root indices to +-1; it always covers the negated roots; when
-    full=True it covers every root and the cocycle laws are verified."""
+    full=True it covers every root and the cocycle laws are verified.  Only
+    twist makes one without the pairwise check, from a datum that had it."""
 
     def __init__(self, theta: Involution, f: dict[int, int],
                  constants: ChevalleySystem | None = None, full: bool | None = None):
+        self._setup(theta, f, constants, full)
+        if self.full:
+            self._verify_cocycle()
+
+    def _setup(self, theta, f, constants, full) -> None:
+        """Everything but the pairwise cocycle law: the fields, the signs on
+        the negated roots, and the O(n) checks of _verify_signs."""
         self.theta = theta
         self.system = theta.system
         self.f = dict(f)
@@ -118,9 +126,9 @@ class AntiInvolution:
             raise RealFormError("signs missing on negated roots")
         self.compact_set = frozenset(i for i in theta.imaginary_set if self.f[i] == 1)
         self.noncompact_set = frozenset(i for i in theta.imaginary_set if self.f[i] == -1)
-        self._verify()
+        self._verify_signs()
 
-    def _verify(self) -> None:
+    def _verify_signs(self) -> None:
         R = self.system
         neg = R.negation_map
         for i, v in self.f.items():
@@ -133,17 +141,19 @@ class AntiInvolution:
             if neg[i] in self.f and self.f[neg[i]] != self.f[i]:
                 raise RealFormError("sign at %s differs from the sign at its negative %s"
                                     % (R.root_name(i), R.root_name(neg[i])))
-        if self.full:
-            table = self.constants._table
-            sums = R.sum_table
-            th = self.theta.perm
-            f = self.f
-            # the table holds N(i, j) for every pair whose sum is a root, none
-            # zero; theta(j) is never +-theta(i), so N(theta i, theta j) is a read
-            for (i, j), nij in table.items():
-                if nij * f[sums[i][j]] != table.get((th[i], th[j]), 0) * f[i] * f[j]:
-                    raise RealFormError("cocycle law fails at %s and %s"
-                                        % (R.root_name(i), R.root_name(j)))
+
+    def _verify_cocycle(self) -> None:
+        R = self.system
+        table = self.constants._table
+        sums = R.sum_table
+        th = self.theta.perm
+        f = self.f
+        # the table holds N(i, j) for every pair whose sum is a root, none
+        # zero; theta(j) is never +-theta(i), so N(theta i, theta j) is a read
+        for (i, j), nij in table.items():
+            if nij * f[sums[i][j]] != table.get((th[i], th[j]), 0) * f[i] * f[j]:
+                raise RealFormError("cocycle law fails at %s and %s"
+                                    % (R.root_name(i), R.root_name(j)))
 
     def to_json(self) -> dict:
         out = {
@@ -343,12 +353,26 @@ def quasi_split_lift(theta: Involution) -> AntiInvolution:
 
 
 def twist(sigma: AntiInvolution, eta: SignHom) -> AntiInvolution:
-    if eta.system is not sigma.system:
+    """The datum (theta, f eta) for a character eta in Hom_theta.
+
+    sigma's cocycle law was checked when it was made.  When eta is
+    multiplicative, N(i, j) f(i+j) eta(i+j) = N(theta i, theta j) f(i) f(j)
+    eta(i) eta(j) holds exactly when the law of f does, so the pairwise
+    check is not repeated; what makes eta multiplicative, the additivity of
+    its chamber's parity masks, is checked once per chamber instead.  The
+    O(n) sign checks run on every twist."""
+    if eta.system is not sigma.system or eta.chamber.system is not sigma.system:
         raise RealFormError("character and datum live on different systems")
     if not in_hom_theta(sigma.theta, eta):
         raise RealFormError("character is not compatible with the involution")
-    f2 = {i: v * eta(i) for i, v in sigma.f.items()}
-    return AntiInvolution(sigma.theta, f2, sigma.constants, full=sigma.full)
+    bad = eta.chamber.parity_defect
+    if bad is not None:
+        raise RealFormError("the chamber's parity masks are not additive at %s and %s"
+                            % tuple(map(sigma.system.root_name, bad)))
+    out = AntiInvolution.__new__(AntiInvolution)
+    out._setup(sigma.theta, {i: v * eta(i) for i, v in sigma.f.items()},
+               sigma.constants, sigma.full)
+    return out
 
 
 # -- signature ---------------------------------------------------------------------------

@@ -198,6 +198,20 @@ class Chamber:
         """Per root, the bitmask of its odd coordinates (bit k for basis[k])."""
         return tuple(sum((c & 1) << k for k, c in enumerate(row)) for row in self._coord_rows)
 
+    @cached_property
+    def parity_defect(self) -> tuple[int, int] | None:
+        """The first pair of roots (i, j), in index order, whose sum is a
+        root with a parity mask other than the xor of theirs; None when the
+        masks are additive over sum_table.  Additive masks make every
+        mask-defined sign character multiplicative: eta(i + j) = eta(i) eta(j)."""
+        pm = self.parity_masks
+        for i, row in enumerate(self.system.sum_table):
+            a = pm[i]
+            for j, k in enumerate(row):
+                if k >= 0 and pm[k] != a ^ pm[j]:
+                    return i, j
+        return None
+
     def coords(self, idx: int) -> tuple[int, ...]:
         """Integer coordinates of a root in this chamber's simple basis."""
         return self._coord_rows[idx]

@@ -10,6 +10,7 @@ exceeds the rank by much.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from . import _linalg as la
@@ -20,7 +21,9 @@ Perm = tuple[int, ...]
 
 def perm_mul(p: Perm, q: Perm) -> Perm:
     """Composition applying q first: (p*q)(x) = p(q(x))."""
-    return tuple(p[x] for x in q)
+    if len(q) < 2:  # itemgetter returns a bare item for one index, fails for none
+        return tuple(p[x] for x in q)
+    return operator.itemgetter(*q)(p)
 
 
 def perm_inv(p: Perm) -> Perm:

@@ -1,5 +1,7 @@
 """Structure constants, the dense bracket oracle and exact exponentials."""
 
+import copy
+import random
 import re
 from fractions import Fraction
 
@@ -89,6 +91,66 @@ def test_jacobi_full_small(fam, rank):
     A = cv.dense_algebra(cv.structure_constants(R))
     A.verify_antisymmetry()
     A.verify_jacobi_full()
+
+
+def _jacobi_triple_by_dicts(A, i, j, k):
+    """The reference Jacobi check: each inner bracket rebuilt as a dict and
+    bracketed again through DenseAlgebra.bracket."""
+    t = {}
+    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+        inner = A.bracket_basis(b, c)
+        for idx, coeff in A.bracket({a: 1}, inner).items():
+            val = t.get(idx, 0) + coeff
+            if val:
+                t[idx] = val
+            elif idx in t:
+                del t[idx]
+    return not t
+
+
+def _with_flipped_constant(R, a, b):
+    """A fresh dense algebra over a copy of R's constants with N(a, b) and
+    N(b, a) negated: antisymmetry still holds, the Jacobi identity does not."""
+    C = copy.copy(cv.structure_constants(R))
+    C._table = dict(C._table)
+    C._table[(a, b)] *= -1
+    C._table[(b, a)] *= -1
+    C._dense = None
+    return cv.DenseAlgebra(C)
+
+
+@pytest.mark.parametrize("fam,rank", [("G2", 2), ("B", 3)])
+def test_jacobi_table_matches_dict_brackets_on_every_triple(fam, rank):
+    R = rs.build(fam, rank)
+    a, b = next(iter(cv.structure_constants(R)._table))
+    for A in (cv.dense_algebra(cv.structure_constants(R)), _with_flipped_constant(R, a, b)):
+        got = [A._jacobi_triple(i, j, k) for i in range(A.dim) for j in range(A.dim)
+               for k in range(A.dim)]
+        assert got == [_jacobi_triple_by_dicts(A, i, j, k) for i in range(A.dim)
+                       for j in range(A.dim) for k in range(A.dim)]
+    assert not all(got)  # the flipped copy fails somewhere, at the same triples
+
+
+@pytest.mark.parametrize("fam", ["F4", "E6"])
+def test_jacobi_table_matches_dict_brackets_on_seeded_triples(fam):
+    A = cv.dense_algebra(cv.structure_constants(rs.build(fam)))
+    rng = random.Random(5)
+    for _ in range(10 ** 5):
+        i, j, k = rng.randrange(A.dim), rng.randrange(A.dim), rng.randrange(A.dim)
+        assert A._jacobi_triple(i, j, k) == _jacobi_triple_by_dicts(A, i, j, k)
+
+
+@pytest.mark.parametrize("fam,rank", [("G2", 2), ("B", 3), ("F4", 4)])
+def test_jacobi_full_catches_one_flipped_constant(fam, rank):
+    R = rs.build(fam, rank)
+    table = cv.structure_constants(R)._table
+    for a, b in [min(table), max(table)]:
+        A = _with_flipped_constant(R, a, b)
+        A.verify_antisymmetry()
+        with pytest.raises(cv.ChevalleyError, match="Jacobi fails"):
+            A.verify_jacobi_full()
+    # the original constants are untouched
+    cv.dense_algebra(cv.structure_constants(R)).verify_jacobi_full()
 
 
 def test_char_poly_blocks():

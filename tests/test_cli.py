@@ -224,6 +224,26 @@ def test_rank_of_fixed_rank_family():
     assert run(["build", "--type", "G2", "--rank", "2"]) == run(["build", "--type", "G2"])
 
 
+@pytest.mark.parametrize("typ,images,msg", [
+    ("A 3", "[[1,-1,0,0],[0,1,-1,0]]", "expected 3 images"),
+    ("A 3", "[[1,-1,0],[0,1,-1],[0,0,1]]", "images need 4 coordinates"),
+    ("A 3", "[[1,-1,0,0],[0,1,-1,0],[0,0,1,1]]", "map is not an isometry"),
+    ("A 3", "[[1,-1,0,0],[0,1,-1,0],[0,0,2,-2]]", "map is not an isometry"),
+    ("B 2", '[["7/5","1/5"],["-4/5","3/5"]]', "map does not preserve the root set"),
+    ("A 3", "[[1,-1,0,0],[1,-1,0,0],[0,0,1,-1]]", "map is not an isometry"),
+    ("B 2", "[[1,1],[1,0]]", "map is not an isometry"),
+    ("A 3", "[[0,1,-1,0],[0,0,1,-1],[-1,0,0,1]]", "permutation does not square to the identity"),
+], ids=["count", "dimension", "non-root", "non-root-scaled", "non-root-isometry",
+        "gram-repeated", "gram", "order-4"])
+def test_images_errors_exit_3_with_their_messages(typ, images, msg, capsys):
+    """--images input off the root-lookup path (wrong count or dimension, an
+    image that is not a root, roots with another Gram matrix) and a map of
+    order above two exit 3 with the rational path's message."""
+    fam, rank = typ.split()
+    assert run(["cartans", "--type", fam, "--rank", rank, "--images", images]) == (3, "")
+    assert capsys.readouterr().err == "error: %s\n" % msg
+
+
 def test_malformed_vectors_exit_3(capsys):
     a2 = ["diagram", "--type", "A", "--rank", "2", "--format", "ascii", "--images"]
     for images in ("[[0,1,-1],", "5", "[[0,1,-1],[1,\"y\",0]]"):

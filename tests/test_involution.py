@@ -1,5 +1,6 @@
 """Involutions: constructors, decomposition, classification, the catalog."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,37 @@ def test_involution_from_images_rejects():
         iv.involution_from_images(A2, [(0, 1, -1), (-1, 0, 1)])
     with pytest.raises(iv.InvolutionError):
         iv.involution_from_images(A2, [(2, -2, 0), (0, 1, -1)])
+
+
+_IMAGE_SPECS = [rs.RootSystemSpec(f, r) for f, r in
+                [("A", 3), ("B", 4), ("C", 4), ("D", 5), ("G2", None), ("F4", None),
+                 ("E6", None), ("E7", None), ("E8", None)]] + \
+    [rs.RootSystemSpec("E6", realization="prime")]
+
+
+@pytest.mark.parametrize("spec", _IMAGE_SPECS, ids=lambda s: s.label)
+def test_images_of_roots_take_the_integer_path(spec, monkeypatch):
+    """Images that are roots give the permutation of the rational path
+    (map_from_images, then perm_of_matrix), on every catalog row and on
+    seeded W-conjugates of it, without a rational solve."""
+    R = rs.build(spec)
+    basis = R.canonical_basis
+    rng = random.Random(3)
+    perms = []
+    for _, theta in iv.table2_representatives(R):
+        g = wg.identity_perm(len(R))
+        for _ in range(8):
+            g = wg.perm_mul(g, R.reflection_perm(rng.choice(basis)))
+        perms += [theta.perm, wg.perm_mul(wg.perm_mul(g, theta.perm), wg.perm_inv(g))]
+    cases = []
+    for perm in perms:
+        images = [R.roots[perm[b]] for b in basis]
+        want = R.perm_of_matrix(la.map_from_images([R.roots[b] for b in basis], images))
+        assert want == perm
+        cases.append((images, want))
+    monkeypatch.setattr(iv.la, "map_from_images", None)  # no rational solve below
+    for images, want in cases:
+        assert iv.involution_from_images(R, images).perm == want
 
 
 def test_partition_orthogonality():

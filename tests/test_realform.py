@@ -1,6 +1,8 @@
 """Sign-function data: lifts, twists, transforms, identification."""
 
 import functools
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -492,6 +494,89 @@ def test_twist_equals_height_rederivation(spec):
                                                           for b in ch.basis})
         assert tw.f == derived.f, (theta, mask)
         assert rf.identify(tw) == rf.identify(rf.reduce_noncompact(tw, verify_dense=False))
+
+
+def _pair_law_failure(sigma):
+    """The reference pairwise cocycle check: the first pair of roots (i, j)
+    with i + j a root where N(i, j) f(i + j) != N(theta i, theta j) f(i)
+    f(j), or None."""
+    R, C, th, f = sigma.system, sigma.constants, sigma.theta, sigma.f
+    for i, row in enumerate(R.sum_table):
+        for j, k in enumerate(row):
+            if k >= 0 and C.n(i, j) * f[k] != C.n(th(i), th(j)) * f[i] * f[j]:
+                return i, j
+    return None
+
+
+@pytest.mark.parametrize("spec", [rs.RootSystemSpec(f, r) for f, r in
+                                  [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G2", None),
+                                   ("F4", None), ("E6", None)]],
+                         ids=lambda s: s.label)
+def test_realforms_twists_pass_the_pair_loop(spec):
+    """twist checks the character, not every pair: each twist that
+    realforms makes still passes the full pairwise law."""
+    R = rs.build(spec)
+    count = 0
+    for theta, lift, ch, mask in _hom_theta_pairs(R):
+        tw = rf.twist(lift, rf.SignHom(R, mask=mask, chamber=ch))
+        assert tw.full and ch.parity_defect is None
+        assert _pair_law_failure(tw) is None, (theta, mask)
+        count += 1
+    assert count > len(iv.table2_representatives(R))
+
+
+def test_seeded_twists_of_e7_lifts_pass_the_pair_loop():
+    rng = random.Random(12)
+    E7 = rs.build("E7")
+    for _, theta in iv.table2_representatives(E7):
+        lift = rf.quasi_split_lift(theta)
+        ch = dg.find_s_chamber(theta)
+        rows, _ = rf.hom_theta_constraints(theta, ch)
+        sols = rf.f2_solution_space(rows, len(ch.basis))
+        for _ in range(3):
+            mask = 0
+            for v in sols:
+                mask ^= v * rng.randrange(2)
+            tw = rf.twist(lift, rf.SignHom(E7, mask=mask, chamber=ch))
+            assert _pair_law_failure(tw) is None, (theta, mask)
+
+
+def test_twist_rejects_a_chamber_with_a_flipped_parity_mask():
+    B3 = rs.build("B", 3)
+    theta = iv.table2_representatives(B3)[-1][1]
+    lift = rf.quasi_split_lift(theta)
+    ch = dg.find_s_chamber(theta)
+    assert rf.twist(lift, rf.SignHom(B3, mask=0, chamber=rs.Chamber(B3, ch.basis))).f == lift.f
+    top = ch.height_order[-1]
+    for flip in (1, 1 << (len(ch.basis) - 1)):
+        bad = rs.Chamber(B3, ch.basis)
+        masks = list(ch.parity_masks)
+        masks[top] ^= flip
+        bad.__dict__["parity_masks"] = tuple(masks)
+        assert bad.parity_defect is not None
+        with pytest.raises(rf.RealFormError, match=r"parity masks are not additive at B3 root"):
+            rf.twist(lift, rf.SignHom(B3, mask=0, chamber=bad))
+
+
+def test_direct_antiinvolution_runs_the_pair_loop():
+    """Only twist skips the pairwise check.  Flipping the sign at the highest
+    root and its negative, under the identity, keeps every O(n) check (the
+    roots are fixed, the negatives agree); the pair loop must catch it."""
+    B3 = rs.build("B", 3)
+    theta = iv.identity_involution(B3)
+    lift = rf.quasi_split_lift(theta)
+    top = B3.canonical_chamber().height_order[-1]
+    f = dict(lift.f)
+    for g in (top, B3.negation_map[top]):
+        f[g] = -f[g]
+    with pytest.raises(rf.RealFormError, match="cocycle law fails at B3 root") as exc:
+        rf.AntiInvolution(theta, f)
+    named = {int(x) for x in re.findall(r"root (\d+)", str(exc.value))}
+    i, j = sorted(named)
+    assert {i, j, B3.sum_table[i][j]} & {top, B3.negation_map[top]}
+    loose = rf.AntiInvolution.__new__(rf.AntiInvolution)
+    loose._setup(theta, f, lift.constants, True)  # the twist path alone would pass it
+    assert _pair_law_failure(loose) is not None
 
 
 @pytest.mark.parametrize("spec", [rs.RootSystemSpec("B", 4), rs.RootSystemSpec("D", 5),

@@ -143,6 +143,17 @@ def test_klein_census_e8():
         assert (q in got) == (comp in got)
 
 
+def test_perm_mul_composes_on_every_length():
+    rng = random.Random(2)
+    for n in range(6):
+        for _ in range(5):
+            p, q = list(range(n)), list(range(n))
+            rng.shuffle(p)
+            rng.shuffle(q)
+            got = wg.perm_mul(tuple(p), tuple(q))
+            assert type(got) is tuple and got == tuple(p[x] for x in q)
+
+
 def test_conjugator_small():
     B2 = rs.build("B", 2)
     W = wg.weyl_group(B2)
