@@ -16,20 +16,12 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def vec(entries) -> Vector:
-    return tuple(Fraction(x) for x in entries)
-
-
 def vadd(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
 
 def vsub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vneg(u: Vector) -> Vector:
-    return tuple(-a for a in u)
 
 
 def vscale(c, u: Vector) -> Vector:
@@ -57,11 +49,6 @@ def identity(n: int) -> Matrix:
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:
     return tuple(vdot(row, v) for row in m)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(tuple(vdot(row, col) for col in bt) for row in a)
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -124,14 +111,6 @@ def nullspace(rows_in: Sequence[Vector]) -> list[Vector]:
     return basis
 
 
-def rank(rows_in: Sequence[Vector]) -> int:
-    if not rows_in:
-        return 0
-    rows = [list(r) for r in rows_in]
-    _, pivots = _rref(rows)
-    return len(pivots)
-
-
 def invert(m: Matrix) -> Matrix:
     n = len(m)
     rows = [list(m[i]) + list(unit_vec(n, i)) for i in range(n)]
@@ -150,9 +129,7 @@ def map_from_images(sources: Sequence[Vector], images: Sequence[Vector]) -> Matr
     """
     n = len(sources[0])
     comp = nullspace(list(sources))  # orthogonal complement of the span
-    full = list(sources) + comp
-    if rank(full) != n:
-        raise ValueError("sources plus orthogonal complement do not span")
+    full = list(sources) + comp  # spans, as the complement of a span does
     full_images = list(images) + comp
     a_cols = [tuple(v) for v in full]
     x_cols = []
@@ -169,7 +146,10 @@ def map_from_images(sources: Sequence[Vector], images: Sequence[Vector]) -> Matr
 
 
 def is_orthogonal(m: Matrix) -> bool:
-    return mat_mul(transpose(m), m) == identity(len(m))
+    """m^T m = 1: the columns are orthonormal and as many as the rows."""
+    cols = transpose(m)
+    return len(cols) == len(m) and all(
+        vdot(u, v) == (i == j) for i, u in enumerate(cols) for j, v in enumerate(cols))
 
 
 def solve_integer(rows: Sequence[Sequence[int]], target: Sequence[int]) -> list[int] | None:

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from . import _linalg as la
-from .rootsys import RootSystem
+from .rootsys import CartanclassError, RootSystem
 
 # -- the field Q(sqrt 2) -------------------------------------------------------
 
@@ -87,7 +87,7 @@ SQRT2_HALF = Qrt2(0, Fraction(1, 2))  # sqrt(2)/2
 # -- structure constants -------------------------------------------------------
 
 
-class ChevalleyError(ValueError):
+class ChevalleyError(CartanclassError):
     pass
 
 
@@ -262,8 +262,7 @@ POLY_L2P1_L2P9 = _poly_mul((1, 0, 1), (9, 0, 1))
 ADMITTED_POLYS = {POLY_LAMBDA, POLY_L2P1, POLY_L2P4, POLY_L_L2P4, POLY_L2P1_L2P9}
 
 
-@dataclass
-class MapReport:
+class MapReport(NamedTuple):
     is_automorphism: bool
     is_involution: bool
     violations: list

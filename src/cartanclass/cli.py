@@ -13,16 +13,11 @@ import json
 import sys
 from fractions import Fraction
 
-from . import diagram as dg
-from . import involution as iv
-from . import realform as rf
 from . import rootsys as rs
-from .chevalley import ChevalleyError, dense_algebra, structure_constants
-from .tables import dual_vector_table
-from .weylgroup import weyl_group
 
-MATH_ERRORS = (rs.RootSystemError, iv.InvolutionError, dg.DiagramError,
-               rf.RealFormError, ChevalleyError)
+# Each verb and verify suite imports the layers it runs at its top, and no
+# others: most of a small query is interpreter start-up and compiling the
+# package, so `verify dual-vectors` should not pay for realform or chevalley.
 
 
 def _system(args) -> rs.RootSystem:
@@ -41,7 +36,8 @@ def _parse_rationals(text: str, option: str, error, nested: bool):
     return out if nested else out[0]
 
 
-def _involution_from_args(args, system: rs.RootSystem) -> iv.Involution:
+def _involution_from_args(args, system: rs.RootSystem):
+    from . import involution as iv
     if getattr(args, "label", None):
         if args.label == "id":
             return iv.identity_involution(system)
@@ -59,6 +55,7 @@ def _involution_from_args(args, system: rs.RootSystem) -> iv.Involution:
 
 
 def _sigma_from_args(args, system: rs.RootSystem):
+    from . import diagram as dg, realform as rf
     signs_arg = getattr(args, "signs", None)
     bad = next((ch for ch in signs_arg or "" if ch not in "+-"), None)
     if bad is not None:
@@ -97,6 +94,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_involutions(args) -> int:
+    from . import involution as iv
     system = _system(args)
     rows = []
     for lab, rep in iv.table2_representatives(system):
@@ -119,6 +117,7 @@ def cmd_involutions(args) -> int:
 
 
 def cmd_sos(args) -> int:
+    from . import involution as iv
     if args.size is not None and args.size < 1:
         raise iv.InvolutionError("--size: %d is not a set size (need 1 or more)" % args.size)
     system = _system(args)
@@ -146,6 +145,7 @@ def cmd_sos(args) -> int:
 
 
 def cmd_diagram(args) -> int:
+    from . import diagram as dg
     system = _system(args)
     theta = _involution_from_args(args, system)
     chamber = dg.find_s_chamber(theta)
@@ -155,6 +155,7 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_sigma(args) -> int:
+    from . import diagram as dg
     system = _system(args)
     sigma, chamber = _sigma_from_args(args, system)
     if args.restricted:
@@ -165,6 +166,7 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_cayley(args) -> int:
+    from . import realform as rf
     system = _system(args)
     sigma, _ = _sigma_from_args(args, system)
     if args.root:
@@ -178,6 +180,7 @@ def cmd_cayley(args) -> int:
 
 
 def cmd_realforms(args) -> int:
+    from . import diagram as dg, involution as iv, realform as rf
     system = _system(args)
     names: dict[str, dict] = {}
     thetas = [("id", iv.identity_involution(system))] + iv.table2_representatives(system)
@@ -210,6 +213,7 @@ def cmd_realforms(args) -> int:
 
 
 def cmd_cartans(args) -> int:
+    from . import realform as rf
     system = _system(args)
     sigma, _ = _sigma_from_args(args, system)
     classes = rf.cartan_classes(sigma)
@@ -231,6 +235,7 @@ def cmd_cartans(args) -> int:
 
 
 def _verify_table2(args) -> list[tuple[str, bool]]:
+    from . import involution as iv
     system = _system(args)
     out = []
     reps = iv.table2_representatives(system)
@@ -247,6 +252,7 @@ def _verify_table2(args) -> list[tuple[str, bool]]:
 
 
 def _verify_chevalley(args) -> list[tuple[str, bool]]:
+    from .chevalley import ChevalleyError, dense_algebra, structure_constants
     system = _system(args)
     out = []
     C = structure_constants(system)
@@ -266,6 +272,7 @@ def _verify_chevalley(args) -> list[tuple[str, bool]]:
 
 
 def _verify_sos_table(args) -> list[tuple[str, bool]]:
+    from . import involution as iv
     out = []
     for fam, rank in [("A", 4), ("B", 4), ("B", 5), ("C", 4), ("C", 5),
                       ("D", 4), ("D", 5), ("F4", 4), ("G2", 2), ("E6", 6)]:
@@ -281,6 +288,7 @@ def _verify_sos_table(args) -> list[tuple[str, bool]]:
 
 
 def _verify_empty(args) -> list[tuple[str, bool]]:
+    from .weylgroup import weyl_group
     system = rs.build(rs.RootSystemSpec(factors=()))
     ok = len(system) == 0
     ok = ok and weyl_group(system).order == 1
@@ -288,6 +296,7 @@ def _verify_empty(args) -> list[tuple[str, bool]]:
 
 
 def _verify_lemma_dual(args) -> list[tuple[str, bool]]:
+    from .tables import dual_vector_table
     out = []
     for label, system, omega, msys in dual_vector_table():
         ok = system.in_dual_lattice(omega)
@@ -389,7 +398,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except MATH_ERRORS as exc:
+    except rs.CartanclassError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
 

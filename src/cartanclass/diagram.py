@@ -10,16 +10,17 @@ compact and noncompact ones.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .involution import Involution, _orthogonal_components
-from .rootsys import Chamber, RootSystem, RootSystemError, RootSystemSpec, _coordinate_rows, build
+from .rootsys import (CartanclassError, Chamber, RootSystem, RootSystemError, RootSystemSpec,
+                      _coordinate_rows, build)
 from .weylgroup import perm_mul
 
 WHITE, BLACK, STAR = "white", "black", "star"
 
 
-class DiagramError(ValueError):
+class DiagramError(CartanclassError):
     pass
 
 
@@ -177,15 +178,23 @@ def canonical_node_order(system: RootSystem, basis) -> tuple[int, ...]:
 # -- diagrams ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(NamedTuple):
     family: str
     rank: int
     realization: str
     colors: tuple[str, ...]
     bonds: tuple[tuple[int, int, int, int], ...]  # (i, j, mult, direction)
     arrows: frozenset[frozenset[int]]
-    node_roots: tuple[int, ...] | None = field(default=None, compare=False)
+    node_roots: tuple[int, ...] | None = None  # the root at each node; not compared
+
+    def __eq__(self, other):
+        return isinstance(other, Diagram) and self[:6] == other[:6]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:6])
 
     def color(self, pos: int) -> str:
         return self.colors[pos]

@@ -7,17 +7,17 @@ of involution class representatives per family.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from . import _linalg as la
-from .rootsys import RootSystem, RootSystemError
+from .rootsys import CartanclassError, RootSystem, RootSystemError
 from .weylgroup import (Perm, diagram_automorphisms, full_aut_group, identity_perm,
                         in_weyl, klein_in_weyl, perm_mul, weyl_group)
 
 
-class InvolutionError(ValueError):
+class InvolutionError(CartanclassError):
     pass
 
 
@@ -41,6 +41,7 @@ class Involution:
         self.real_set = frozenset(real)
         self.imaginary_set = frozenset(imag)
         self.complex_set = frozenset(cplx)
+        self._hom_theta_rows: dict = {}  # kept by realform.hom_theta_constraints
 
     def __call__(self, idx: int) -> int:
         return self.perm[idx]
@@ -316,8 +317,7 @@ def subsystem_type(system: RootSystem, subset) -> tuple:
 # -- strongly orthogonal set classification --------------------------------------
 
 
-@dataclass(frozen=True)
-class SosClass:
+class SosClass(NamedTuple):
     family: str
     label: tuple
 

@@ -10,8 +10,7 @@ dense oracle move between Cartan subalgebras of the same form.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from . import _linalg as la
 from .chevalley import (ChevalleySystem, DenseAlgebra, LinearMap, QuarterTurn,
@@ -19,11 +18,11 @@ from .chevalley import (ChevalleySystem, DenseAlgebra, LinearMap, QuarterTurn,
 from .diagram import find_s_chamber
 from .involution import (Involution, InvolutionError, antipodal_involution,
                          decompose, first_max_clique, positive_representatives)
-from .rootsys import RootSystem
+from .rootsys import CartanclassError, RootSystem
 from .weylgroup import identity_perm, perm_mul, weyl_group
 
 
-class RealFormError(ValueError):
+class RealFormError(CartanclassError):
     pass
 
 
@@ -34,62 +33,25 @@ class SignHom:
     """Multiplicative sign character of the root lattice, kept as a bitmask
     over the simple roots of a chamber (the canonical one by default): bit
     k set means the sign -1 at basis[k].  The sign at a root is the parity
-    of the mask on the root's odd coordinates.
+    of the mask on the root's odd coordinates."""
 
-    SignHom(system, omega) is the character alpha -> (-1)^<alpha, omega>
-    of a vector pairing integrally with the roots; SignHom(system,
-    mask=..., chamber=...) takes the bitmask itself."""
-
-    def __init__(self, system: RootSystem, omega=None, *, mask: int | None = None,
-                 chamber=None):
+    def __init__(self, system: RootSystem, *, mask: int | None = None, chamber=None):
         self.system = system
         self.chamber = chamber or system.canonical_chamber()
         nbits = len(self.chamber.basis)
-        if omega is not None and mask is None:
-            mask, bad = _pairing_parities(system, self.chamber, omega)
-            if bad is not None:
-                raise RealFormError("vector does not pair integrally with %s"
-                                    % system.root_name(bad))
-        elif omega is not None or mask is None or not 0 <= mask < 1 << nbits:
-            raise RealFormError("%s: a sign character takes a vector or a bitmask over the "
-                                "%d simple roots, not vector %s and mask %s"
-                                % (system.spec.label, nbits, omega, mask))
+        if mask is None or not 0 <= mask < 1 << nbits:
+            raise RealFormError("%s: a sign character takes a bitmask over the %d simple "
+                                "roots, not %s" % (system.spec.label, nbits, mask))
         self.mask = mask
 
     def __call__(self, idx: int) -> int:
         return -1 if _parity(self.mask & self.chamber.parity_masks[idx]) else 1
 
 
-def _pairing_parities(system: RootSystem, chamber, omega) -> tuple[int, int | None]:
-    """The bitmask of the chamber's simple roots that pair oddly with omega,
-    and the first simple root whose pairing is not an integer (None when
-    all are: every root is an integer combination of simple roots)."""
-    omega = tuple(Fraction(x) for x in omega)
-    if len(omega) != system.dim:
-        raise RealFormError("%s: the vector has %d coordinates, the roots have %d"
-                            % (system.spec.label, len(omega), system.dim))
-    mask = 0
-    for k, b in enumerate(chamber.basis):
-        d = system.pairing_with(b, omega)
-        if d.denominator != 1:
-            return mask, b
-        mask |= (d.numerator & 1) << k
-    return mask, None
-
-
-eta_from_omega = SignHom  # the sign character of a vector
-
-
-def in_hom_theta(theta: Involution, eta) -> bool:
-    """Whether a sign character (a SignHom, or a vector; one off the dual
-    lattice defines none) respects the involution: eta(theta alpha) =
+def in_hom_theta(theta: Involution, eta: SignHom) -> bool:
+    """Whether a sign character respects the involution: eta(theta alpha) =
     eta(alpha) for every root.  alpha -> eta(alpha) eta(theta alpha) is a
     character, so the parity rows of hom_theta_constraints decide."""
-    if not isinstance(eta, SignHom):
-        mask, bad = _pairing_parities(theta.system, theta.system.canonical_chamber(), eta)
-        if bad is not None:
-            return False
-        eta = SignHom(theta.system, mask=mask)
     rows, _ = hom_theta_constraints(theta, eta.chamber)
     return not any(_parity(eta.mask & row) for row in rows)
 
@@ -378,8 +340,7 @@ def twist(sigma: AntiInvolution, eta: SignHom) -> AntiInvolution:
 # -- signature ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SignatureCounts:
+class _SignatureFields(NamedTuple):
     n1: int
     n2: int
     n3: int
@@ -391,14 +352,20 @@ class SignatureCounts:
     dim_k: int
     dim_p: int
 
-    def to_json(self) -> dict:
-        return dict(vars(self))
 
-    def __post_init__(self):
+class SignatureCounts(_SignatureFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         assert self.n3 == self.n3k + self.n3p
         assert self.ell == self.ellk + self.ellp
         assert self.dim_k == self.ellk + self.n1 + 2 * self.n2 + 2 * self.n3k
         assert self.dim_p == self.ellp + self.n1 + 2 * self.n2 + 2 * self.n3p
+        return self
+
+    def to_json(self) -> dict:
+        return self._asdict()
 
 
 def signature(sigma: AntiInvolution) -> SignatureCounts:
@@ -542,8 +509,7 @@ def isomorphic(s1: AntiInvolution, s2: AntiInvolution) -> bool:
     return got is not None
 
 
-@dataclass(frozen=True)
-class RealFormName:
+class RealFormName(NamedTuple):
     name: str
     aliases: tuple[str, ...]
     family: str
@@ -769,16 +735,20 @@ def _theta_differences(theta: Involution, chamber) -> list[tuple[int, ...]]:
     return out
 
 
-def hom_theta_constraints(theta: Involution, chamber) -> tuple[list[int], list[int]]:
+def hom_theta_constraints(theta: Involution, chamber) -> tuple[tuple[int, ...], int]:
     """Mod-2 description of the compatible sign characters on a chamber.
 
     Returns (rows, bullet_mask): each row is a bitmask over the chamber
     basis positions encoding one parity condition sum(c_j) = 0; the mask
-    marks the positions of the negated simple roots."""
-    rows = [sum((c & 1) << m for m, c in enumerate(row))
-            for row in _theta_differences(theta, chamber)]
-    bullet_mask = sum(1 << k for k, b in enumerate(chamber.basis) if b in theta.imaginary_set)
-    return rows, bullet_mask
+    marks the positions of the negated simple roots.  Kept on theta per
+    chamber, as every twist over theta asks again."""
+    got = theta._hom_theta_rows.get(chamber)
+    if got is None:
+        rows = tuple(sum((c & 1) << m for m, c in enumerate(row))
+                     for row in _theta_differences(theta, chamber))
+        bullets = sum(1 << k for k, b in enumerate(chamber.basis) if b in theta.imaginary_set)
+        got = theta._hom_theta_rows[chamber] = (rows, bullets)
+    return got
 
 
 def f2_solution_space(rows: list[int], nbits: int) -> list[int]:

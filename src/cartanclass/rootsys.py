@@ -16,9 +16,9 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from . import _linalg as la
 from ._linalg import Vector, vdot
@@ -38,40 +38,49 @@ _RANK_RANGE = {
 }
 
 
-class RootSystemError(ValueError):
+class CartanclassError(ValueError):
+    """The input errors of the layers derive from this class, and nothing
+    else does; the CLI exits 3 on them."""
+
+
+class RootSystemError(CartanclassError):
     """Invalid family/rank/realization combination or malformed input."""
 
 
-@dataclass(frozen=True)
-class RootSystemSpec:
+class _SpecFields(NamedTuple):
     family: str | None = None
     rank: int | None = None
     realization: str = "standard"
     factors: tuple["RootSystemSpec", ...] | None = None
 
-    def __post_init__(self):
-        if self.factors is not None:
-            if self.family is not None:
+
+class RootSystemSpec(_SpecFields):
+    """A validated spec; a family of fixed rank gets its rank filled in."""
+
+    __slots__ = ()
+
+    def __new__(cls, family=None, rank=None, realization="standard", factors=None):
+        if factors is not None:
+            if family is not None:
                 raise RootSystemError("a union spec carries no family of its own")
-            for f in self.factors:
+            for f in factors:
                 if f.factors is not None:
                     raise RootSystemError("nested unions are not supported")
-            return
-        fam = self.family
-        if fam not in FAMILIES:
-            raise RootSystemError("unknown family %r" % (fam,))
-        lo, hi = _RANK_RANGE[fam]
+            return super().__new__(cls, family, rank, realization, factors)
+        if family not in FAMILIES:
+            raise RootSystemError("unknown family %r" % (family,))
+        lo, hi = _RANK_RANGE[family]
         if hi is not None:
-            if self.rank is not None and self.rank != hi:
-                raise RootSystemError("family %s has rank %d, not %d" % (fam, hi, self.rank))
-            object.__setattr__(self, "rank", hi)
-        else:
-            if self.rank is None or self.rank < lo:
-                raise RootSystemError("family %s needs rank >= %d" % (fam, lo))
-        if self.realization not in ("standard", "prime"):
-            raise RootSystemError("unknown realization %r" % (self.realization,))
-        if self.realization == "prime" and fam not in ("E6", "E7"):
+            if rank is not None and rank != hi:
+                raise RootSystemError("family %s has rank %d, not %d" % (family, hi, rank))
+            rank = hi
+        elif rank is None or rank < lo:
+            raise RootSystemError("family %s needs rank >= %d" % (family, lo))
+        if realization not in ("standard", "prime"):
+            raise RootSystemError("unknown realization %r" % (realization,))
+        if realization == "prime" and family not in ("E6", "E7"):
             raise RootSystemError("prime realization exists only for E6/E7")
+        return super().__new__(cls, family, rank, realization, factors)
 
     @property
     def label(self) -> str:
@@ -170,14 +179,15 @@ def _coordinate_rows(system: "RootSystem", basis) -> tuple[tuple[int, ...], ...]
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class Chamber:
-    """A Weyl chamber, given by its simple basis.  The root coordinates in
-    the basis, and with them the positive roots, are found on first use and
-    kept on the chamber."""
-
+class _ChamberFields(NamedTuple):
     system: "RootSystem"
     basis: tuple[int, ...]
+
+
+class Chamber(_ChamberFields):
+    """A Weyl chamber, given by its simple basis.  The root coordinates in
+    the basis, and with them the positive roots, are found on first use and
+    kept on the chamber (in the instance dict this subclass adds)."""
 
     @cached_property
     def _coord_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -222,6 +232,23 @@ class Chamber:
     def support(self, idx: int) -> frozenset[int]:
         cs = self.coords(idx)
         return frozenset(self.basis[i] for i in range(len(cs)) if cs[i] != 0)
+
+
+class _PairingRows(dict):
+    """The rows of RootSystem.pairing_matrix, each made on its first read."""
+
+    __slots__ = ("system",)
+
+    def __init__(self, system: "RootSystem"):
+        self.system = system
+
+    def __missing__(self, i: int) -> tuple[int, ...]:
+        R = self.system
+        dots = [2 * sum(map(operator.mul, R._int_roots[i], v)) for v in R._int_roots]
+        if any(d % n for d, n in zip(dots, R._norms)):
+            raise RootSystemError("non-integral pairing between roots")
+        row = self[i] = tuple(d // n for d, n in zip(dots, R._norms))
+        return row
 
 
 class RootSystem:
@@ -353,14 +380,11 @@ class RootSystem:
         return tuple(tuple(look(a + b, -1) for b in keys) for a in keys)
 
     @cached_property
-    def pairing_matrix(self) -> tuple[tuple[int, ...], ...]:
+    def pairing_matrix(self) -> "_PairingRows":
         """pairing_matrix[i][j] = <alpha_i, alpha_j^vee>, that is
-        2 (alpha_i, alpha_j) / (alpha_j, alpha_j)."""
-        ints = self._int_roots
-        gram = [[sum(map(operator.mul, u, v)) for v in ints] for u in ints]
-        if any(2 * g % gram[j][j] for row in gram for j, g in enumerate(row)):
-            raise RootSystemError("non-integral pairing between roots")
-        return tuple(tuple(2 * g // gram[j][j] for j, g in enumerate(row)) for row in gram)
+        2 (alpha_i, alpha_j) / (alpha_j, alpha_j).  Row i is computed, and
+        checked to be integral, on its first read."""
+        return _PairingRows(self)
 
     def basis_isomorphisms(self, src, dst):
         """Every bijection from the roots src onto the positions of dst that
@@ -406,10 +430,11 @@ class RootSystem:
     def reflection_perm(self, alpha_idx: int) -> tuple[int, ...]:
         got = self._reflection_perms.get(alpha_idx)
         if got is None:
-            ka = self._keys[alpha_idx]
-            look = self._key_index
-            got = tuple(look[k - row[alpha_idx] * ka]
-                        for k, row in zip(self._keys, self.pairing_matrix))
+            # root i goes to i - <alpha_i, alpha^vee> alpha: column alpha of
+            # the pairing matrix, which is row alpha times norm(i) / norm(alpha)
+            ka, na, look = self._keys[alpha_idx], self._norms[alpha_idx], self._key_index
+            got = tuple(look[k - c * n // na * ka] for k, c, n in
+                        zip(self._keys, self.pairing_matrix[alpha_idx], self._norms))
             self._reflection_perms[alpha_idx] = got
         return got
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _linalg as la
 from .rootsys import RootSystem
@@ -37,8 +37,7 @@ def identity_perm(n: int) -> Perm:
     return tuple(range(n))
 
 
-@dataclass(frozen=True)
-class RootPermutation:
+class RootPermutation(NamedTuple):
     """A root-set automorphism: index permutation plus the induced matrix."""
 
     system: RootSystem

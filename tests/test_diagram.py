@@ -9,6 +9,7 @@ import pytest
 from cartanclass import _linalg as la
 from cartanclass import diagram as dg, involution as iv, realform as rf, rootsys as rs
 from cartanclass import weylgroup as wg
+import reference_linalg as rl
 
 F = Fraction
 
@@ -120,10 +121,10 @@ def test_d4_example_both_diagrams():
             out = la.vadd(out, la.vscale(c, v))
         return out
 
-    th_a = iv.involution_from_images(D4, [comb((1, a[0]), (1, a[1])), la.vneg(a[1]),
+    th_a = iv.involution_from_images(D4, [comb((1, a[0]), (1, a[1])), rl.vneg(a[1]),
                                           comb((1, a[1]), (1, a[3])),
                                           comb((1, a[1]), (1, a[2]))])
-    th_b = iv.involution_from_images(D4, [la.vneg(a[0]), comb((1, a[0]), (1, a[1])),
+    th_b = iv.involution_from_images(D4, [rl.vneg(a[0]), comb((1, a[0]), (1, a[1])),
                                           a[3], a[2]])
     d_a = dg.s_diagram(th_a, ch)
     d_b = dg.s_diagram(th_b, ch)
@@ -157,7 +158,7 @@ def test_e6_black_chain_image():
     coeffs = {0: 1, 1: 2, 2: 3, 3: 2, 4: 1}
     for k, b in enumerate(basis):
         if k < 5:
-            images.append(la.vneg(E6p.roots[b]))
+            images.append(rl.vneg(E6p.roots[b]))
         else:
             img = E6p.roots[b]
             for kk, c in coeffs.items():

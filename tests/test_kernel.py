@@ -8,6 +8,8 @@ that the check runs in exact integers at a speed that allows every pair
 of roots up to rank 8.
 """
 
+import random
+
 import pytest
 
 from cartanclass import involution as iv, realform as rf, rootsys as rs
@@ -81,3 +83,24 @@ def test_signature_trace_matches_matrix(family, realization):
         sig = rf.signature(sigma)
         assert 2 * sig.ellp == R.rank + trace, label
         assert 2 * sig.ellk == R.rank - trace, label
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label or "empty")
+def test_pairing_rows_on_demand_match_the_full_table(spec):
+    """pairing_matrix makes a row on its first read; the rows, read in a
+    scrambled order on a fresh system, are the rows of the full table
+    2 (alpha_i, alpha_j) / (alpha_j, alpha_j)."""
+    R = rs.RootSystem(spec)
+    roots = [_doubled(r) for r in R.roots]
+    pm = R.pairing_matrix
+    order = list(range(len(roots)))
+    random.Random(len(roots)).shuffle(order)
+    for k, i in enumerate(order):
+        full = []
+        for b in roots:
+            pairing, rem = divmod(2 * _dot(roots[i], b), _dot(b, b))
+            assert rem == 0
+            full.append(pairing)
+        assert pm[i] == tuple(full)
+        assert len(pm) == k + 1  # only the rows read so far are made
+    assert R.pairing_matrix is pm

@@ -12,47 +12,88 @@ from cartanclass import _linalg as la
 from cartanclass import chevalley as cv
 from cartanclass import diagram as dg, involution as iv, realform as rf, rootsys as rs
 from test_rootsys import fundamental_coweights
+import reference_linalg as rl
 
 F = Fraction
 
 
+def _pairing_parities(system, chamber, omega):
+    """The bitmask of the chamber's simple roots that pair oddly with omega,
+    and the first simple root whose pairing is not an integer (None when
+    all are: every root is an integer combination of simple roots)."""
+    omega = tuple(F(x) for x in omega)
+    if len(omega) != system.dim:
+        raise rf.RealFormError("%s: the vector has %d coordinates, the roots have %d"
+                               % (system.spec.label, len(omega), system.dim))
+    mask = 0
+    for k, b in enumerate(chamber.basis):
+        d = system.pairing_with(b, omega)
+        if d.denominator != 1:
+            return mask, b
+        mask |= (d.numerator & 1) << k
+    return mask, None
+
+
+def eta_from_omega(system, omega, chamber=None):
+    """The sign character alpha -> (-1)^<alpha, omega> of a vector pairing
+    integrally with the roots, as a rf.SignHom on the chamber (the canonical
+    one by default).  The program makes every character from a mask."""
+    chamber = chamber or system.canonical_chamber()
+    mask, bad = _pairing_parities(system, chamber, omega)
+    if bad is not None:
+        raise rf.RealFormError("vector does not pair integrally with %s"
+                               % system.root_name(bad))
+    return rf.SignHom(system, mask=mask, chamber=chamber)
+
+
+def in_hom_theta(theta, eta):
+    """rf.in_hom_theta, also on a vector: one off the dual lattice defines
+    no character and is not compatible."""
+    if not isinstance(eta, rf.SignHom):
+        mask, bad = _pairing_parities(theta.system, theta.system.canonical_chamber(), eta)
+        if bad is not None:
+            return False
+        eta = rf.SignHom(theta.system, mask=mask)
+    return rf.in_hom_theta(theta, eta)
+
+
 def test_eta_from_omega():
     G2 = rs.build("G2")
-    eta = rf.eta_from_omega(G2, (1, 0, 0))
+    eta = eta_from_omega(G2, (1, 0, 0))
     assert eta(G2.root_index((1, -1, 0))) == -1
     assert eta(G2.root_index((0, 1, -1))) == 1
-    zero = rf.eta_from_omega(G2, (0, 0, 0))
+    zero = eta_from_omega(G2, (0, 0, 0))
     assert all(zero(i) == 1 for i in range(len(G2)))
     with pytest.raises(rf.RealFormError):
-        rf.eta_from_omega(rs.build("E8"), (1, F(1, 2), 0, 0, 0, 0, 0, 0))
+        eta_from_omega(rs.build("E8"), (1, F(1, 2), 0, 0, 0, 0, 0, 0))
 
 
 def test_in_hom_theta():
     B2 = rs.build("B", 2)
     anti = iv.antipodal_involution(B2)
     for om in [(1, 0), (0, 1), (1, 1), (2, 1)]:
-        assert rf.in_hom_theta(anti, om)
+        assert in_hom_theta(anti, om)
     A3 = rs.build("A", 3)
     th = iv.from_reflections(A3, [(1, -1, 0, 0), (0, 0, 1, -1)])
     om = (1, 0, 1, 0)
-    assert rf.in_hom_theta(th, om)
-    eta = rf.eta_from_omega(A3, om)
+    assert in_hom_theta(th, om)
+    eta = eta_from_omega(A3, om)
     assert eta(A3.root_index((1, -1, 0, 0))) == -1
     assert eta(A3.root_index((0, 0, 1, -1))) == -1
     # theta(omega) = -omega always qualifies
     om2 = (1, -1, 0, 0)
-    assert th.apply_vec(om2) == la.vneg(la.vec(om2))
-    assert rf.in_hom_theta(th, om2)
+    assert th.apply_vec(om2) == rl.vneg(rl.vec(om2))
+    assert in_hom_theta(th, om2)
     # an incompatible vector: pairs oddly against alpha - theta(alpha)
     A2 = rs.build("A", 2)
     th_a = iv.from_reflections(A2, [(1, -1, 0)])
-    assert not rf.in_hom_theta(th_a, (1, 0, 0))
+    assert not in_hom_theta(th_a, (1, 0, 0))
 
 
 def _ref_sign(R, omega, i):
     """The rational definition: (-1)^<alpha_i, omega>, or None when the
     pairing is not an integer."""
-    d = la.vdot(R.roots[i], la.vec(omega))
+    d = la.vdot(R.roots[i], rl.vec(omega))
     return None if d.denominator != 1 else (-1 if d.numerator % 2 else 1)
 
 
@@ -60,7 +101,7 @@ def _ref_in_hom_theta(theta, omega):
     """The rational definition: omega pairs integrally with every root and
     evenly with alpha - theta(alpha) for every root."""
     R = theta.system
-    om = la.vec(omega)
+    om = rl.vec(omega)
     if any(_ref_sign(R, om, i) is None for i in range(len(R))):
         return False
     return all(la.vdot(la.vsub(R.roots[i], R.roots[theta(i)]), om) % 2 == 0
@@ -87,13 +128,13 @@ def test_sign_hom_matches_rational_definition(fam, rank):
     for om in vectors:
         ref = [_ref_sign(R, om, i) for i in range(len(R))]
         for th in thetas:
-            assert rf.in_hom_theta(th, om) == _ref_in_hom_theta(th, om)
+            assert in_hom_theta(th, om) == _ref_in_hom_theta(th, om)
         if None in ref:
             with pytest.raises(rf.RealFormError, match="does not pair integrally"):
-                rf.SignHom(R, om)
+                eta_from_omega(R, om)
             continue
         for ch in chambers:
-            eta = rf.SignHom(R, om, chamber=ch)
+            eta = eta_from_omega(R, om, chamber=ch)
             assert [eta(i) for i in range(len(R))] == ref
             again = rf.SignHom(R, mask=eta.mask, chamber=ch)
             assert [again(i) for i in range(len(R))] == ref
@@ -126,18 +167,21 @@ def test_omega_for_targets_gives_the_target_signs(fam, rank):
 def test_sign_hom_input_errors():
     G2 = rs.build("G2")
     with pytest.raises(rf.RealFormError, match=r"G2: .* 2 coordinates, the roots have 3"):
-        rf.SignHom(G2, (1, 0))
+        eta_from_omega(G2, (1, 0))
     with pytest.raises(rf.RealFormError, match=r"G2: .* 2 coordinates, the roots have 3"):
-        rf.in_hom_theta(iv.identity_involution(G2), (1, 0))
+        in_hom_theta(iv.identity_involution(G2), (1, 0))
     E8 = rs.build("E8")
     bad = (1, F(1, 2), 0, 0, 0, 0, 0, 0)
     first = next(b for b in E8.canonical_basis
-                 if la.vdot(E8.roots[b], la.vec(bad)).denominator != 1)
+                 if la.vdot(E8.roots[b], rl.vec(bad)).denominator != 1)
     with pytest.raises(rf.RealFormError, match=r"E8 root %d \(" % first):
-        rf.SignHom(E8, bad)
-    for kwargs in ({}, {"omega": (1, 0, 0), "mask": 1}, {"mask": 4}, {"mask": -1}):
-        with pytest.raises(rf.RealFormError, match="vector or a bitmask over the 2 simple"):
+        eta_from_omega(E8, bad)
+    for kwargs in ({}, {"mask": 4}, {"mask": -1}):
+        with pytest.raises(rf.RealFormError, match="G2: a sign character takes a bitmask "
+                                                   "over the 2 simple roots"):
             rf.SignHom(G2, **kwargs)
+    with pytest.raises(TypeError):  # a vector is no longer a character
+        rf.SignHom(G2, (1, 0, 0))
 
 
 def test_antiinvolution_errors_name_the_roots():
@@ -215,12 +259,12 @@ def test_twist():
     B2 = rs.build("B", 2)
     anti = iv.antipodal_involution(B2)
     s = rf.quasi_split_lift(anti)
-    eta = rf.eta_from_omega(B2, (1, 1))
+    eta = eta_from_omega(B2, (1, 1))
     t = rf.twist(s, eta)
     assert t.f != s.f
     back = rf.twist(t, eta)
     assert back.f == s.f
-    one = rf.eta_from_omega(B2, (0, 0))
+    one = eta_from_omega(B2, (0, 0))
     assert rf.twist(s, one).f == s.f
     # swapping which short pair is compact (the two split data)
     shorts = [B2.root_index((1, 0)), B2.root_index((0, 1))]
@@ -234,7 +278,7 @@ def test_twist():
     A2 = rs.build("A", 2)
     s_a = rf.quasi_split_lift(iv.from_reflections(A2, [(1, -1, 0)]))
     with pytest.raises(rf.RealFormError):
-        rf.twist(s_a, rf.eta_from_omega(A2, (1, 0, 0)))
+        rf.twist(s_a, eta_from_omega(A2, (1, 0, 0)))
 
 
 def test_signature_counts():
@@ -337,9 +381,9 @@ def test_identify_examples():
     rows = dict(iv.table2_representatives(A3))
     th = rows["e1"]  # one 2-cycle pair + fixed short: su(1,3)-type involution
     s = rf.quasi_split_lift(th)
-    names = {rf.identify(rf.reduce_noncompact(rf.twist(s, rf.eta_from_omega(A3, om)),
+    names = {rf.identify(rf.reduce_noncompact(rf.twist(s, eta_from_omega(A3, om)),
                                               verify_dense=False)).name
-             for om in [(0, 0, 0, 0), (0, 1, 1, 0)] if rf.in_hom_theta(th, om)}
+             for om in [(0, 0, 0, 0), (0, 1, 1, 0)] if in_hom_theta(th, om)}
     assert "su(1,3)" in names or "su(2,2)" in names
     # quaternionic data
     th4 = iv.from_reflections(A3, [(1, -1, 0, 0), (0, 0, 1, -1)])
@@ -443,6 +487,20 @@ def test_hom_constraints_projection_g2():
         # exactly one negated simple root, forced to +1: projection trivial
         assert bin(bullet_mask).count("1") == 1
         assert proj == {0}
+
+
+def test_hom_theta_rows_are_kept_on_theta_per_chamber():
+    """The parity rows are computed once per (theta, chamber): every twist
+    over theta reads the same entry, equal to the rows of a fresh theta."""
+    E6 = rs.build("E6")
+    for _, theta in iv.table2_representatives(E6):
+        ch, canon = dg.find_s_chamber(theta), E6.canonical_chamber()
+        got = rf.hom_theta_constraints(theta, ch)
+        assert rf.hom_theta_constraints(theta, rs.Chamber(E6, ch.basis)) is got
+        fresh = iv.Involution(E6, theta.perm)
+        assert rf.hom_theta_constraints(fresh, ch) == got
+        assert rf.hom_theta_constraints(theta, canon) == rf.hom_theta_constraints(fresh, canon)
+        assert set(theta._hom_theta_rows) == {ch, canon}
 
 
 def _hom_theta_pairs(R):

@@ -22,6 +22,7 @@ from cartanclass import involution as iv
 from cartanclass import rootsys as rs
 from cartanclass import weylgroup as wg
 from test_rootsys import coweight_sum, fundamental_coweights, reflect_vec, witness
+import reference_linalg as rl
 
 FAMILIES = ([("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 9)]
             + [("C", r) for r in range(3, 9)] + [("D", r) for r in range(4, 9)]
@@ -238,7 +239,7 @@ def _klein_by_matrices(R, quad):
     for (i, j), (k, m) in [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]:
         m1 = wg.reflection_matrix(R.dim, la.vsub(vs[i], vs[j]))
         m2 = wg.reflection_matrix(R.dim, la.vsub(vs[k], vs[m]))
-        perm = R.perm_of_matrix(la.mat_mul(m1, m2))
+        perm = R.perm_of_matrix(rl.mat_mul(m1, m2))
         if perm is None or not W.contains(perm):
             return False
     return True
