@@ -43,16 +43,13 @@ def unit_vec(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def identity(n: int) -> Matrix:
-    return tuple(unit_vec(n, i) for i in range(n))
+def e(i: int, n: int) -> Vector:
+    """e_i, the i-th (1-based) unit vector of Q^n, as the catalogs write it."""
+    return unit_vec(n, i - 1)
 
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:
     return tuple(vdot(row, v) for row in m)
-
-
-def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m))
 
 
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -111,15 +108,6 @@ def nullspace(rows_in: Sequence[Vector]) -> list[Vector]:
     return basis
 
 
-def invert(m: Matrix) -> Matrix:
-    n = len(m)
-    rows = [list(m[i]) + list(unit_vec(n, i)) for i in range(n)]
-    rows, pivots = _rref(rows)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(tuple(rows[i][n:]) for i in range(n))
-
-
 def map_from_images(sources: Sequence[Vector], images: Sequence[Vector]) -> Matrix:
     """The linear map sending sources[j] to images[j], extended as the
     identity on the orthogonal complement of span(sources).
@@ -143,13 +131,6 @@ def map_from_images(sources: Sequence[Vector], images: Sequence[Vector]) -> Matr
                 img = vadd(img, vscale(c, w))
         x_cols.append(img)
     return tuple(tuple(x_cols[j][i] for j in range(n)) for i in range(n))
-
-
-def is_orthogonal(m: Matrix) -> bool:
-    """m^T m = 1: the columns are orthonormal and as many as the rows."""
-    cols = transpose(m)
-    return len(cols) == len(m) and all(
-        vdot(u, v) == (i == j) for i, u in enumerate(cols) for j, v in enumerate(cols))
 
 
 def solve_integer(rows: Sequence[Sequence[int]], target: Sequence[int]) -> list[int] | None:

@@ -13,8 +13,9 @@ from typing import NamedTuple
 
 from . import _linalg as la
 from .rootsys import CartanclassError, RootSystem, RootSystemError
-from .weylgroup import (Perm, diagram_automorphisms, full_aut_group, identity_perm,
-                        in_weyl, klein_in_weyl, perm_mul, weyl_group)
+from ._linalg import e
+from .weylgroup import (Perm, diagram_automorphisms, factor_swap, full_aut_group,
+                        identity_perm, in_weyl, klein_in_weyl, perm_mul, weyl_group)
 
 
 class InvolutionError(CartanclassError):
@@ -81,8 +82,8 @@ class Involution:
             subsystem_type(self.system, self.imaginary_set),
         )
 
-    def to_json(self, with_class_label: bool = False) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "matrix": [[str(c) for c in row] for row in self.matrix],
             "partition": {
                 "real": len(self.real_set),
@@ -92,12 +93,6 @@ class Involution:
             "length": self.length,
             "in_weyl": self.in_weyl,
         }
-        if with_class_label:
-            try:
-                out["class_label"] = class_label(self)
-            except InvolutionError:
-                out["class_label"] = None
-        return out
 
     def __repr__(self):
         return "Involution(%s, r=%d/i=%d/c=%d)" % (
@@ -116,21 +111,12 @@ def antipodal_involution(system: RootSystem) -> Involution:
     return Involution(system, tuple(system.negation_map))
 
 
-def involution_from_matrix(system: RootSystem, m: la.Matrix) -> Involution:
-    if not la.is_orthogonal(m):
-        raise InvolutionError("map is not an isometry")
-    perm = system.perm_of_matrix(m)
-    if perm is None:
-        raise InvolutionError("map does not preserve the root set")
-    return Involution(system, perm)
-
-
 def involution_from_images(system: RootSystem, images) -> Involution:
     """Involution from the images of the canonical simple roots.
 
-    Images are coordinate vectors in the ambient space; the induced map
-    must be an isometry of order at most two preserving the root set.
-    """
+    Images are coordinate vectors in the ambient space; the map sending the
+    simple roots to them and fixing the orthogonal complement of their span
+    must be an isometry of order at most two preserving the root set."""
     basis = system.canonical_basis
     imgs = [tuple(Fraction(x) for x in v) for v in images]
     if len(imgs) != len(basis):
@@ -143,11 +129,15 @@ def involution_from_images(system: RootSystem, images) -> Involution:
     idx = [system._index_of(v) for v in imgs]
     if None not in idx and _gram(system, idx) == _gram(system, basis):
         return Involution(system, system.perm_from_simple_images(idx))
-    try:
-        m = la.map_from_images([system.roots[b] for b in basis], imgs)
-    except ValueError as exc:
-        raise InvolutionError(str(exc))
-    return involution_from_matrix(system, m)
+    # Otherwise the map is no automorphism.  Fixing the complement, it is an
+    # isometry exactly when the images keep the scalar products of the simple
+    # roots and lie in their span; an isometry that sends a simple root off
+    # the roots does not preserve the root set.
+    srcs = [system.roots[b] for b in basis]
+    if any(la.vdot(u, v) != la.vdot(x, y) for u, x in zip(imgs, srcs)
+           for v, y in zip(imgs, srcs)) or any(la.solve(srcs, v) is None for v in imgs):
+        raise InvolutionError("map is not an isometry")
+    raise InvolutionError("map does not preserve the root set")
 
 
 def _gram(system: RootSystem, idxs) -> list[list[int]]:
@@ -165,35 +155,15 @@ def from_reflections(system: RootSystem, vectors) -> Involution:
     return Involution(system, perm)
 
 
-def complex_type_involution(system: RootSystem, iso: la.Matrix | None = None) -> Involution:
-    """The factor-swapping involution of a two-factor union.
-
-    iso maps the first factor's ambient space onto the second's (identity
-    by default); the swap sends (a', a'') to (iso^-1 a'', iso a')."""
+def complex_type_involution(system: RootSystem) -> Involution:
+    """The involution exchanging the two equal factors of a union."""
     if system.factors is None or len(system.factors) != 2:
         raise InvolutionError("complex type needs a two-factor union")
     f1, f2 = system.factors
-    d = f1.dim
-    if f2.dim != d:
-        raise InvolutionError("factors have different ambient dimensions")
-    if iso is None:
-        iso = la.identity(d)
-    iso_inv = la.invert(iso)
-    n = system.dim
-    rows = []
-    for i in range(n):
-        row = [la.ZERO] * n
-        if i < d:
-            for j in range(d):
-                row[d + j] = iso_inv[i][j]
-        else:
-            for j in range(d):
-                row[j] = iso[i - d][j]
-        rows.append(tuple(row))
-    theta = involution_from_matrix(system, tuple(rows))
-    if theta.complex_set != frozenset(range(len(system))):
-        raise InvolutionError("swap did not make every root complex")
-    return theta
+    if f1.spec != f2.spec:
+        raise InvolutionError("complex type needs two equal factors, not %s and %s"
+                              % (f1.spec.label, f2.spec.label))
+    return Involution(system, factor_swap(system, 0, 1))
 
 
 # -- orthogonal set machinery ---------------------------------------------------
@@ -449,54 +419,17 @@ def maximal_sos_classes(system: RootSystem) -> list[tuple[SosClass, tuple[int, .
 
 
 def special_involutions(system: RootSystem) -> list[Involution]:
-    """Class representatives of involutions without negated roots."""
+    """Class representatives of involutions without negated roots: the
+    identity and the first diagram automorphism of order two, if any.  A
+    diagram automorphism keeps the positive roots, so it negates none."""
     if system.factors is not None:
         raise InvolutionError("special census handles irreducible systems")
-    fam = system.spec.family
-    out = [identity_involution(system)]
-    eps = None
-    n = system.dim
-    if fam == "A" and system.rank >= 2:
-        m = tuple(tuple(-la.ONE if j == n - 1 - i else la.ZERO for j in range(n))
-                  for i in range(n))
-        eps = involution_from_matrix(system, m)
-    elif fam == "D":
-        m = tuple(tuple((la.ONE if (i == j and i < n - 1) else
-                         (-la.ONE if (i == j == n - 1) else la.ZERO))
-                        for j in range(n)) for i in range(n))
-        eps = involution_from_matrix(system, m)
-    elif fam == "E6":
-        if system.spec.realization == "prime":
-            rows = []
-            for i in range(8):
-                row = [la.ZERO] * 8
-                if i < 6:
-                    row[6 - i - 1] = -la.ONE
-                elif i == 6:
-                    row[7] = -la.ONE
-                else:
-                    row[6] = -la.ONE
-                rows.append(tuple(row))
-            eps = involution_from_matrix(system, tuple(rows))
-        else:
-            # the diagram flip of the canonical positive system
-            for p in diagram_automorphisms(system):
-                if p != identity_perm(len(system)) and \
-                        perm_mul(p, p) == identity_perm(len(system)):
-                    eps = Involution(system, p)
-                    break
-    if eps is not None and not eps.is_special():
-        raise InvolutionError("census produced a non-special involution")
-    if eps is not None and eps.perm != identity_perm(len(system)):
-        out.append(eps)
-    return out
+    ident = identity_perm(len(system))
+    flips = [p for p in diagram_automorphisms(system) if p != ident and perm_mul(p, p) == ident]
+    return [Involution(system, p) for p in [ident] + flips[:1]]
 
 
 # -- the catalog of involution classes ---------------------------------------------
-
-
-def _e(i, n):
-    return la.unit_vec(n, i - 1)
 
 
 def _table2_rows(system: RootSystem):
@@ -511,77 +444,77 @@ def _table2_rows(system: RootSystem):
         half = (rank + 1) // 2
         for h in range(1, half + 1):
             rows.append(("w%d" % h,
-                         [la.vsub(_e(2 * i - 1, n), _e(2 * i, n)) for i in range(1, h + 1)]))
+                         [la.vsub(e(2 * i - 1, n), e(2 * i, n)) for i in range(1, h + 1)]))
         for p in range(0, half + 1):
-            vecs = [la.vadd(_e(i, n), _e(rank + 2 - i, n)) for i in range(1, p + 1)]
-            vecs += [_e(k, n) for k in range(p + 1, rank + 2 - p)]
+            vecs = [la.vadd(e(i, n), e(rank + 2 - i, n)) for i in range(1, p + 1)]
+            vecs += [e(k, n) for k in range(p + 1, rank + 2 - p)]
             rows.append(("e%d" % p, vecs))
     elif fam in ("B", "C", "D"):
         for r1 in range(0, rank // 2 + 1):
             for r2 in range(0, rank - 2 * r1 + 1):
                 if r1 == r2 == 0:
                     continue
-                vecs = [la.vsub(_e(2 * i - 1, n), _e(2 * i, n)) for i in range(1, r1 + 1)]
-                vecs += [_e(k, n) for k in range(rank - r2 + 1, rank + 1)]
+                vecs = [la.vsub(e(2 * i - 1, n), e(2 * i, n)) for i in range(1, r1 + 1)]
+                vecs += [e(k, n) for k in range(rank - r2 + 1, rank + 1)]
                 rows.append(("r%d,%d" % (r1, r2), vecs))
     elif fam == "E6" and system.spec.realization == "standard":
         rows = [
-            ("w1", [la.vsub(_e(1, n), _e(2, n))]),
-            ("w2", [_e(1, n), _e(2, n)]),
-            ("w3", [_e(1, n), _e(2, n), la.vsub(_e(3, n), _e(4, n))]),
-            ("w4", [_e(1, n), _e(2, n), _e(3, n), _e(4, n)]),
+            ("w1", [la.vsub(e(1, n), e(2, n))]),
+            ("w2", [e(1, n), e(2, n)]),
+            ("w3", [e(1, n), e(2, n), la.vsub(e(3, n), e(4, n))]),
+            ("w4", [e(1, n), e(2, n), e(3, n), e(4, n)]),
         ]
     elif fam == "E6" and system.spec.realization == "prime":
         rows = [
-            ("e1", [la.vadd(_e(1, n), _e(6, n)), la.vadd(_e(2, n), _e(5, n)),
-                    la.vadd(_e(3, n), _e(4, n))]),
-            ("e2", [la.vadd(_e(1, n), _e(6, n)), la.vadd(_e(2, n), _e(5, n)),
-                    _e(3, n), _e(4, n)]),
-            ("e3", [la.vadd(_e(1, n), _e(6, n)), _e(2, n), _e(3, n), _e(4, n), _e(5, n)]),
-            ("e4", [_e(i, n) for i in range(1, 7)]),
+            ("e1", [la.vadd(e(1, n), e(6, n)), la.vadd(e(2, n), e(5, n)),
+                    la.vadd(e(3, n), e(4, n))]),
+            ("e2", [la.vadd(e(1, n), e(6, n)), la.vadd(e(2, n), e(5, n)),
+                    e(3, n), e(4, n)]),
+            ("e3", [la.vadd(e(1, n), e(6, n)), e(2, n), e(3, n), e(4, n), e(5, n)]),
+            ("e4", [e(i, n) for i in range(1, 7)]),
         ]
     elif fam == "E7":
         rows = [
-            ("1", [la.vsub(_e(1, n), _e(2, n))]),
-            ("2", [_e(1, n), _e(2, n)]),
-            ("3", [_e(1, n), _e(2, n), la.vsub(_e(3, n), _e(4, n))]),
-            ("4", [la.vsub(_e(1, n), _e(2, n)), la.vsub(_e(3, n), _e(4, n)),
-                   la.vsub(_e(5, n), _e(6, n))]),
-            ("5", [_e(1, n), _e(2, n), _e(3, n), _e(4, n)]),
-            ("6", [_e(1, n), _e(2, n), la.vsub(_e(3, n), _e(4, n)),
-                   la.vsub(_e(5, n), _e(6, n))]),
-            ("7", [_e(1, n), _e(2, n), _e(3, n), _e(4, n), la.vsub(_e(5, n), _e(6, n))]),
-            ("8", [_e(i, n) for i in range(1, 7)]),
-            ("9", [_e(i, n) for i in range(1, 7)] + [la.vadd(_e(7, n), _e(8, n))]),
+            ("1", [la.vsub(e(1, n), e(2, n))]),
+            ("2", [e(1, n), e(2, n)]),
+            ("3", [e(1, n), e(2, n), la.vsub(e(3, n), e(4, n))]),
+            ("4", [la.vsub(e(1, n), e(2, n)), la.vsub(e(3, n), e(4, n)),
+                   la.vsub(e(5, n), e(6, n))]),
+            ("5", [e(1, n), e(2, n), e(3, n), e(4, n)]),
+            ("6", [e(1, n), e(2, n), la.vsub(e(3, n), e(4, n)),
+                   la.vsub(e(5, n), e(6, n))]),
+            ("7", [e(1, n), e(2, n), e(3, n), e(4, n), la.vsub(e(5, n), e(6, n))]),
+            ("8", [e(i, n) for i in range(1, 7)]),
+            ("9", [e(i, n) for i in range(1, 7)] + [la.vadd(e(7, n), e(8, n))]),
         ]
     elif fam == "E8":
         rows = [
-            ("1", [la.vsub(_e(1, n), _e(2, n))]),
-            ("2", [_e(1, n), _e(2, n)]),
-            ("3", [_e(1, n), _e(2, n), la.vsub(_e(3, n), _e(4, n))]),
-            ("4", [_e(1, n), _e(2, n), _e(3, n), _e(4, n)]),
-            ("5", [_e(1, n), _e(2, n), la.vsub(_e(3, n), _e(4, n)),
-                   la.vsub(_e(5, n), _e(6, n))]),
-            ("6", [_e(1, n), _e(2, n), _e(3, n), _e(4, n), la.vsub(_e(5, n), _e(6, n))]),
-            ("7", [_e(i, n) for i in range(1, 7)]),
-            ("8", [_e(i, n) for i in range(1, 7)] + [la.vsub(_e(7, n), _e(8, n))]),
-            ("9", [_e(i, n) for i in range(1, 9)]),
+            ("1", [la.vsub(e(1, n), e(2, n))]),
+            ("2", [e(1, n), e(2, n)]),
+            ("3", [e(1, n), e(2, n), la.vsub(e(3, n), e(4, n))]),
+            ("4", [e(1, n), e(2, n), e(3, n), e(4, n)]),
+            ("5", [e(1, n), e(2, n), la.vsub(e(3, n), e(4, n)),
+                   la.vsub(e(5, n), e(6, n))]),
+            ("6", [e(1, n), e(2, n), e(3, n), e(4, n), la.vsub(e(5, n), e(6, n))]),
+            ("7", [e(i, n) for i in range(1, 7)]),
+            ("8", [e(i, n) for i in range(1, 7)] + [la.vsub(e(7, n), e(8, n))]),
+            ("9", [e(i, n) for i in range(1, 9)]),
         ]
     elif fam == "F4":
         rows = [
-            ("1", [_e(1, n)]),
-            ("2", [la.vsub(_e(1, n), _e(2, n))]),
-            ("3", [_e(1, n), la.vsub(_e(2, n), _e(3, n))]),
-            ("4", [_e(1, n), _e(2, n)]),
-            ("5", [_e(1, n), _e(2, n), _e(3, n)]),
-            ("6", [_e(2, n), _e(3, n), la.vadd(_e(1, n), _e(4, n))]),
-            ("7", [_e(1, n), _e(2, n), _e(3, n), _e(4, n)]),
+            ("1", [e(1, n)]),
+            ("2", [la.vsub(e(1, n), e(2, n))]),
+            ("3", [e(1, n), la.vsub(e(2, n), e(3, n))]),
+            ("4", [e(1, n), e(2, n)]),
+            ("5", [e(1, n), e(2, n), e(3, n)]),
+            ("6", [e(2, n), e(3, n), la.vadd(e(1, n), e(4, n))]),
+            ("7", [e(1, n), e(2, n), e(3, n), e(4, n)]),
         ]
     elif fam == "G2":
         rows = [
-            ("1", [la.vsub(_e(1, n), _e(2, n))]),
-            ("2", [la.vsub(la.vscale(2, _e(1, n)), la.vadd(_e(2, n), _e(3, n)))]),
-            ("3", [_e(1, n), _e(2, n), _e(3, n)]),
+            ("1", [la.vsub(e(1, n), e(2, n))]),
+            ("2", [la.vsub(la.vscale(2, e(1, n)), la.vadd(e(2, n), e(3, n)))]),
+            ("3", [e(1, n), e(2, n), e(3, n)]),
         ]
     else:
         raise InvolutionError("no catalog for %r" % (system.spec,))

@@ -577,16 +577,6 @@ def _name_table(family: str, rank: int) -> dict[int, list[str]]:
     return out
 
 
-_SPLIT_DIM_K = {
-    "A": lambda r: (r + 1) * r // 2,
-    "B": lambda r: r * (r - 1) // 2 + (r + 1) * r // 2,
-    "C": lambda r: r * r,
-    "D": lambda r: r * (r - 1),
-    "E6": lambda r: 36, "E7": lambda r: 63, "E8": lambda r: 120,
-    "F4": lambda r: 24, "G2": lambda r: 6,
-}
-
-
 def identify(sigma: AntiInvolution) -> RealFormName:
     """Canonical name of the real form from its maximal-compact dimension."""
     R = sigma.system
@@ -604,7 +594,7 @@ def identify(sigma: AntiInvolution) -> RealFormName:
         name=names[0], aliases=tuple(names[1:]), family=fam, rank=rank,
         dim_k=sig.dim_k,
         is_compact=(sig.dim_k == total),
-        is_split=(sig.dim_k == _SPLIT_DIM_K[fam](rank)),
+        is_split=(sig.dim_k == len(R) // 2),  # dim k of the split form: the positive roots
     )
 
 

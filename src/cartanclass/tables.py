@@ -7,13 +7,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import _linalg as la
+from ._linalg import e
 from .rootsys import RootSystem, build
 
 F = Fraction
-
-
-def _e(i: int, n: int) -> la.Vector:
-    return la.unit_vec(n, i - 1)
 
 
 def standard_max_sos(system: RootSystem) -> list[int]:
@@ -21,42 +18,42 @@ def standard_max_sos(system: RootSystem) -> list[int]:
     fam, rank, n = system.spec.family, system.rank, system.dim
     vecs: list[la.Vector] = []
     if fam == "A":
-        vecs = [la.vsub(_e(2 * i - 1, n), _e(2 * i, n))
+        vecs = [la.vsub(e(2 * i - 1, n), e(2 * i, n))
                 for i in range(1, (rank + 1) // 2 + 1)]
     elif fam == "B":
         for i in range(1, rank // 2 + 1):
-            vecs.append(la.vsub(_e(2 * i - 1, n), _e(2 * i, n)))
-            vecs.append(la.vadd(_e(2 * i - 1, n), _e(2 * i, n)))
+            vecs.append(la.vsub(e(2 * i - 1, n), e(2 * i, n)))
+            vecs.append(la.vadd(e(2 * i - 1, n), e(2 * i, n)))
         if rank % 2:
-            vecs.append(_e(rank, n))
+            vecs.append(e(rank, n))
     elif fam == "C":
         # short pairs then doubled basis vectors, one maximal per (r1, r2)
         r1 = rank // 2 if rank % 2 == 0 else (rank - 1) // 2
         r2 = rank - 2 * r1
-        vecs = [la.vadd(_e(2 * i - 1, n), _e(2 * i, n)) for i in range(1, r1 + 1)]
-        vecs += [la.vscale(2, _e(2 * r1 + i, n)) for i in range(1, r2 + 1)]
+        vecs = [la.vadd(e(2 * i - 1, n), e(2 * i, n)) for i in range(1, r1 + 1)]
+        vecs += [la.vscale(2, e(2 * r1 + i, n)) for i in range(1, r2 + 1)]
     elif fam == "D":
         for i in range(1, rank // 2 + 1):
-            vecs.append(la.vsub(_e(2 * i - 1, n), _e(2 * i, n)))
-            vecs.append(la.vadd(_e(2 * i - 1, n), _e(2 * i, n)))
+            vecs.append(la.vsub(e(2 * i - 1, n), e(2 * i, n)))
+            vecs.append(la.vadd(e(2 * i - 1, n), e(2 * i, n)))
     elif fam == "E6":
-        vecs = [la.vsub(_e(1, n), _e(2, n)), la.vadd(_e(1, n), _e(2, n)),
-                la.vsub(_e(3, n), _e(4, n)), la.vadd(_e(3, n), _e(4, n))]
+        vecs = [la.vsub(e(1, n), e(2, n)), la.vadd(e(1, n), e(2, n)),
+                la.vsub(e(3, n), e(4, n)), la.vadd(e(3, n), e(4, n))]
     elif fam == "E7":
         for i in (1, 2, 3):
-            vecs.append(la.vsub(_e(2 * i - 1, n), _e(2 * i, n)))
-            vecs.append(la.vadd(_e(2 * i - 1, n), _e(2 * i, n)))
-        vecs.append(la.vadd(_e(7, n), _e(8, n)))
+            vecs.append(la.vsub(e(2 * i - 1, n), e(2 * i, n)))
+            vecs.append(la.vadd(e(2 * i - 1, n), e(2 * i, n)))
+        vecs.append(la.vadd(e(7, n), e(8, n)))
     elif fam == "E8":
         for i in (1, 2, 3, 4):
-            vecs.append(la.vsub(_e(2 * i - 1, n), _e(2 * i, n)))
-            vecs.append(la.vadd(_e(2 * i - 1, n), _e(2 * i, n)))
+            vecs.append(la.vsub(e(2 * i - 1, n), e(2 * i, n)))
+            vecs.append(la.vadd(e(2 * i - 1, n), e(2 * i, n)))
     elif fam == "F4":
-        vecs = [la.vsub(_e(1, n), _e(2, n)), la.vadd(_e(1, n), _e(2, n)),
-                la.vsub(_e(3, n), _e(4, n)), la.vadd(_e(3, n), _e(4, n))]
+        vecs = [la.vsub(e(1, n), e(2, n)), la.vadd(e(1, n), e(2, n)),
+                la.vsub(e(3, n), e(4, n)), la.vadd(e(3, n), e(4, n))]
     elif fam == "G2":
-        vecs = [la.vsub(_e(1, n), _e(2, n)),
-                la.vsub(la.vadd(_e(1, n), _e(2, n)), la.vscale(2, _e(3, n)))]
+        vecs = [la.vsub(e(1, n), e(2, n)),
+                la.vsub(la.vadd(e(1, n), e(2, n)), la.vscale(2, e(3, n)))]
     else:
         raise ValueError("no reference system for %r" % fam)
     return [system.root_index(v) for v in vecs]
@@ -69,26 +66,26 @@ def adapted_dual_vector(system: RootSystem) -> la.Vector:
         h = (rank + 1) // 2
         out = la.zero_vec(n)
         for i in range(1, h + 1):
-            out = la.vadd(out, _e(2 * i - 1, n))
+            out = la.vadd(out, e(2 * i - 1, n))
         corr = la.vscale(F(h, rank + 1), tuple(la.ONE for _ in range(n)))
         return la.vsub(out, corr)
     if fam in ("B", "D"):
         h = (rank + 1) // 2 if fam == "B" else rank // 2
         out = la.zero_vec(n)
         for i in range(1, h + 1):
-            out = la.vadd(out, _e(2 * i - 1, n))
+            out = la.vadd(out, e(2 * i - 1, n))
         return out
     if fam == "C":
         return tuple(F(1, 2) for _ in range(n))
     if fam == "E6" or fam == "F4":
-        return la.vadd(_e(1, n), _e(3, n))
+        return la.vadd(e(1, n), e(3, n))
     if fam in ("E7", "E8"):
         out = la.zero_vec(n)
         for i in (1, 3, 5, 7):
-            out = la.vadd(out, _e(i, n))
+            out = la.vadd(out, e(i, n))
         return out
     if fam == "G2":
-        return _e(1, n)
+        return e(1, n)
     raise ValueError("no dual vector for %r" % fam)
 
 
@@ -104,9 +101,9 @@ def dual_vector_table():
                      standard_max_sos(system)))
     # the second F4 reference system shares the same dual vector
     f4 = build("F4")
-    alt = [f4.root_index(la.vsub(_e(1, 4), _e(2, 4))),
-           f4.root_index(la.vadd(_e(1, 4), _e(2, 4))),
-           f4.root_index(_e(3, 4))]
+    alt = [f4.root_index(la.vsub(e(1, 4), e(2, 4))),
+           f4.root_index(la.vadd(e(1, 4), e(2, 4))),
+           f4.root_index(e(3, 4))]
     rows.append(("F4'", f4, adapted_dual_vector(f4), alt))
     return rows
 
@@ -118,7 +115,7 @@ def compact_chain_sos(system: RootSystem) -> list[int]:
     through the doubled coordinate vectors (all long)."""
     if system.spec.family == "C":
         n = system.dim
-        return [system.root_index(la.vscale(2, _e(i, n)))
+        return [system.root_index(la.vscale(2, e(i, n)))
                 for i in range(1, system.rank + 1)]
     return standard_max_sos(system)
 

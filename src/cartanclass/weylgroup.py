@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import NamedTuple
-
 from . import _linalg as la
 from .rootsys import RootSystem
 
@@ -35,30 +33,6 @@ def perm_inv(p: Perm) -> Perm:
 
 def identity_perm(n: int) -> Perm:
     return tuple(range(n))
-
-
-class RootPermutation(NamedTuple):
-    """A root-set automorphism: index permutation plus the induced matrix."""
-
-    system: RootSystem
-    images: Perm
-
-    def matrix(self) -> la.Matrix:
-        return self.system.matrix_of_perm(self.images)
-
-    def validate(self) -> None:
-        neg = self.system.negation_map
-        for i in range(len(self.images)):
-            if self.images[neg[i]] != neg[self.images[i]]:
-                raise ValueError("permutation does not commute with negation")
-        m = self.matrix()
-        if not la.is_orthogonal(m):
-            raise ValueError("induced matrix is not orthogonal")
-        if self.system.perm_of_matrix(m) != self.images:
-            raise ValueError("matrix does not reproduce the permutation")
-
-    def __call__(self, idx: int) -> int:
-        return self.images[idx]
 
 
 class _Level:
@@ -239,13 +213,10 @@ class PermGroup:
         return self._order
 
     def contains(self, g) -> bool:
-        images = g.images if isinstance(g, RootPermutation) else tuple(g)
+        images = tuple(g)
         if len(images) != self.n:
             raise ValueError("permutation acts on a different root set")
         return self.chain().contains(images)
-
-    def wrap(self, images: Perm) -> RootPermutation:
-        return RootPermutation(self.system, tuple(images))
 
     def iter_elements(self):
         return self.chain().iter_elements()
@@ -259,20 +230,19 @@ class PermGroup:
         pairings = sorted(sorted(pm[a][b] for b in xs) for a in xs)
         return norms, pairings
 
-    def transporter_set(self, xs, ys) -> RootPermutation | None:
+    def transporter_set(self, xs, ys) -> Perm | None:
         """Some g in G with g(X) = Y as sets, or None."""
         X = tuple(sorted(set(xs)))
         Y = frozenset(ys)
         if len(X) != len(Y):
             return None
         if not X:
-            return self.wrap(identity_perm(self.n))
+            return identity_perm(self.n)
         if self._profile(X) != self._profile(sorted(Y)):
             return None
-        res = self._search_blocks([(X, Y)])
-        return None if res is None else self.wrap(res)
+        return self._search_blocks([(X, Y)])
 
-    def transporter_pair(self, xpair, ypair) -> RootPermutation | None:
+    def transporter_pair(self, xpair, ypair) -> Perm | None:
         """Some g with g(X1) = Y1 and g(X2) = Y2 as sets, or None."""
         (x1, x2), (y1, y2) = xpair, ypair
         b1 = (tuple(sorted(set(x1))), frozenset(y1))
@@ -283,8 +253,7 @@ class PermGroup:
             return None
         if b2[0] and self._profile(b2[0]) != self._profile(sorted(b2[1])):
             return None
-        res = self._search_blocks([b1, b2])
-        return None if res is None else self.wrap(res)
+        return self._search_blocks([b1, b2])
 
     def _search_blocks(self, blocks) -> Perm | None:
         """Backtrack for g mapping each block's X onto its Y setwise.
@@ -343,12 +312,8 @@ class PermGroup:
         Exhausts the stabilizer chain with partial-consistency pruning, so a
         None answer is a proof that no conjugating element exists in G.
         """
-
-        def unwrap(t):
-            return t.images if isinstance(t, RootPermutation) else tuple(t)
-
-        conds = [(unwrap(theta), unwrap(theta2))]
-        conds += [(unwrap(a), unwrap(b)) for a, b in pairs]
+        conds = [(tuple(theta), tuple(theta2))]
+        conds += [(tuple(a), tuple(b)) for a, b in pairs]
         n = self.n
         neg = self.system.negation_map
 
@@ -424,6 +389,18 @@ def diagram_automorphisms(system: RootSystem) -> list[Perm]:
             for p in system.diagram_symmetries]
 
 
+def factor_swap(system: RootSystem, bi: int, bj: int) -> Perm:
+    """The root permutation exchanging the equal factors bi and bj of a
+    union: each simple root of one goes to the simple root in the same
+    position of the other."""
+    cb = system.canonical_basis
+    starts = [0, *itertools.accumulate(blk.rank for blk in system.factors)]
+    images = list(cb)
+    images[starts[bi]:starts[bi + 1]] = cb[starts[bj]:starts[bj + 1]]
+    images[starts[bj]:starts[bj + 1]] = cb[starts[bi]:starts[bi + 1]]
+    return system.perm_from_simple_images(images)
+
+
 def full_aut_group(system: RootSystem) -> PermGroup:
     got = system._full_aut_group
     if got is not None:
@@ -442,24 +419,9 @@ def full_aut_group(system: RootSystem) -> PermGroup:
                 gens.append(system.perm_from_simple_images(images))
         for bi, bj in itertools.combinations(range(len(system.factors)), 2):
             if system.factors[bi].spec == system.factors[bj].spec:
-                images = list(cb)
-                images[starts[bi]:starts[bi + 1]] = cb[starts[bj]:starts[bj + 1]]
-                images[starts[bj]:starts[bj + 1]] = cb[starts[bi]:starts[bi + 1]]
-                gens.append(system.perm_from_simple_images(images))
+                gens.append(factor_swap(system, bi, bj))
     got = system._full_aut_group = PermGroup(system, gens, name="A(%s)" % system.spec.label)
     return got
-
-
-def reflection_matrix(n: int, v: la.Vector) -> la.Matrix:
-    """Matrix of the reflection across the hyperplane orthogonal to v."""
-    d = la.vdot(v, v)
-    if d == 0:
-        raise ValueError("reflection across the zero vector")
-    cols = []
-    for i in range(n):
-        e = la.unit_vec(n, i)
-        cols.append(la.vsub(e, la.vscale(2 * la.vdot(e, v) / d, v)))
-    return tuple(zip(*cols))
 
 
 def in_weyl(system: RootSystem, perm) -> bool:

@@ -4,7 +4,7 @@ cartanclass._linalg."""
 
 from fractions import Fraction
 
-from cartanclass._linalg import _rref, vdot
+from cartanclass._linalg import _rref, unit_vec, vdot, vscale, vsub
 
 
 def vec(entries):
@@ -25,3 +25,22 @@ def rank(rows_in) -> int:
         return 0
     _, pivots = _rref([list(r) for r in rows_in])
     return len(pivots)
+
+
+def is_orthogonal(m) -> bool:
+    """m^T m = 1: the columns are orthonormal and as many as the rows."""
+    cols = tuple(zip(*m))
+    return len(cols) == len(m) and all(
+        vdot(u, v) == (i == j) for i, u in enumerate(cols) for j, v in enumerate(cols))
+
+
+def reflection_matrix(n: int, v):
+    """Matrix of the reflection across the hyperplane orthogonal to v."""
+    d = vdot(v, v)
+    if d == 0:
+        raise ValueError("reflection across the zero vector")
+    cols = []
+    for i in range(n):
+        e = unit_vec(n, i)
+        cols.append(vsub(e, vscale(2 * vdot(e, v) / d, v)))
+    return tuple(zip(*cols))

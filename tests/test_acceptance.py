@@ -126,8 +126,8 @@ def test_criterion_02_e8_e7_dichotomy():
         return v
 
     for row1, row2, (p1, p2) in TABLE_I:
-        m = rl.mat_mul(wg.reflection_matrix(8, evec(*row1)),
-                       wg.reflection_matrix(8, evec(*row2)))
+        m = rl.mat_mul(rl.reflection_matrix(8, evec(*row1)),
+                       rl.reflection_matrix(8, evec(*row2)))
         perm = E8.perm_of_matrix(m)
         assert perm is not None
         # permutation action on the frame is the stated double transposition
@@ -138,8 +138,8 @@ def test_criterion_02_e8_e7_dichotomy():
             assert perm[B[i]] == B[want[i]], (row1, row2)
         # the identity with the frame-difference reflections
         m2 = rl.mat_mul(
-            wg.reflection_matrix(8, la.vsub(bvecs[p1[0]], bvecs[p1[1]])),
-            wg.reflection_matrix(8, la.vsub(bvecs[p2[0]], bvecs[p2[1]])))
+            rl.reflection_matrix(8, la.vsub(bvecs[p1[0]], bvecs[p1[1]])),
+            rl.reflection_matrix(8, la.vsub(bvecs[p2[0]], bvecs[p2[1]])))
         assert m == m2, (row1, row2)
     got = {q for q in itertools.combinations(range(1, 9), 4)
            if wg.klein_in_weyl(E8, [B[i] for i in q])}

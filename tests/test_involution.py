@@ -75,6 +75,94 @@ def test_images_of_roots_take_the_integer_path(spec, monkeypatch):
         assert iv.involution_from_images(R, images).perm == want
 
 
+def _rational_from_images(R, imgs):
+    """The rational path involution_from_images used to take: solve for the
+    ambient map, test that it is orthogonal, read the permutation it induces
+    on the roots.  The permutation, or the message of the first check that
+    fails."""
+    try:
+        m = la.map_from_images([R.roots[b] for b in R.canonical_basis], imgs)
+    except ValueError as exc:
+        return str(exc)
+    if not rl.is_orthogonal(m):
+        return "map is not an isometry"
+    perm = R.perm_of_matrix(m)
+    if perm is None:
+        return "map does not preserve the root set"
+    try:
+        return iv.Involution(R, perm).perm
+    except iv.InvolutionError as exc:
+        return str(exc)
+
+
+def _image_inputs(R, rng, count):
+    """Images of the simple roots, count of each kind: random roots, random
+    words in the automorphism generators, W-conjugates of catalog rows,
+    automorphism images with one image scaled or perturbed, and reflections
+    across random vectors of the root span."""
+    basis, n = R.canonical_basis, len(R)
+    gens = wg.full_aut_group(R).generators + [R.negation_map]
+    refls = [R.reflection_perm(b) for b in basis]
+    rows = [theta.perm for _, theta in iv.table2_representatives(R)]
+
+    def word(pool, length):
+        g = wg.identity_perm(n)
+        for _ in range(length):
+            g = wg.perm_mul(rng.choice(pool), g)
+        return g
+
+    def images(perm):
+        return [R.roots[perm[b]] for b in basis]
+
+    out = []
+    for _ in range(count):
+        out.append([R.roots[rng.randrange(n)] for _ in basis])
+        out.append(images(word(gens, rng.randint(1, 12))))
+        g = word(refls, rng.randint(0, 8))
+        out.append(images(wg.perm_mul(wg.perm_mul(g, rng.choice(rows)), wg.perm_inv(g))))
+        imgs = images(word(gens, rng.randint(0, 6)))
+        k, c = rng.randrange(len(basis)), rng.randrange(R.dim)
+        if rng.random() < 0.5:
+            imgs[k] = la.vscale(rng.choice([-1, 2, F(1, 2)]), imgs[k])
+        else:
+            imgs[k] = imgs[k][:c] + (imgs[k][c] + F(rng.choice([-1, 1]), rng.choice([1, 2, 3])),) \
+                + imgs[k][c + 1:]
+        out.append(imgs)
+        v = la.zero_vec(R.dim)
+        while not any(v):
+            for b in basis:
+                v = la.vadd(v, la.vscale(rng.randint(-2, 2), R.roots[b]))
+        d = la.vdot(v, v)
+        out.append([la.vsub(R.roots[b], la.vscale(2 * la.vdot(R.roots[b], v) / d, v))
+                    for b in basis])
+    return out
+
+
+_FUZZ_SPECS = [rs.RootSystemSpec(f, r) for f, r in
+               [("A", 3), ("B", 2), ("G2", None), ("C", 3), ("D", 4), ("F4", None),
+                ("E6", None), ("E7", None)]] + [rs.RootSystemSpec("E6", realization="prime")]
+
+
+@pytest.mark.parametrize("spec", _FUZZ_SPECS, ids=lambda s: s.label)
+def test_images_agree_with_the_rational_path(spec):
+    """involution_from_images gives the permutation, or the message, of the
+    rational path on seeded inputs of every kind; each of the four outcomes
+    (an involution, a map of higher order, a non-isometry, an isometry off
+    the root set) occurs."""
+    R = rs.build(spec)
+    outcomes = set()
+    for imgs in _image_inputs(R, random.Random(14), 10):
+        want = _rational_from_images(R, imgs)
+        try:
+            got = iv.involution_from_images(R, imgs).perm
+        except iv.InvolutionError as exc:
+            got = str(exc)
+        assert got == want, imgs
+        outcomes.add(want if isinstance(want, str) else "involution")
+    assert outcomes == {"involution", "permutation does not square to the identity",
+                        "map is not an isometry", "map does not preserve the root set"}
+
+
 def test_partition_orthogonality():
     # negated roots are orthogonal to fixed roots
     for fam, rank, refl in [("B", 4, [(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, -1)]),
@@ -175,6 +263,47 @@ def test_special_table_entries():
     eps = iv.special_involutions(D5)[1]
     assert eps.apply_vec(la.unit_vec(5, 4)) == rl.vneg(la.unit_vec(5, 4))
     assert eps.apply_vec(la.unit_vec(5, 0)) == la.unit_vec(5, 0)
+
+
+def _old_special_matrix(R):
+    """The ambient matrix of the special involution as special_involutions
+    used to write it: e_i -> -e_{n+1-i} on A, the sign change of the last
+    coordinate on D, the hand-written flip on E6', and on E6 the linear
+    extension of the diagram flip, solved for in rationals."""
+    fam, n = R.spec.family, R.dim
+    one, zero = F(1), F(0)
+    if fam == "A":
+        return tuple(tuple(-one if j == n - 1 - i else zero for j in range(n)) for i in range(n))
+    if fam == "D":
+        return tuple(tuple((one if (i == j and i < n - 1) else
+                            (-one if (i == j == n - 1) else zero))
+                           for j in range(n)) for i in range(n))
+    if R.spec.realization == "prime":
+        rows = []
+        for i in range(8):
+            row = [zero] * 8
+            row[5 - i if i < 6 else 13 - i] = -one
+            rows.append(tuple(row))
+        return tuple(rows)
+    cb = R.canonical_basis
+    flip = next(p for p in R.diagram_symmetries
+                if p != tuple(range(len(p))) and all(p[p[i]] == i for i in range(len(p))))
+    return la.map_from_images([R.roots[b] for b in cb], [R.roots[cb[i]] for i in flip])
+
+
+_SPECIAL_SPECS = [rs.RootSystemSpec("A", r) for r in range(2, 9)] + \
+    [rs.RootSystemSpec("D", r) for r in range(4, 9)] + \
+    [rs.RootSystemSpec("E6"), rs.RootSystemSpec("E6", realization="prime")]
+
+
+@pytest.mark.parametrize("spec", _SPECIAL_SPECS, ids=lambda s: s.label)
+def test_special_involutions_match_the_old_matrices(spec):
+    R = rs.build(spec)
+    ident, eps = iv.special_involutions(R)
+    assert ident.perm == wg.identity_perm(len(R))
+    m = _old_special_matrix(R)
+    assert rl.is_orthogonal(m)
+    assert eps.perm == R.perm_of_matrix(m)
 
 
 def test_classify_sos_examples():
@@ -330,8 +459,22 @@ def test_complex_type_involution():
     # mismatched factors are rejected
     bad = rs.build(rs.RootSystemSpec(factors=(rs.RootSystemSpec("A", 1),
                                               rs.RootSystemSpec("B", 2))))
-    with pytest.raises(iv.InvolutionError):
+    with pytest.raises(iv.InvolutionError,
+                       match=r"^complex type needs two equal factors, not A1 and B2$"):
         iv.complex_type_involution(bad)
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 1), ("A", 2), ("B", 2), ("G2", None),
+                                      ("D", 4), ("E6", None)])
+def test_complex_type_involution_matches_the_old_swap(fam, rank):
+    """The swap equals the ambient matrix (a', a'') -> (a'', a') that
+    complex_type_involution used to write."""
+    f = rs.RootSystemSpec(fam, rank)
+    U = rs.build(rs.RootSystemSpec(factors=(f, f)))
+    d, n = U.factors[0].dim, U.dim
+    m = tuple(tuple(F(j == (i + d) % n) for j in range(n)) for i in range(n))
+    assert rl.is_orthogonal(m)
+    assert iv.complex_type_involution(U).perm == U.perm_of_matrix(m)
 
 
 def test_involution_json():

@@ -79,11 +79,11 @@ def test_importing_the_package_loads_no_layer():
 
 # Every name the package exported when it imported all layers eagerly, with
 # its home module.  eta_from_omega, the vector form of a sign character, has
-# left the API (the tests keep it in test_realform.py).
+# left the API (the tests keep it in test_realform.py), and so has
+# RootPermutation: group searches return plain permutation tuples.
 EXPORTS = {
     "rootsys": ["Chamber", "RootSystem", "RootSystemError", "RootSystemSpec", "build"],
-    "weylgroup": ["PermGroup", "RootPermutation", "full_aut_group", "in_weyl",
-                  "klein_in_weyl", "weyl_group"],
+    "weylgroup": ["PermGroup", "full_aut_group", "in_weyl", "klein_in_weyl", "weyl_group"],
     "chevalley": ["ChevalleySystem", "DenseAlgebra", "Qrt2", "QuarterTurn",
                   "ad_k_char_polys", "apply_map", "dense_algebra", "exp_quarter_pi_adk",
                   "structure_constants"],

@@ -213,6 +213,29 @@ def test_lift_identity_is_split():
         assert rf.identify(s).is_split
 
 
+# dim k of the split form per family, as identify used to tabulate it
+_SPLIT_DIM_K = {
+    "A": lambda r: (r + 1) * r // 2,
+    "B": lambda r: r * (r - 1) // 2 + (r + 1) * r // 2,
+    "C": lambda r: r * r,
+    "D": lambda r: r * (r - 1),
+    "E6": lambda r: 36, "E7": lambda r: 63, "E8": lambda r: 120,
+    "F4": lambda r: 24, "G2": lambda r: 6,
+}
+
+
+def test_split_dim_k_is_the_number_of_positive_roots():
+    """identify calls a form split when dim k is len(R) // 2; that is the
+    old table on every family up to rank 12, and a named form has it."""
+    cases = [("A", r) for r in range(1, 13)] + [("B", r) for r in range(2, 13)] + \
+        [("C", r) for r in range(3, 13)] + [("D", r) for r in range(4, 13)] + \
+        [(f, None) for f in ("E6", "E7", "E8", "F4", "G2")]
+    for fam, rank in cases:
+        R = rs.build(fam, rank)
+        assert len(R) // 2 == _SPLIT_DIM_K[fam](R.rank), R.spec.label
+        assert rf._name_table(fam, R.rank).get(len(R) // 2), R.spec.label
+
+
 def test_lift_b2_antipodal():
     B2 = rs.build("B", 2)
     s = rf.quasi_split_lift(iv.antipodal_involution(B2))

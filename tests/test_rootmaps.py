@@ -237,8 +237,8 @@ def _klein_by_matrices(R, quad):
     W = wg.weyl_group(R)
     vs = [R.roots[i] for i in quad]
     for (i, j), (k, m) in [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]:
-        m1 = wg.reflection_matrix(R.dim, la.vsub(vs[i], vs[j]))
-        m2 = wg.reflection_matrix(R.dim, la.vsub(vs[k], vs[m]))
+        m1 = rl.reflection_matrix(R.dim, la.vsub(vs[i], vs[j]))
+        m2 = rl.reflection_matrix(R.dim, la.vsub(vs[k], vs[m]))
         perm = R.perm_of_matrix(rl.mat_mul(m1, m2))
         if perm is None or not W.contains(perm):
             return False
