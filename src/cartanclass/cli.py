@@ -246,8 +246,11 @@ def _verify_table2(args) -> list[tuple[str, bool]]:
         except iv.InvolutionError:
             ok = False
         out.append(("table2[%s] involutive" % lab, ok))
+    # rows with equal invariants (two in D6 and D8) must not be W-conjugate
     invs = [rep.invariants() for _, rep in reps]
-    out.append(("table2 invariant separation", len(set(invs)) == len(invs)))
+    apart = not any(invs[i] == invs[j] and iv.equivalent_involutions(reps[i][1], reps[j][1])
+                    for i in range(len(reps)) for j in range(i))
+    out.append(("table2 invariant separation", apart))
     return out
 
 

@@ -17,7 +17,8 @@ from .chevalley import (ChevalleySystem, DenseAlgebra, LinearMap, QuarterTurn,
                         dense_algebra, structure_constants)
 from .diagram import find_s_chamber
 from .involution import (Involution, InvolutionError, antipodal_involution,
-                         decompose, first_max_clique, positive_representatives)
+                         _orthogonal_components, decompose, first_max_clique,
+                         positive_representatives)
 from .rootsys import CartanclassError, RootSystem
 from .weylgroup import identity_perm, perm_mul, weyl_group
 
@@ -607,11 +608,19 @@ def cartan_classes(sigma: AntiInvolution) -> list[Involution]:
     Transform chains extend the decomposition set of the maximally vector
     datum by pairwise orthogonal fixed roots of the special part; the
     classes of the resulting involutions (modulo Weyl elements commuting
-    with the special part) stand for the Cartan subalgebras."""
+    with the special part) stand for the Cartan subalgebras.
+
+    A set S is extended only by the first eligible root, in pool order, of
+    each (component, length) orbit of Psi, the real roots of the special
+    part eps orthogonal to S.  A reflection in Psi fixes S and commutes
+    with eps (s_{eps g} = s_{-g} = s_g), and W(Psi) is transitive on the
+    roots of one length in each irreducible component, so a skipped root
+    gives an involution conjugate to that of the kept one.  A conjugacy
+    search decides the candidates left, and builds the Weyl group only
+    when the first one runs."""
     R = sigma.system
     reduced = reduce_noncompact(sigma, verify_dense=False)
     eps, base = decompose(reduced.theta)
-    W = weyl_group(R)
     pm = R.pairing_matrix
     pool = [i for i in positive_representatives(R, eps.real_set)
             if all(pm[i][b] == 0 for b in base)]
@@ -632,16 +641,21 @@ def cartan_classes(sigma: AntiInvolution) -> list[Involution]:
                 (len(t2.imaginary_set), len(t2.real_set)):
             return False
         pairs = [(eps.perm, eps.perm)] if special else []
-        return W.conjugator(t1.perm, t2.perm, pairs=pairs) is not None
+        return weyl_group(R).conjugator(t1.perm, t2.perm, pairs=pairs) is not None
 
     reps: list[tuple[tuple[int, ...], Involution]] = [(tuple(base), theta_of(base))]
     frontier = [tuple(base)]
     while frontier:
         new_frontier = []
         for S in frontier:
-            for g in pool:
-                if g in S or any(pm[g][s] for s in S):
+            psi = [g for g in pool if g not in S and not any(pm[g][s] for s in S)]
+            orbit = {g: (k, R._norms[g])
+                     for k, c in enumerate(_orthogonal_components(R, psi)) for g in c}
+            kept = set()
+            for g in psi:
+                if orbit[g] in kept:
                     continue
+                kept.add(orbit[g])
                 S2 = tuple(sorted(S + (g,)))
                 t2 = theta_of(S2)
                 if any(same_class(t2, t) for _, t in reps):

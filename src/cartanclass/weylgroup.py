@@ -336,6 +336,7 @@ class PermGroup:
         levels = chain.levels
         base = [lev.point for lev in levels]
         base_pos = {b: j for j, b in enumerate(base)}
+        pm = self.system.pairing_matrix
 
         def rec(li: int, g: Perm) -> Perm | None:
             if li == len(levels):
@@ -350,6 +351,11 @@ class PermGroup:
                 if any(cls2[g[c]] != cls1[b] for cls1, cls2 in classes):
                     continue
                 g2 = perm_mul(g, lev.orbit[c])
+                # g2 is final on the base points so far, and an isometry with
+                # g t1 = t2 g keeps <x, t1 y> as <g x, t2 g y> among them
+                if any(pm[g2[x]][t2[g2[y]]] != pm[x][t1[y]] for t1, t2 in conds
+                       for bj in base[: li + 1] for x, y in ((bj, b), (b, bj))):
+                    continue
                 ok = True
                 for t1, t2 in conds:
                     for bj in base[: li + 1]:

@@ -497,6 +497,18 @@ def test_criterion_11_dimension_counts():
     report(11, "dim k + dim p = rank + root count on every enumerated datum")
 
 
+def test_cartan_classes_e7_row_9_bound():
+    """The Cartan classes of the quasi-split lift of E7 row 9: ten, in well
+    under a second (one conjugacy search per candidate took about 3 s)."""
+    E7 = rs.build("E7")
+    sigma = rf.quasi_split_lift(dict(iv.table2_representatives(E7))["9"])
+    t0 = time.time()
+    classes = rf.cartan_classes(sigma)
+    took = time.time() - t0
+    assert len(classes) == 10
+    assert took < 1, took
+
+
 # -- criterion 12: restricted diagrams ---------------------------------------------------
 
 

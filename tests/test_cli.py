@@ -187,6 +187,15 @@ def test_verify_suites():
     assert code == 0 and "PASS" in out
 
 
+@pytest.mark.parametrize("rank", [6, 8])
+def test_verify_table2_separates_rows_with_equal_invariants(rank):
+    """Two D6 rows (r1,2 and r3,0; r2,2 and r4,0 of D8) share their
+    invariants but are not W-conjugate, so the catalog separates them."""
+    code, out = run(["verify", "table2", "--type", "D", "--rank", str(rank)])
+    assert code == 0, out
+    assert "PASS table2 invariant separation\n" in out
+
+
 def test_exit_codes():
     with pytest.raises(SystemExit) as exc:
         cli.main(["build", "--type", "Z"])

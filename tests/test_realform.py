@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from cartanclass import _linalg as la
 from cartanclass import chevalley as cv
 from cartanclass import diagram as dg, involution as iv, realform as rf, rootsys as rs
+from cartanclass import weylgroup as wg
 from test_rootsys import fundamental_coweights
 import reference_linalg as rl
 
@@ -444,6 +445,152 @@ def test_cartan_classes():
     b = list(B2.canonical_chamber().basis)
     s14 = rf.sigma_from_basis_signs(B2, {b[0]: 1, b[1]: -1})
     assert len(rf.cartan_classes(s14)) == 2
+
+
+def _cartan_walk_by_search(sigma):
+    """The reference walk: cartan_classes before the orbit rule, with a
+    conjugacy search (under Weyl elements commuting with the special part)
+    for every candidate extension.  Returns the involutions in output order,
+    the special part, the pool and the kept sets, each extended in turn."""
+    R = sigma.system
+    eps, base = iv.decompose(rf.reduce_noncompact(sigma, verify_dense=False).theta)
+    W = wg.weyl_group(R)
+    pm = R.pairing_matrix
+    pool = [i for i in iv.positive_representatives(R, eps.real_set)
+            if all(pm[i][b] == 0 for b in base)]
+
+    def theta_of(S):
+        perm = eps.perm
+        for b in S:
+            perm = wg.perm_mul(perm, R.reflection_perm(b))
+        return iv.Involution(R, perm)
+
+    pairs = [(eps.perm, eps.perm)] if eps.perm != wg.identity_perm(len(R)) else []
+
+    def same_class(t1, t2):
+        if t1.perm == t2.perm:
+            return True
+        if (len(t1.imaginary_set), len(t1.real_set)) != \
+                (len(t2.imaginary_set), len(t2.real_set)):
+            return False
+        return W.conjugator(t1.perm, t2.perm, pairs=pairs) is not None
+
+    reps = [(tuple(base), theta_of(base))]
+    frontier = [tuple(base)]
+    while frontier:
+        new_frontier = []
+        for S in frontier:
+            for g in pool:
+                if g in S or any(pm[g][s] for s in S):
+                    continue
+                S2 = tuple(sorted(S + (g,)))
+                t2 = theta_of(S2)
+                if any(same_class(t2, t) for _, t in reps):
+                    continue
+                reps.append((S2, t2))
+                new_frontier.append(S2)
+        frontier = new_frontier
+    reps.sort(key=lambda st: (len(st[0]), st[0]))
+    return [t for _, t in reps], eps, pool, [S for S, _ in reps]
+
+
+_CARTAN_SPECS = ([rs.RootSystemSpec("A", r) for r in range(1, 8)]
+                 + [rs.RootSystemSpec("B", r) for r in range(2, 7)]
+                 + [rs.RootSystemSpec("C", r) for r in range(3, 7)]
+                 + [rs.RootSystemSpec("D", r) for r in range(4, 8)]
+                 + [rs.RootSystemSpec(f) for f in ("G2", "F4", "E6", "E7")]
+                 + [rs.RootSystemSpec("E6", realization="prime")])
+
+
+def _seeded_conjugate(theta, rng, length=10):
+    """theta conjugated by a random word in the simple reflections, built
+    from the images of the simple roots as --images builds it."""
+    R = theta.system
+    g = wg.identity_perm(len(R))
+    for _ in range(length):
+        g = wg.perm_mul(R.reflection_perm(rng.choice(R.canonical_basis)), g)
+    perm = wg.perm_mul(wg.perm_mul(g, theta.perm), wg.perm_inv(g))
+    return iv.involution_from_images(R, [R.roots[perm[b]] for b in R.canonical_basis])
+
+
+def _conjugate_lifts():
+    rng = random.Random(15)
+    rows = dict(iv.table2_representatives(rs.build("E6")))
+    out = [rf.quasi_split_lift(_seeded_conjugate(rows["w3"], rng)) for _ in range(12)]
+    for _, theta in iv.table2_representatives(rs.build("F4")):
+        out += [rf.quasi_split_lift(_seeded_conjugate(theta, rng)) for _ in range(2)]
+    return out
+
+
+@pytest.mark.parametrize("spec", _CARTAN_SPECS, ids=lambda s: s.label)
+def test_cartan_classes_match_the_search_on_every_catalog_row(spec):
+    R = rs.build(spec)
+    for lab, theta in iv.table2_representatives(R):
+        sigma = rf.quasi_split_lift(theta)
+        want = [t.perm for t in _cartan_walk_by_search(sigma)[0]]
+        assert [t.perm for t in rf.cartan_classes(sigma)] == want, lab
+
+
+def test_cartan_classes_match_the_search_on_seeded_conjugates():
+    for sigma in _conjugate_lifts():
+        want = [t.perm for t in _cartan_walk_by_search(sigma)[0]]
+        assert [t.perm for t in rf.cartan_classes(sigma)] == want
+
+
+def _reflection_word(R, psi, src, dst):
+    """A product of reflections in psi mapping the root src to +-dst, by a
+    breadth-first search over the orbit of src, or None."""
+    targets = {dst, R.negation_map[dst]}
+    word = {src: wg.identity_perm(len(R))}
+    todo = [src]
+    for a in todo:
+        if a in targets:
+            return word[a]
+        for c in psi:
+            s = R.reflection_perm(c)
+            if s[a] not in word:
+                word[s[a]] = wg.perm_mul(s, word[a])
+                todo.append(s[a])
+    return None
+
+
+@pytest.mark.parametrize("fam,rank,labels", [
+    ("F4", None, None), ("B", 4, None), ("C", 4, None), ("D", 5, None),
+    ("E6", None, None), ("E7", None, ("9",))], ids=["F4", "B4", "C4", "D5", "E6", "E7-9"])
+def test_skipped_extensions_have_reflection_witnesses(fam, rank, labels):
+    """Each candidate the orbit rule skips is carried onto the kept one of
+    its (component, length) class by a product of reflections in Psi, the
+    real roots of the special part orthogonal to the set, that commutes
+    with the special part."""
+    R = rs.build(fam, rank)
+    pm = R.pairing_matrix
+    skipped = 0
+    for lab, theta in iv.table2_representatives(R):
+        if labels and lab not in labels:
+            continue
+        _, eps, pool, kept_sets = _cartan_walk_by_search(rf.quasi_split_lift(theta))
+
+        def theta_of(S):
+            perm = eps.perm
+            for b in S:
+                perm = wg.perm_mul(perm, R.reflection_perm(b))
+            return perm
+
+        for S in kept_sets:
+            psi = [g for g in pool if g not in S and not any(pm[g][s] for s in S)]
+            first = {}
+            for k, comp in enumerate(iv._orthogonal_components(R, psi)):
+                for h in sorted(comp, key=psi.index):
+                    g = first.setdefault((k, R.norm2(h)), h)
+                    if g == h:
+                        continue
+                    w = _reflection_word(R, psi, h, g)
+                    assert w is not None, (lab, S, h, g)
+                    assert wg.perm_mul(w, eps.perm) == wg.perm_mul(eps.perm, w)
+                    moved = wg.perm_mul(wg.perm_mul(w, theta_of(S + (h,))), wg.perm_inv(w))
+                    assert moved == theta_of(S + (g,)), (lab, S, h, g)
+                    skipped += 1
+    assert skipped > 0
 
 
 def test_compact_cartan_enumeration_b2():

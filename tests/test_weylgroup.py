@@ -157,6 +157,83 @@ def test_conjugator_small():
     assert W.conjugator(s_short, s_long) is None
 
 
+def _conjugator_by_classes(G, theta, theta2, pairs=()):
+    """The reference conjugacy search: PermGroup.conjugator pruned only by
+    the fixed/negated/complex class of each base image and by the base
+    points that conditions map onto base points (no pairing test)."""
+    conds = [(tuple(theta), tuple(theta2))] + [(tuple(a), tuple(b)) for a, b in pairs]
+    n, neg = G.n, G.system.negation_map
+
+    def point_class(t, i):
+        return 0 if t[i] == i else 1 if t[i] == neg[i] else 2
+
+    classes = []
+    for t1, t2 in conds:
+        cls1 = [point_class(t1, i) for i in range(n)]
+        cls2 = [point_class(t2, i) for i in range(n)]
+        if sorted(cls1) != sorted(cls2):
+            return None
+        classes.append((cls1, cls2))
+    levels = G.chain().levels
+    base = [lev.point for lev in levels]
+    base_pos = {b: j for j, b in enumerate(base)}
+
+    def rec(li, g):
+        if li == len(levels):
+            ok = all(t2[g[i]] == g[t1[i]] for t1, t2 in conds for i in range(n))
+            return g if ok else None
+        b = levels[li].point
+        for c in sorted(levels[li].orbit):
+            if any(cls2[g[c]] != cls1[b] for cls1, cls2 in classes):
+                continue
+            g2 = wg.perm_mul(g, levels[li].orbit[c])
+            if all(t2[g2[bj]] == g2[t1[bj]] for t1, t2 in conds for bj in base[: li + 1]
+                   if base_pos.get(t1[bj], len(levels)) <= li):
+                out = rec(li + 1, g2)
+                if out is not None:
+                    return out
+        return None
+
+    return rec(0, wg.identity_perm(n))
+
+
+@pytest.mark.parametrize("fam,rank", [("B", 3), ("C", 4), ("D", 4), ("G2", None),
+                                      ("F4", None), ("E6", None)])
+def test_conjugator_pairing_test_keeps_the_first_found(fam, rank):
+    """The pairing test only cuts branches that hold no solution, so the
+    search returns the element the class-only search returns, or None
+    with it, also under an extra commuting condition."""
+    R = rs.build(fam, rank)
+    W = wg.weyl_group(R)
+    rng = random.Random("conjugator " + R.spec.label)
+    rows = [iv.identity_involution(R)] + [t for _, t in iv.table2_representatives(R)]
+    refl = [R.reflection_perm(b) for b in R.canonical_basis]
+
+    def word():
+        g = wg.identity_perm(len(R))
+        for _ in range(rng.randint(0, 8)):
+            g = wg.perm_mul(rng.choice(refl), g)
+        return g
+
+    def conj(g, t):
+        return wg.perm_mul(wg.perm_mul(g, t), wg.perm_inv(g))
+
+    found = 0
+    for k in range(12):
+        a = rng.choice(rows).perm
+        b = a if k % 2 else rng.choice(rows).perm
+        g, s = word(), rng.choice(rows).perm
+        got = W.conjugator(a, conj(g, b))
+        assert got == _conjugator_by_classes(W, a, conj(g, b))
+        found += got is not None
+        # with a second condition, solved by g itself when a = b
+        pairs = [(s, conj(g if k % 3 else word(), s))]
+        got = W.conjugator(a, conj(g, b), pairs=pairs)
+        assert got == _conjugator_by_classes(W, a, conj(g, b), pairs)
+        found += got is not None
+    assert 8 <= found < 24
+
+
 def test_union_group():
     spec = rs.RootSystemSpec(factors=(rs.RootSystemSpec("A", 1),
                                       rs.RootSystemSpec("A", 1)))
