@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -400,10 +401,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
     except rs.CartanclassError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader has all it wanted: end quietly, with stdout on devnull
+        # so that the interpreter's own last flush has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

@@ -66,9 +66,15 @@ class Involution:
         return in_weyl(self.system, self.perm)
 
     @cached_property
-    def length(self) -> int:
+    def orthogonal_set(self) -> tuple[int, ...]:
+        """The first largest orthogonal set of positive negated roots, in
+        pool order; one clique search serves length and decompose."""
         pool = positive_representatives(self.system, self.imaginary_set)
-        return len(max_orthogonal_subset(self.system, pool))
+        return tuple(max_orthogonal_subset(self.system, pool))
+
+    @property
+    def length(self) -> int:
+        return len(self.orthogonal_set)
 
     def is_special(self) -> bool:
         return not self.imaginary_set
@@ -235,8 +241,7 @@ def decompose(theta: Involution) -> tuple[Involution, tuple[int, ...]]:
     """Split theta into a special involution and strongly orthogonal
     reflections: theta = eps o s_B with B inside the negated set."""
     R = theta.system
-    pool = positive_representatives(R, theta.imaginary_set)
-    b_orth = max_orthogonal_subset(R, pool)
+    b_orth = theta.orthogonal_set
     b_strong = strongly_orthogonalize(R, b_orth) if b_orth else ()
     s_b = identity_perm(len(R))
     for b in b_strong:
@@ -246,8 +251,8 @@ def decompose(theta: Involution) -> tuple[Involution, tuple[int, ...]]:
         raise InvolutionError("decomposition failed to erase the negated set")
     if perm_mul(eps.perm, s_b) != theta.perm:
         raise InvolutionError("decomposition does not recompose")
-    if len(b_strong) != theta.length:
-        raise InvolutionError("decomposition size differs from the length")
+    if len(b_strong) != len(b_orth):
+        raise InvolutionError("strongly orthogonalizing changed the size of the set")
     return eps, b_strong
 
 

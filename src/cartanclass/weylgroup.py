@@ -1,15 +1,19 @@
 """Weyl and full automorphism groups as permutation groups on root indices.
 
-The engine is a deterministic Schreier-Sims stabilizer chain.  Backtrack
+The engine is a stabilizer chain of W read off the root system (Steinberg's
+theorem gives every level's generators; no sifting builds it).  Backtrack
 searches (set transporters, pair transporters, conjugating elements) walk
 the chain level by level; since group elements are linear maps, committing
 images of a spanning set pins the whole permutation, so search depth never
-exceeds the rank by much.
+exceeds the rank by much.  The full automorphism group is the cosets c W of
+the diagram symmetries c, searched one coset at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import operator
 from . import _linalg as la
 from .rootsys import RootSystem
@@ -36,21 +40,19 @@ def identity_perm(n: int) -> Perm:
 
 
 class _Level:
-    __slots__ = ("point", "gens", "orbit")
+    __slots__ = ("point", "orbit")
 
-    def __init__(self, point: int, n: int):
+    def __init__(self, point: int, gens: list[Perm], n: int):
+        """The orbit of point under gens, each image with a transversal
+        element that takes point there, by one breadth-first walk."""
         self.point = point
-        self.gens: list[Perm] = []
-        self.orbit: dict[int, Perm] = {point: identity_perm(n)}
-
-    def recompute_orbit(self, n: int) -> None:
-        self.orbit = {self.point: identity_perm(n)}
-        queue = [self.point]
+        self.orbit = {point: identity_perm(n)}
+        queue = [point]
         while queue:
             new_queue = []
             for p in queue:
                 t = self.orbit[p]
-                for g in self.gens:
+                for g in gens:
                     q = g[p]
                     if q not in self.orbit:
                         self.orbit[q] = perm_mul(g, t)
@@ -59,167 +61,101 @@ class _Level:
 
 
 class StabChain:
-    """Deterministic stabilizer chain.
+    """Stabilizer chain of the Weyl group, read off the root system.
 
-    forced_prefix points become the first base points even when their
-    orbits turn out trivial, so coset searches can walk them in order.
-    """
+    By Steinberg's theorem the pointwise stabilizer in W of roots x_1..x_k
+    is generated by the reflections of the roots orthogonal to all of them.
+    So level k acts by the reflections of the simple roots of the positive
+    roots orthogonal to every earlier base point.  The base starts with
+    base_prefix, whose points stay even where their orbits are trivial, so
+    coset searches can walk them in order; each later point is the first
+    canonical simple root that the level still moves."""
 
-    def __init__(self, n: int, gens: list[Perm], base_hint: tuple[int, ...],
-                 order_target: int | None = None,
-                 forced_prefix: tuple[int, ...] = ()):
-        self.n = n
+    def __init__(self, system: RootSystem, base_prefix: tuple[int, ...] = ()):
+        self.n = n = len(system)
         self.levels: list[_Level] = []
-        self._base_hint = tuple(base_hint)
-        self._order_target = order_target
-        for p in forced_prefix:
-            if all(lev.point != p for lev in self.levels):
-                self._add_level(p)
-        ident = identity_perm(n)
-        gens = [g for g in gens if g != ident]
-        if gens:
-            if not self.levels:
-                self._add_level(self._pick_point(gens[0]))
-            for g in gens:
-                self._add_generator(0, g)
-            self._schreier_sims()
-
-    # -- construction ----------------------------------------------------
-
-    def _pick_point(self, g: Perm) -> int:
-        used = {lev.point for lev in self.levels}
-        for b in self._base_hint:
-            if g[b] != b and b not in used:
-                return b
-        for b in range(self.n):
-            if g[b] != b and b not in used:
-                return b
-        raise AssertionError("no moved point for a non-identity permutation")
-
-    def _add_level(self, point: int) -> None:
-        self.levels.append(_Level(point, self.n))
-
-    def _add_generator(self, level: int, g: Perm) -> None:
-        lev = self.levels[level]
-        if g not in lev.gens:
-            lev.gens.append(g)
-            lev.recompute_orbit(self.n)
-
-    def _sift(self, g: Perm, start: int = 0) -> tuple[Perm, int]:
-        for i in range(start, len(self.levels)):
-            lev = self.levels[i]
-            img = g[lev.point]
-            t = lev.orbit.get(img)
-            if t is None:
-                return g, i
-            g = perm_mul(perm_inv(t), g)
-        return g, len(self.levels)
-
-    def _schreier_sims(self) -> None:
-        ident = identity_perm(self.n)
-        i = len(self.levels) - 1
-        while i >= 0:
-            if self._order_target is not None and self.order() == self._order_target:
-                return
-            lev = self.levels[i]
-            inserted = False
-            for p in sorted(lev.orbit):
-                t = lev.orbit[p]
-                for g in lev.gens:
-                    u = lev.orbit[g[p]]
-                    schreier = perm_mul(perm_inv(u), perm_mul(g, t))
-                    if schreier == ident:
-                        continue
-                    residue, j = self._sift(schreier, i + 1)
-                    if residue == ident:
-                        continue
-                    if j == len(self.levels):
-                        self._add_level(self._pick_point(residue))
-                    for k in range(i + 1, j + 1):
-                        self._add_generator(k, residue)
-                    i = j
-                    inserted = True
-                    break
-                if inserted:
-                    break
-            if not inserted:
-                i -= 1
-
-    # -- queries -----------------------------------------------------------
-
-    def order(self) -> int:
-        out = 1
-        for lev in self.levels:
-            out *= len(lev.orbit)
-        return out
+        pm, cb = system.pairing_matrix, system.canonical_basis
+        rest = set(system.canonical_chamber().positive_set)
+        todo = list(dict.fromkeys(base_prefix))
+        while todo or rest:
+            p = todo.pop(0) if todo else next(b for b in cb if any(pm[b][r] for r in rest))
+            gens = [system.reflection_perm(s) for s in system.simple_roots(rest)]
+            self.levels.append(_Level(p, gens, n))
+            rest = {r for r in rest if pm[p][r] == 0}
 
     def contains(self, g: Perm) -> bool:
-        residue, _ = self._sift(g)
-        return residue == identity_perm(self.n)
-
-    def base(self) -> tuple[int, ...]:
-        return tuple(lev.point for lev in self.levels)
-
-    def iter_elements(self):
-        """All group elements (use only on small groups)."""
-        if not self.levels:
-            yield identity_perm(self.n)
-            return
-        transversals = [[lev.orbit[p] for p in sorted(lev.orbit)] for lev in self.levels]
-        for combo in itertools.product(*transversals):
-            g = combo[0]
-            for t in combo[1:]:
-                g = perm_mul(g, t)
-            yield g
+        """Membership by sifting g through the levels."""
+        for lev in self.levels:
+            t = lev.orbit.get(g[lev.point])
+            if t is None:
+                return False
+            g = perm_mul(perm_inv(t), g)
+        return g == identity_perm(self.n)
 
 
 class PermGroup:
-    """A group of root-set automorphisms with stabilizer-chain services."""
+    """The group W.Gamma of root automorphisms: the Weyl group W times a
+    group Gamma of symmetries that keep the canonical positive roots.
+
+    The generators are the reflections of the canonical simple roots and
+    generators of Gamma; anything else raises ValueError.  W acts simply
+    transitively on chambers, so Gamma meets W only in 1 and each element
+    is c w for one c in Gamma and one w in W.  A search over the group is a
+    search over W for each c, in the order Gamma is closed (1 first)."""
 
     def __init__(self, system: RootSystem, generators: list[Perm], name: str = ""):
         self.system = system
-        self.n = len(system)
+        self.n = n = len(system)
         self.generators = [tuple(g) for g in generators]
         self.name = name
+        cb = system.canonical_basis
+        refl = [system.reflection_perm(b) for b in cb]
+        outer = [g for g in self.generators if g not in refl]
+        pos = system.canonical_chamber().positive_set if outer else ()
+        if any(r not in self.generators for r in refl) or \
+                any(g[b] not in pos for g in outer for b in cb):
+            raise ValueError("%s: a group is generated by the simple reflections and "
+                             "symmetries that keep the positive roots" % system.spec.label)
+        gamma = [identity_perm(n)]
+        for c in gamma:  # grows while it is read: the closure of outer
+            for g in outer:
+                if (h := perm_mul(c, g)) not in gamma:
+                    gamma.append(h)
+        self._gamma = [(c, perm_inv(c)) for c in gamma]
         self._chains: dict[tuple[int, ...], StabChain] = {}
-        self._order: int | None = None
 
     def __repr__(self):
-        return "%s<order %s>" % (self.name or "PermGroup", self._order)
+        return "%s<order %d>" % (self.name or "PermGroup", self.order)
 
     # -- chains ------------------------------------------------------------
 
     def chain(self, base_prefix: tuple[int, ...] = ()) -> StabChain:
+        """The stabilizer chain of W whose base starts with base_prefix."""
         key = tuple(base_prefix)
         got = self._chains.get(key)
         if got is None:
-            hint = key + tuple(b for b in self.system.canonical_basis if b not in key)
-            got = StabChain(self.n, self.generators, hint,
-                            order_target=self._order, forced_prefix=key)
-            self._chains[key] = got
-            if self._order is None:
-                self._order = got.order()
+            got = self._chains[key] = StabChain(self.system, key)
             if len(self._chains) > 24:  # keep the cache bounded
-                for k in list(self._chains):
-                    if k != () and k != key:
-                        del self._chains[k]
-                        break
+                del self._chains[next(k for k in self._chains if k not in ((), key))]
         return got
 
     @property
     def order(self) -> int:
-        if self._order is None:
-            self.chain()
-        return self._order
+        return len(self._gamma) * math.prod(len(lev.orbit) for lev in self.chain().levels)
 
     def contains(self, g) -> bool:
         images = tuple(g)
         if len(images) != self.n:
             raise ValueError("permutation acts on a different root set")
-        return self.chain().contains(images)
+        chain = self.chain()
+        return any(chain.contains(perm_mul(ci, images)) for _, ci in self._gamma)
 
     def iter_elements(self):
-        return self.chain().iter_elements()
+        """All group elements (use only on small groups)."""
+        transversals = [[lev.orbit[p] for p in sorted(lev.orbit)] for lev in self.chain().levels]
+        for c, _ in self._gamma:
+            for combo in itertools.product(*transversals):
+                yield functools.reduce(perm_mul, combo, c)
 
     # -- searches ------------------------------------------------------------
 
@@ -256,7 +192,16 @@ class PermGroup:
         return self._search_blocks([b1, b2])
 
     def _search_blocks(self, blocks) -> Perm | None:
-        """Backtrack for g mapping each block's X onto its Y setwise.
+        """c w for the first c in Gamma for which some w in W maps each
+        block's X onto c^-1 Y."""
+        for c, ci in self._gamma:
+            w = self._search_w([(X, frozenset(ci[y] for y in Y)) for X, Y in blocks])
+            if w is not None:
+                return perm_mul(c, w)
+        return None
+
+    def _search_w(self, blocks) -> Perm | None:
+        """Backtrack for w in W mapping each block's X onto its Y setwise.
 
         First-found result with candidates tried in increasing index order,
         so ties break lexicographically and results are deterministic.
@@ -314,6 +259,15 @@ class PermGroup:
         """
         conds = [(tuple(theta), tuple(theta2))]
         conds += [(tuple(a), tuple(b)) for a, b in pairs]
+        for c, ci in self._gamma:
+            # c w conjugates t1 to t2 when w conjugates t1 to c^-1 t2 c
+            w = self._conjugator_w([(t1, perm_mul(ci, perm_mul(t2, c))) for t1, t2 in conds])
+            if w is not None:
+                return perm_mul(c, w)
+        return None
+
+    def _conjugator_w(self, conds) -> Perm | None:
+        """Some w in W with w t1 w^-1 = t2 for every (t1, t2), or None."""
         n = self.n
         neg = self.system.negation_map
 

@@ -509,6 +509,18 @@ def test_cartan_classes_e7_row_9_bound():
     assert took < 1, took
 
 
+def test_e8_weyl_chain_bound():
+    """The stabilizer chain of W(E8) is read off the root system, level by
+    level from the roots orthogonal to the base so far: on a fresh system
+    it builds in well under the 0.27 s that Schreier-Sims took."""
+    E8 = rs.RootSystem(rs.RootSystemSpec("E8"))  # not the cached build
+    t0 = time.time()
+    chain = wg.weyl_group(E8).chain()
+    took = time.time() - t0
+    assert wg.weyl_group(E8).order == 696729600 and len(chain.levels) <= 8
+    assert took < 0.2, took
+
+
 # -- criterion 12: restricted diagrams ---------------------------------------------------
 
 

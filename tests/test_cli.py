@@ -2,8 +2,11 @@
 
 import io
 import json
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 
 import pytest
 from jsonschema import Draft202012Validator
@@ -302,6 +305,25 @@ def test_readme_commands_run():
     assert lines
     failed = [line for line in lines if run(shlex.split(line)[1:])[0] != 0]
     assert failed == []
+
+
+@pytest.mark.parametrize("argv", [["build", "--type", "E8", "--format", "json"],
+                                  ["involutions", "--type", "G2"]])
+def test_closed_stdout_is_a_normal_end(argv):
+    """A verb whose reader has closed stdout ends quietly with exit 0.  The
+    read end of the pipe is closed before the verb starts, so every write
+    fails: while printing (E8's large output) or at the final flush."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(HERE.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "cartanclass.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              text=True, timeout=300)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_referential_transparency():

@@ -234,6 +234,23 @@ def test_decompose_lengths_match_clique():
         assert eps.is_special()
 
 
+def test_realforms_searches_each_involution_once(monkeypatch):
+    """Involution.length and decompose share one clique search: realforms
+    on E6 searches once for each of its six involutions, never twice on
+    one pool."""
+    from cartanclass import cli
+    pools = []
+    search = iv.max_orthogonal_subset
+
+    def record(system, pool):
+        pools.append(tuple(pool))
+        return search(system, pool)
+
+    monkeypatch.setattr(iv, "max_orthogonal_subset", record)
+    assert cli.main(["realforms", "--type", "E6"]) == 0
+    assert len(pools) == len(set(pools)) == 6
+
+
 SPECIAL_COUNTS = [("A", 1, 1), ("A", 3, 2), ("A", 4, 2), ("B", 3, 1), ("C", 4, 1),
                   ("D", 4, 2), ("D", 5, 2), ("E6", 6, 2), ("E7", 7, 1),
                   ("E8", 8, 1), ("F4", 4, 1), ("G2", 2, 1)]

@@ -1,6 +1,7 @@
 """Permutation group engine: orders, membership, transporters, Klein sets."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -16,12 +17,26 @@ WEYL_ORDERS = {
     ("G2", 2): 12, ("F4", 4): 1152,
     ("E6", 6): 51840, ("E7", 7): 2903040, ("E8", 8): 696729600,
 }
+# |W(A_n)| = (n+1)!, |W(B_n)| = |W(C_n)| = 2^n n!, |W(D_n)| = 2^(n-1) n!
+WEYL_ORDERS.update({("A", n): math.factorial(n + 1) for n in range(5, 9)})
+WEYL_ORDERS.update({(f, n): 2 ** n * math.factorial(n) for f in "BC" for n in range(5, 9)})
+WEYL_ORDERS.update({("D", n): 2 ** (n - 1) * math.factorial(n) for n in range(6, 9)})
+_A1, _A2, _B2, _G2 = (rs.RootSystemSpec(*a) for a in (("A", 1), ("A", 2), ("B", 2), ("G2",)))
+SPEC_WEYL_ORDERS = {
+    rs.RootSystemSpec("E6", realization="prime"): 51840,
+    rs.RootSystemSpec("E7", realization="prime"): 2903040,
+    rs.RootSystemSpec(factors=(_A1, _A1)): 4,
+    rs.RootSystemSpec(factors=(_A2, _A2)): 36,
+    rs.RootSystemSpec(factors=(_B2, _B2, _G2)): 8 * 8 * 12,
+}
 
 
-@pytest.mark.parametrize("fam,rank", sorted(WEYL_ORDERS))
+@pytest.mark.parametrize("fam,rank", sorted(WEYL_ORDERS) + [
+    pytest.param(spec, None, id=spec.label) for spec in SPEC_WEYL_ORDERS])
 def test_weyl_orders(fam, rank):
     R = rs.build(fam, rank)
-    assert wg.weyl_group(R).order == WEYL_ORDERS[(fam, rank)]
+    want = SPEC_WEYL_ORDERS[fam] if rank is None else WEYL_ORDERS[(fam, rank)]
+    assert wg.weyl_group(R).order == want
 
 
 def test_full_aut_ratios():
@@ -306,3 +321,96 @@ def test_in_weyl_of_catalog_rows(spec):
     W = wg.weyl_group(R)
     for label, theta in iv.table2_representatives(R):
         assert theta.in_weyl == wg.in_weyl(R, theta.perm) == W.contains(theta.perm), label
+
+
+# -- the chain against brute force -------------------------------------------------
+
+BRUTE_SPECS = [rs.RootSystemSpec("A", 3), rs.RootSystemSpec("B", 3), rs.RootSystemSpec("C", 3),
+               rs.RootSystemSpec("G2"), A2_A2]
+
+
+def _brute_weyl(R):
+    from test_oracle import brute_full_group
+    return [g for g in brute_full_group(R) if wg.in_weyl(R, g)]
+
+
+@pytest.mark.parametrize("spec", BRUTE_SPECS, ids=lambda s: s.label)
+def test_chain_levels_are_brute_stabilizer_orbits(spec):
+    """Each level's orbit is the orbit of its point under the brute-force
+    pointwise stabilizer of the earlier points, and each transversal element
+    lies in that stabilizer and takes the point to its orbit entry; for the
+    default base and for seeded base prefixes."""
+    R = rs.build(spec)
+    W, weyl = wg.weyl_group(R), _brute_weyl(R)
+    rng = random.Random("chain " + spec.label)
+    prefixes = [()] + [tuple(rng.sample(range(len(R)), rng.randint(1, 3))) for _ in range(4)]
+    for prefix in prefixes:
+        levels = W.chain(prefix).levels
+        base = [lev.point for lev in levels]
+        assert base[:len(set(prefix))] == list(dict.fromkeys(prefix))
+        stab = weyl
+        for lev in levels:
+            assert set(lev.orbit) == {g[lev.point] for g in stab}, (prefix, lev.point)
+            for q, t in lev.orbit.items():
+                assert t in stab and t[lev.point] == q
+            stab = [g for g in stab if g[lev.point] == lev.point]
+        assert stab == [wg.identity_perm(len(R))]
+
+
+D4 = rs.RootSystemSpec("D", 4)
+
+
+@pytest.mark.parametrize("spec", [D4, A2_A2], ids=lambda s: s.label)
+def test_full_group_searches_match_brute_force(spec):
+    """Conjugators and pair transporters of the full group, a loop of
+    W-searches over the diagram symmetries and factor swaps, agree with the
+    brute-force group; some answers lie outside W."""
+    from test_oracle import brute_full_group
+    R = rs.build(spec)
+    A, brute = wg.full_aut_group(R), brute_full_group(R)
+    assert A.order == len(brute) == {"D4": 192 * 6, "A2+A2": 36 * 8}[spec.label]
+    n, rng = len(R), random.Random("full group " + spec.label)
+    ident = wg.identity_perm(n)
+    invs = sorted({g for g in brute if g != ident and wg.perm_mul(g, g) == ident})
+
+    def conj(g, t):
+        return wg.perm_mul(wg.perm_mul(g, t), wg.perm_inv(g))
+
+    outside = found = 0
+    for k in range(16):
+        t1 = rng.choice(invs)
+        t2 = conj(rng.choice(brute), t1) if k % 2 else rng.choice(invs)
+        got = A.conjugator(t1, t2)
+        assert (got is not None) == any(conj(g, t1) == t2 for g in brute)
+        if got is not None:
+            assert got in brute and conj(got, t1) == t2
+            found += 1
+            outside += not wg.in_weyl(R, got)
+    for k in range(16):
+        g = rng.choice(brute)
+        x1, x2 = rng.sample(range(n), 2), rng.sample(range(n), 1)
+        if k % 2:
+            y1, y2 = [g[x] for x in x1], [g[x] for x in x2]
+        else:
+            y1, y2 = rng.sample(range(n), 2), rng.sample(range(n), 1)
+        got = A.transporter_pair((x1, x2), (y1, y2))
+        assert (got is not None) == any({h[x] for x in x1} == set(y1) and h[x2[0]] == y2[0]
+                                        for h in brute)
+        if got is not None:
+            assert got in brute and {got[x] for x in x1} == set(y1) and got[x2[0]] == y2[0]
+            outside += not wg.in_weyl(R, got)
+    assert found >= 8 and outside >= 1
+
+
+def test_group_generators_are_reflections_and_chamber_symmetries():
+    """A generator list must hold every simple reflection, and its other
+    members must keep the positive roots: a proper subset of the simple
+    reflections does not silently stand for W."""
+    R = rs.build("A", 3)
+    refl = [R.reflection_perm(b) for b in R.canonical_basis]
+    with pytest.raises(ValueError, match="^A3: a group is generated by"):
+        wg.PermGroup(R, refl[:2])
+    with pytest.raises(ValueError, match="^A3: a group is generated by"):
+        wg.PermGroup(R, refl + [R.negation_map])
+    G = wg.PermGroup(R, refl + wg.diagram_automorphisms(R))
+    assert G.order == wg.full_aut_group(R).order == 48
