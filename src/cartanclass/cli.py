@@ -181,29 +181,8 @@ def cmd_cayley(args) -> int:
 
 
 def cmd_realforms(args) -> int:
-    from . import diagram as dg, involution as iv, realform as rf
-    system = _system(args)
-    names: dict[str, dict] = {}
-    thetas = [("id", iv.identity_involution(system))] + iv.table2_representatives(system)
-    # the compact Cartan needs a row negating every root (-1 is outer in E6)
-    if not any(len(t.imaginary_set) == len(system) for _, t in thetas):
-        thetas.append(("-1", iv.antipodal_involution(system)))
-    for lab, theta in thetas:
-        lift = rf.quasi_split_lift(theta)
-        chamber = dg.find_s_chamber(theta)
-        rows, _ = rf.hom_theta_constraints(theta, chamber)
-        nbits = len(chamber.basis)
-        # dim k, all that identify reads, is the same on every Cartan
-        # subalgebra of a form, so each twist is named as it stands
-        for mask in rf.project_span(rf.f2_solution_space(rows, nbits), (1 << nbits) - 1):
-            name = rf.identify(rf.twist(lift, rf.SignHom(system, mask=mask, chamber=chamber)))
-            entry = names.setdefault(name.name, {
-                "name": name.name, "aliases": list(name.aliases),
-                "dim_k": name.dim_k, "compact": name.is_compact,
-                "split": name.is_split, "cartan_involutions": []})
-            if lab not in entry["cartan_involutions"]:
-                entry["cartan_involutions"].append(lab)
-    rows = [names[k] for k in sorted(names)]
+    from . import realform as rf
+    rows = rf.realform_rows(_system(args))
     if args.format == "json":
         _emit(rows)
     else:

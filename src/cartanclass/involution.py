@@ -67,10 +67,11 @@ class Involution:
 
     @cached_property
     def orthogonal_set(self) -> tuple[int, ...]:
-        """The first largest orthogonal set of positive negated roots, in
-        pool order; one clique search serves length and decompose."""
-        pool = positive_representatives(self.system, self.imaginary_set)
-        return tuple(max_orthogonal_subset(self.system, pool))
+        """The first largest orthogonal set of positive negated roots, in pool
+        order, by one search stopped at the size the negated subsystem allows."""
+        R, neg = self.system, self.imaginary_set
+        stop = sum(_max_orthogonal_size(*t) for t in subsystem_type(R, neg))
+        return tuple(max_orthogonal_subset(R, positive_representatives(R, neg), stop))
 
     @property
     def length(self) -> int:
@@ -206,13 +207,24 @@ def first_max_clique(pool: list[int], adjacent, stop: int | None = None) -> list
     return best
 
 
-def max_orthogonal_subset(system: RootSystem, pool: list[int]) -> list[int]:
+def max_orthogonal_subset(system: RootSystem, pool: list[int], stop=None) -> list[int]:
     """Largest pairwise orthogonal subset of a set of positive roots, in the
     pool's order (shortest norm, then index).  An orthogonal set is
-    independent, so no set beats the pool's simple roots in size."""
+    independent, so by default the search stops at the pool's rank."""
     pm = system.pairing_matrix
     return first_max_clique(pool, lambda c, d: pm[c][d] == 0,
-                            len(system.simple_roots(set(pool))))
+                            stop or len(system.simple_roots(set(pool))))
+
+
+def _max_orthogonal_size(rank: int, size: int, longs: int, *_) -> int:
+    """The size of the largest orthogonal set of an irreducible root system,
+    typed as by subsystem_type: (n + 1) // 2 on A_n, 2 (n // 2) on D_n, 4 on
+    E6, and the rank elsewhere (-1 is in W); Kostant's cascade reaches each."""
+    if longs == size and size == rank * (rank + 1):
+        return (rank + 1) // 2
+    if longs == size and size == 2 * rank * (rank - 1):
+        return rank - rank % 2
+    return 4 if (rank, size, longs) == (6, 72, 72) else rank
 
 
 def strongly_orthogonalize(system: RootSystem, idxs) -> tuple[int, ...]:
@@ -278,14 +290,16 @@ def subsystem_type(system: RootSystem, subset) -> tuple:
     """Multiset of irreducible types of a closed subsystem, the roots lying
     in a subspace (such as an eigenspace of an involution), each reported
     as (rank, size, long_count, top norm), the norm as stored (den^2 times
-    the norm).  A component's rank is the size of its simple system."""
+    the norm).  A component's rank is the size of its simple system, and its
+    positive roots, half its roots, pair nonzero with one of its simple roots."""
     pos = system.canonical_chamber().positive_set
+    roots = [i for i in subset if i in pos]
+    pm, norm = system.pairing_matrix, system._norms
     out = []
-    for c in _orthogonal_components(system, sorted(subset)):
-        rank = len(system.simple_roots({i for i in c if i in pos}))
-        top = max(system._norms[j] for j in c)
-        longs = sum(1 for i in c if system._norms[i] == top)
-        out.append((rank, len(c), longs, top))
+    for c in _orthogonal_components(system, system.simple_roots(set(roots))):
+        mine = [i for i in roots if any(pm[s][i] for s in c)]
+        top = max(norm[i] for i in mine)
+        out.append((len(c), 2 * len(mine), 2 * sum(norm[i] == top for i in mine), top))
     return tuple(sorted(out))
 
 

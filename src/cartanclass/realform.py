@@ -10,6 +10,7 @@ dense oracle move between Cartan subalgebras of the same form.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import NamedTuple
 
 from . import _linalg as la
@@ -18,7 +19,8 @@ from .chevalley import (ChevalleySystem, DenseAlgebra, LinearMap, QuarterTurn,
 from .diagram import find_s_chamber
 from .involution import (Involution, InvolutionError, antipodal_involution,
                          _orthogonal_components, decompose, first_max_clique,
-                         positive_representatives)
+                         identity_involution, positive_representatives,
+                         table2_representatives)
 from .rootsys import CartanclassError, RootSystem
 from .weylgroup import identity_perm, perm_mul, weyl_group
 
@@ -597,6 +599,51 @@ def identify(sigma: AntiInvolution) -> RealFormName:
         is_compact=(sig.dim_k == total),
         is_split=(sig.dim_k == len(R) // 2),  # dim k of the split form: the positive roots
     )
+
+
+def twist_names(lift: AntiInvolution, chamber, label: str) -> dict[int, RealFormName]:
+    """The name of each twist of lift by a character in Hom_theta on the
+    chamber, by mask.  Only n3k in dim k = ellk + n1 + 2 n2 + 2 n3k depends on
+    the mask, counted once it passes the Hom_theta rows and the laws of
+    _verify_signs on f eta; the first of each dim k is twisted and identified."""
+    theta, R, f, pm = lift.theta, lift.system, lift.f, chamber.parity_masks
+    rows, _ = hom_theta_constraints(theta, chamber)
+    # f eta keeps f(i) f(j) = 1 at j = theta(i), -i iff eta(i) eta(j) = f(i) f(j)
+    laws = {(pm[i] ^ pm[j], f[i] != f[j]) for i in f for j in (theta(i), R.negation_map[i])
+            if j in f and (pm[i] != pm[j] or f[i] != f[j])} | {(row, False) for row in rows}
+    groups = Counter((pm[i], f[i]) for i in theta.imaginary_set)
+    sig, named, out, nbits = signature(lift), {}, {}, len(chamber.basis)
+    for mask in project_span(f2_solution_space(rows, nbits), (1 << nbits) - 1):
+        if any(_parity(mask & m) != odd for m, odd in laws):
+            raise RealFormError("%s, involution %s: mask %d is not in Hom_theta or breaks "
+                                "the sign laws" % (R.spec.label, label, mask))
+        n3k = sum(c for (p, v), c in groups.items() if _parity(mask & p) == (v < 0)) // 2
+        dim_k = sig.dim_k + 2 * (n3k - sig.n3k)
+        if dim_k not in named:
+            # naming by (dim k, real rank) would twist only dims with two names
+            named[dim_k] = identify(twist(lift, SignHom(R, mask=mask, chamber=chamber)))
+            if named[dim_k].dim_k != dim_k:
+                raise RealFormError("%s, involution %s, mask %d: counted dim k %d, twisted %d"
+                                    % (R.spec.label, label, mask, dim_k, named[dim_k].dim_k))
+        out[mask] = named[dim_k]
+    return out
+
+
+def realform_rows(system: RootSystem) -> list[dict]:
+    """The `realforms` rows: each form, with the involutions whose lift it twists."""
+    thetas = [("id", identity_involution(system))] + table2_representatives(system)
+    # the compact Cartan needs a row negating every root (-1 is outer in E6)
+    if not any(len(t.imaginary_set) == len(system) for _, t in thetas):
+        thetas.append(("-1", antipodal_involution(system)))
+    rows: dict[str, dict] = {}
+    for lab, theta in thetas:
+        names = twist_names(quasi_split_lift(theta), find_s_chamber(theta), lab)
+        for name in dict.fromkeys(names.values()):
+            rows.setdefault(name.name, {
+                "name": name.name, "aliases": list(name.aliases), "dim_k": name.dim_k,
+                "compact": name.is_compact, "split": name.is_split,
+                "cartan_involutions": []})["cartan_involutions"].append(lab)
+    return [rows[k] for k in sorted(rows)]
 
 
 # -- Cartan subalgebra classes --------------------------------------------------------------

@@ -10,6 +10,8 @@ import functools
 import itertools
 import time
 
+import pytest
+
 from cartanclass import _linalg as la
 from cartanclass import chevalley as cv
 from cartanclass import diagram as dg
@@ -519,6 +521,31 @@ def test_e8_weyl_chain_bound():
     took = time.time() - t0
     assert wg.weyl_group(E8).order == 696729600 and len(chain.levels) <= 8
     assert took < 0.2, took
+
+
+@pytest.mark.parametrize("family", ["B", "C"])
+def test_realforms_rank_10_bound(family):
+    """realforms names each character of Hom_theta by counting and twists
+    one per printed (form, label) pair: on a fresh B10 or C10 it lists
+    every form in under 3 s (B10 took 4.2 s with one twist per character)."""
+    R = rs.RootSystem(rs.RootSystemSpec(family, 10))  # not the cached build
+    t0 = time.time()
+    rows = rf.realform_rows(R)
+    took = time.time() - t0
+    assert len(rows) == (11 if family == "B" else 7)
+    assert took < 3, took
+
+
+def test_involutions_d12_bound():
+    """The clique search of each D12 catalog row stops at the largest
+    orthogonal set of its negated subsystem: the catalog with its lengths
+    takes under 2 s on a fresh system (4.6 s when it stopped at the rank)."""
+    R = rs.RootSystem(rs.RootSystemSpec("D", 12))
+    t0 = time.time()
+    rows = [(rep.length, rep.in_weyl) for _, rep in iv.table2_representatives(R)]
+    took = time.time() - t0
+    assert max(rows) == (12, True)
+    assert took < 2, took
 
 
 # -- criterion 12: restricted diagrams ---------------------------------------------------

@@ -242,9 +242,9 @@ def test_realforms_searches_each_involution_once(monkeypatch):
     pools = []
     search = iv.max_orthogonal_subset
 
-    def record(system, pool):
+    def record(system, pool, *stop):
         pools.append(tuple(pool))
-        return search(system, pool)
+        return search(system, pool, *stop)
 
     monkeypatch.setattr(iv, "max_orthogonal_subset", record)
     assert cli.main(["realforms", "--type", "E6"]) == 0
@@ -500,3 +500,31 @@ def test_involution_json():
     data = th.to_json()
     assert data["partition"] == {"real": 0, "imaginary": 8, "complex": 0}
     assert data["length"] == 2 and data["in_weyl"] is True
+
+
+_BOUND_SPECS = ([rs.RootSystemSpec("A", r) for r in range(1, 10)]
+                + [rs.RootSystemSpec("B", r) for r in range(2, 10)]
+                + [rs.RootSystemSpec("C", r) for r in range(3, 10)]
+                + [rs.RootSystemSpec("D", r) for r in range(4, 10)]
+                + [rs.RootSystemSpec(f) for f in ("E6", "E7", "E8", "F4", "G2")])
+
+
+@pytest.mark.parametrize("spec", _BOUND_SPECS, ids=lambda s: s.label)
+def test_orthogonal_bound_is_the_searched_size(spec):
+    """The largest orthogonal set of the negated subsystem, summed over its
+    components, is the size the search stopped only by the rank finds, on
+    every catalog row, on -1 (outer on E6) and on a seeded W-conjugate of
+    each; stopping there returns the same set."""
+    R = rs.build(spec)
+    rng = random.Random(1717)
+    for lab, theta in iv.table2_representatives(R) + [("-1", iv.antipodal_involution(R))]:
+        g = wg.identity_perm(len(R))
+        for _ in range(12):
+            g = wg.perm_mul(R.reflection_perm(rng.choice(R.canonical_basis)), g)
+        conj = iv.Involution(R, wg.perm_mul(wg.perm_mul(g, theta.perm), wg.perm_inv(g)))
+        for t in (theta, conj):
+            bound = sum(iv._max_orthogonal_size(*c)
+                        for c in iv.subsystem_type(R, t.imaginary_set))
+            full = iv.max_orthogonal_subset(R, iv.positive_representatives(R, t.imaginary_set))
+            assert len(full) == bound, (lab, t is conj)
+            assert t.orthogonal_set == tuple(full), (lab, t is conj)

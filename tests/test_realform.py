@@ -1,9 +1,12 @@
 """Sign-function data: lifts, twists, transforms, identification."""
 
+import copy
 import functools
+import json
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -805,6 +808,65 @@ def test_direct_antiinvolution_runs_the_pair_loop():
     loose = rf.AntiInvolution.__new__(rf.AntiInvolution)
     loose._setup(theta, f, lift.constants, True)  # the twist path alone would pass it
     assert _pair_law_failure(loose) is not None
+
+
+_GOLDEN_KEYS = sorted(json.loads((Path(__file__).parent / "golden" / "realforms.json")
+                                 .read_text()))
+
+
+@pytest.mark.parametrize("key", _GOLDEN_KEYS)
+def test_counted_names_equal_the_twisted_names(key):
+    """On every mask `realforms` walks, over id, -1 and every catalog row,
+    the name counted from the lift is the name identify gives the twist."""
+    spec = (rs.RootSystemSpec(key.rstrip("'"), realization="prime") if key.endswith("'")
+            else rs.RootSystemSpec(key) if key in rs.FAMILIES
+            else rs.RootSystemSpec(key[0], int(key[1:])))
+    R = rs.build(spec)
+    thetas = ([("id", iv.identity_involution(R)), ("-1", iv.antipodal_involution(R))]
+              + iv.table2_representatives(R))
+    for lab, theta in thetas:
+        lift = rf.quasi_split_lift(theta)
+        ch = dg.find_s_chamber(theta)
+        named = rf.twist_names(lift, ch, lab)
+        rows, _ = rf.hom_theta_constraints(theta, ch)
+        n = len(ch.basis)
+        assert set(named) == rf.project_span(rf.f2_solution_space(rows, n), (1 << n) - 1)
+        for mask, name in named.items():
+            tw = rf.twist(lift, rf.SignHom(R, mask=mask, chamber=ch))
+            assert name == rf.identify(tw), (lab, mask)
+
+
+def test_twist_names_refuse_a_lift_with_one_flipped_negated_sign():
+    """Flipping f at one negated root breaks f(i) = f(-i); the per-mask
+    sign-law check refuses the lift before any twist is built."""
+    B3 = rs.build("B", 3)
+    theta = iv.table2_representatives(B3)[-1][1]
+    lift = rf.quasi_split_lift(theta)
+    ch = dg.find_s_chamber(theta)
+    assert rf.twist_names(lift, ch, "r")
+    for i in sorted(theta.imaginary_set):
+        bad = copy.copy(lift)
+        bad.f = {**lift.f, i: -lift.f[i]}
+        with pytest.raises(rf.RealFormError, match=r"B3, involution r: mask \d+ is not in "
+                                                   r"Hom_theta or breaks the sign laws"):
+            rf.twist_names(bad, ch, "r")
+
+
+def test_realforms_twists_once_per_printed_pair(monkeypatch, capsys):
+    """realforms on E6 builds one checked twist per printed (form, label)
+    pair: 9, where twisting every character of Hom_theta made 200."""
+    from cartanclass import cli
+    calls = []
+    twist = rf.twist
+
+    def record(sigma, eta):
+        calls.append(eta.mask)
+        return twist(sigma, eta)
+
+    monkeypatch.setattr(rf, "twist", record)
+    assert cli.main(["realforms", "--type", "E6", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert len(calls) == sum(len(r["cartan_involutions"]) for r in rows) == 9
 
 
 @pytest.mark.parametrize("spec", [rs.RootSystemSpec("B", 4), rs.RootSystemSpec("D", 5),
