@@ -161,7 +161,8 @@ REALFORMS_GOLDEN = json.loads((GOLDEN / "realforms.json").read_text())
 def test_realforms_golden(key):
     """`realforms --format json` per system, recorded when each twist was
     still re-derived by height and reduced by a Cayley chain before being
-    named; a key with a prime is the prime realization."""
+    named (A8, B8, C8, D8 and E8: when every character was twisted and
+    named); a key with a prime is the prime realization."""
     label = key.rstrip("'")
     argv = ["realforms", "--format", "json", "--type"]
     argv += [label] if label in cli.rs.FAMILIES else [label[0], "--rank", label[1:]]
