@@ -460,34 +460,10 @@ def reduce_noncompact(sigma: AntiInvolution, verify_dense: bool = True) -> AntiI
 
 
 def is_quasi_split(sigma: AntiInvolution) -> bool:
-    """Whether the noncompact set contains a maximal strongly orthogonal
-    system of the negated subsystem.
-
-    Maximality is measured inside the negated subsystem: no negated root
-    may stay orthogonal to the whole set (such a survivor would stay
-    negated after the transform chain and blacken the reduced diagram)."""
-    R = sigma.system
-    nc = positive_representatives(R, sigma.noncompact_set)
-    imag = positive_representatives(R, sigma.theta.imaginary_set)
-    if not imag:
-        return True
-
-    pm = R.pairing_matrix
-
-    def nothing_survives(S):
-        return not any(all(pm[g][s] == 0 for s in S) for g in imag
-                       if g not in S)
-
-    def dfs(S, cands):
-        if S and nothing_survives(S):
-            return True
-        for k, c in enumerate(cands):
-            if dfs(S + [c], [d for d in cands[k + 1:]
-                             if R.is_strongly_orthogonal(c, d)]):
-                return True
-        return False
-
-    return dfs([], nc)
+    """Whether the form is quasi-split: its maximally vector Cartan
+    subalgebra is maximally split, that is the transform chain leaves no
+    negated root (Knapp, Lie Groups Beyond an Introduction, VI.7)."""
+    return not reduce_noncompact(sigma, verify_dense=False).theta.imaginary_set
 
 
 # -- isomorphism and identification ------------------------------------------------------
@@ -684,9 +660,6 @@ def cartan_classes(sigma: AntiInvolution) -> list[Involution]:
     def same_class(t1: Involution, t2: Involution) -> bool:
         if t1.perm == t2.perm:
             return True
-        if (len(t1.imaginary_set), len(t1.real_set)) != \
-                (len(t2.imaginary_set), len(t2.real_set)):
-            return False
         pairs = [(eps.perm, eps.perm)] if special else []
         return weyl_group(R).conjugator(t1.perm, t2.perm, pairs=pairs) is not None
 

@@ -1,12 +1,12 @@
 """Weyl and full automorphism groups as permutation groups on root indices.
 
 The engine is a stabilizer chain of W read off the root system (Steinberg's
-theorem gives every level's generators; no sifting builds it).  Backtrack
-searches (set transporters, pair transporters, conjugating elements) walk
-the chain level by level; since group elements are linear maps, committing
-images of a spanning set pins the whole permutation, so search depth never
-exceeds the rank by much.  The full automorphism group is the cosets c W of
-the diagram symmetries c, searched one coset at a time.
+theorem gives every level's generators; no sifting builds it).  The three
+searches (set transporters, pair transporters, conjugating elements) are one
+backtrack walk over the chain, level by level; since group elements are
+linear maps, committing images of a spanning set pins the whole permutation,
+so search depth never exceeds the rank by much.  The full automorphism group
+is the cosets c W of the diagram symmetries c, searched one coset at a time.
 """
 
 from __future__ import annotations
@@ -168,87 +168,20 @@ class PermGroup:
 
     def transporter_set(self, xs, ys) -> Perm | None:
         """Some g in G with g(X) = Y as sets, or None."""
-        X = tuple(sorted(set(xs)))
-        Y = frozenset(ys)
-        if len(X) != len(Y):
-            return None
-        if not X:
-            return identity_perm(self.n)
-        if self._profile(X) != self._profile(sorted(Y)):
-            return None
-        return self._search_blocks([(X, Y)])
+        return self._transporter([(xs, ys)])
 
     def transporter_pair(self, xpair, ypair) -> Perm | None:
         """Some g with g(X1) = Y1 and g(X2) = Y2 as sets, or None."""
         (x1, x2), (y1, y2) = xpair, ypair
-        b1 = (tuple(sorted(set(x1))), frozenset(y1))
-        b2 = (tuple(sorted(set(x2))), frozenset(y2))
-        if len(b1[0]) != len(b1[1]) or len(b2[0]) != len(b2[1]):
+        return self._transporter([(x1, y1), (x2, y2)])
+
+    def _transporter(self, blocks) -> Perm | None:
+        """Search the blocks (X, Y) when each X and Y agree in size and in
+        their norms and pairings; None otherwise."""
+        blocks = [(tuple(sorted(set(X))), frozenset(Y)) for X, Y in blocks]
+        if any(len(X) != len(Y) or self._profile(X) != self._profile(Y) for X, Y in blocks):
             return None
-        if b1[0] and self._profile(b1[0]) != self._profile(sorted(b1[1])):
-            return None
-        if b2[0] and self._profile(b2[0]) != self._profile(sorted(b2[1])):
-            return None
-        return self._search_blocks([b1, b2])
-
-    def _search_blocks(self, blocks) -> Perm | None:
-        """c w for the first c in Gamma for which some w in W maps each
-        block's X onto c^-1 Y."""
-        for c, ci in self._gamma:
-            w = self._search_w([(X, frozenset(ci[y] for y in Y)) for X, Y in blocks])
-            if w is not None:
-                return perm_mul(c, w)
-        return None
-
-    def _search_w(self, blocks) -> Perm | None:
-        """Backtrack for w in W mapping each block's X onto its Y setwise.
-
-        First-found result with candidates tried in increasing index order,
-        so ties break lexicographically and results are deterministic.
-        """
-        R = self.system
-        pm = R.pairing_matrix
-        points: list[int] = []
-        block_of: list[int] = []
-        for bi, (X, _) in enumerate(blocks):
-            for x in X:
-                if x not in points:
-                    points.append(x)
-                    block_of.append(bi)
-        chain = self.chain(tuple(points))
-        levels = chain.levels
-        committed: list[int] = []
-
-        def rec(pi: int, g: Perm, used: list[set[int]]) -> Perm | None:
-            if pi == len(points):
-                for (X, Y) in blocks:
-                    if {g[x] for x in X} != set(Y):
-                        return None
-                return g
-            x = points[pi]
-            bi = block_of[pi]
-            lev = levels[pi]
-            assert lev.point == x
-            targets = blocks[bi][1]
-            nx = R._norms[x]
-            for c in sorted(lev.orbit):
-                y = g[c]
-                if y not in targets or y in used[bi] or R._norms[y] != nx:
-                    continue
-                # norms agree, so equal pairings mean equal scalar products
-                if any(pm[x][points[j]] != pm[y][committed[j]] for j in range(pi)):
-                    continue
-                g2 = perm_mul(g, lev.orbit[c])
-                committed.append(y)
-                used[bi].add(y)
-                out = rec(pi + 1, g2, used)
-                used[bi].remove(y)
-                committed.pop()
-                if out is not None:
-                    return out
-            return None
-
-        return rec(0, identity_perm(self.n), [set() for _ in blocks])
+        return self._search([], blocks)
 
     def conjugator(self, theta, theta2, pairs=()) -> Perm | None:
         """Some g in G with g o theta o g^-1 = theta2 (and likewise for
@@ -259,69 +192,77 @@ class PermGroup:
         """
         conds = [(tuple(theta), tuple(theta2))]
         conds += [(tuple(a), tuple(b)) for a, b in pairs]
+        neg, ident = self.system.negation_map, range(self.n)
+
+        def kinds(t):  # the roots t fixes and negates, counted; conjugation keeps both
+            return sum(map(operator.eq, t, ident)), sum(map(operator.eq, t, neg))
+
+        if any(kinds(t1) != kinds(t2) for t1, t2 in conds):
+            return None
+        return self._search(conds, [])
+
+    def _search(self, conds, blocks) -> Perm | None:
+        """c w for the first c in Gamma for which some w in W conjugates each
+        t1 to c^-1 t2 c and maps each block's X onto c^-1 Y."""
         for c, ci in self._gamma:
-            # c w conjugates t1 to t2 when w conjugates t1 to c^-1 t2 c
-            w = self._conjugator_w([(t1, perm_mul(ci, perm_mul(t2, c))) for t1, t2 in conds])
+            w = self._search_w([(t1, perm_mul(ci, perm_mul(t2, c))) for t1, t2 in conds],
+                               [(X, frozenset(ci[y] for y in Y)) for X, Y in blocks])
             if w is not None:
                 return perm_mul(c, w)
         return None
 
-    def _conjugator_w(self, conds) -> Perm | None:
-        """Some w in W with w t1 w^-1 = t2 for every (t1, t2), or None."""
-        n = self.n
-        neg = self.system.negation_map
+    def _search_w(self, conds, blocks) -> Perm | None:
+        """The first w in W, candidates tried in increasing index order at
+        each level, with w t1 w^-1 = t2 for every (t1, t2) and w(X) = Y for
+        every block, or None.
 
-        def point_class(t, i):
-            if t[i] == i:
-                return 0
-            if t[i] == neg[i]:
-                return 1
-            return 2
+        The base starts with the block points, and a point's image must lie
+        in the Y of the first block holding it, so the leaf checks the
+        blocks again, which matters where two blocks share a point.  A
+        product of transversal elements is in W: an isometry, so it never
+        breaks a pairing or sends two points to one image.  Conjugacy prunes
+        each image by its class (fixed, negated, moved), keeps <x, t1 b> =
+        <w x, t2 w b> for each committed base point x, and w t1 b = t2 w b
+        once t1 b is committed."""
+        n, neg, pm = self.n, self.system.negation_map, self.system.pairing_matrix
 
-        classes = []
-        for t1, t2 in conds:
-            cls1 = [point_class(t1, i) for i in range(n)]
-            cls2 = [point_class(t2, i) for i in range(n)]
-            if sorted(cls1) != sorted(cls2):
-                return None
-            classes.append((cls1, cls2))
+        def classes(t):  # 0 fixed, 1 negated, 2 moved
+            return [0 if t[i] == i else 1 if t[i] == neg[i] else 2 for i in range(n)]
 
-        chain = self.chain()
-        levels = chain.levels
-        base = [lev.point for lev in levels]
-        base_pos = {b: j for j, b in enumerate(base)}
-        pm = self.system.pairing_matrix
+        checks = [(t1, t2, classes(t1), classes(t2)) for t1, t2 in conds]
+        targets: dict[int, frozenset] = {}
+        for X, Y in blocks:
+            for x in X:
+                targets.setdefault(x, Y)
+        levels = self.chain(tuple(targets)).levels
+        depth = len(levels) if conds else len(targets)
+        pos = {lev.point: j for j, lev in enumerate(levels)}
+        base, img = [lev.point for lev in levels], []  # img[j] = w(base[j])
+
+        def fits(li, b, y):
+            for t1, t2, cls1, cls2 in checks:
+                tb, ty = t1[b], t2[y]
+                j = pos.get(tb, n)  # w t1 b = t2 w b once t1 b is committed
+                if cls2[y] != cls1[b] or pm[y][ty] != pm[b][tb] or \
+                        j < li and img[j] != ty or j == li and y != ty or \
+                        any(pm[wx][ty] != pm[x][tb] for x, wx in zip(base, img)):
+                    return False
+            return True
 
         def rec(li: int, g: Perm) -> Perm | None:
-            if li == len(levels):
-                for t1, t2 in conds:
-                    for i in range(n):
-                        if t2[g[i]] != g[t1[i]]:
-                            return None
-                return g
+            if li == depth:
+                if all({g[x] for x in X} == Y for X, Y in blocks) and \
+                        all(t2[g[i]] == g[t1[i]] for t1, t2 in conds for i in range(n)):
+                    return g
+                return None
             lev = levels[li]
-            b = lev.point
+            b, Y = lev.point, targets.get(lev.point)
             for c in sorted(lev.orbit):
-                if any(cls2[g[c]] != cls1[b] for cls1, cls2 in classes):
-                    continue
-                g2 = perm_mul(g, lev.orbit[c])
-                # g2 is final on the base points so far, and an isometry with
-                # g t1 = t2 g keeps <x, t1 y> as <g x, t2 g y> among them
-                if any(pm[g2[x]][t2[g2[y]]] != pm[x][t1[y]] for t1, t2 in conds
-                       for bj in base[: li + 1] for x, y in ((bj, b), (b, bj))):
-                    continue
-                ok = True
-                for t1, t2 in conds:
-                    for bj in base[: li + 1]:
-                        tb = t1[bj]
-                        if base_pos.get(tb, len(levels)) <= li:
-                            if t2[g2[bj]] != g2[tb]:
-                                ok = False
-                                break
-                    if not ok:
-                        break
-                if ok:
-                    out = rec(li + 1, g2)
+                y = g[c]
+                if (Y is None or y in Y) and fits(li, b, y):
+                    img.append(y)
+                    out = rec(li + 1, perm_mul(g, lev.orbit[c]))
+                    img.pop()
                     if out is not None:
                         return out
             return None

@@ -133,3 +133,34 @@ def test_brute_b2_negative_pair_example():
     assert W.transporter_pair((tuple(shorts), tuple(longs)), (longs, shorts)) is None
     brute = any({g[x] for x in shorts} == set(longs) for g in W.iter_elements())
     assert not brute
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 3), ("B", 3), ("G2", 2), ("D", 4)])
+def test_pair_transporter_with_a_shared_point(fam, rank):
+    """Pair transporters whose blocks share a point, against brute force
+    (W, and the full group on D4).  The walk commits the shared point
+    against its first block only; in the cases built to break just the
+    second block there, the first block alone can be met."""
+    R = rs.build(fam, rank)
+    G = wg.full_aut_group(R) if fam == "D" else wg.weyl_group(R)
+    elements = brute_full_group(R) if fam == "D" else list(G.iter_elements())
+    rng = random.Random("shared %s%d" % (fam, rank))
+    n = len(R)
+    second_only = 0
+    for k in range(30):
+        g = rng.choice(elements)
+        x1 = rng.sample(range(n), rng.randint(1, 3))
+        p = rng.choice(x1)
+        x2 = [p] + [i for i in rng.sample(range(n), rng.randint(0, 2)) if i not in x1]
+        y1, y2 = [g[x] for x in x1], [g[x] for x in x2]
+        if k % 3 == 1:  # move the shared point's image in the second block only
+            y2[0] = rng.choice([i for i in range(n) if i not in y2])
+        elif k % 3 == 2:
+            y1, y2 = rng.sample(range(n), len(x1)), rng.sample(range(n), len(x2))
+        got = G.transporter_pair((x1, x2), (y1, y2))
+        brute = [h for h in elements
+                 if {h[x] for x in x1} == set(y1) and {h[x] for x in x2} == set(y2)]
+        assert (got is not None) == bool(brute), (x1, x2, y1, y2)
+        assert got is None or got in brute
+        second_only += not brute and G.transporter_set(x1, y1) is not None
+    assert second_only >= 4

@@ -727,6 +727,48 @@ def test_twist_equals_height_rederivation(spec):
         assert rf.identify(tw) == rf.identify(rf.reduce_noncompact(tw, verify_dense=False))
 
 
+def _quasi_split_by_cliques(sigma):
+    """The reference test: whether the noncompact set holds a strongly
+    orthogonal set that leaves no negated root orthogonal to all of it (such
+    a survivor would stay negated after the transform chain)."""
+    R, pm = sigma.system, sigma.system.pairing_matrix
+    nc = iv.positive_representatives(R, sigma.noncompact_set)
+    imag = iv.positive_representatives(R, sigma.theta.imaginary_set)
+
+    def dfs(S, cands):
+        if S and not any(all(pm[g][s] == 0 for s in S) for g in imag if g not in S):
+            return True
+        return any(dfs(S + [c], [d for d in cands[k + 1:] if R.is_strongly_orthogonal(c, d)])
+                   for k, c in enumerate(cands))
+
+    return not imag or dfs([], nc)
+
+
+_QUASI_SPLIT_SPECS = ([rs.RootSystemSpec("A", r) for r in range(1, 6)]
+                      + [rs.RootSystemSpec("B", r) for r in range(2, 5)]
+                      + [rs.RootSystemSpec(f, r) for f, r in
+                         [("C", 3), ("C", 4), ("D", 4), ("D", 5), ("G2", None), ("F4", None)]])
+
+
+def test_quasi_split_matches_the_clique_search():
+    """is_quasi_split, read off the transform chain, agrees with the clique
+    search on every twist of the lifts over id, -1 and every catalog row,
+    and on every sign datum over -1 in B2."""
+    seen = split = 0
+    for spec in _QUASI_SPLIT_SPECS:
+        R = rs.build(spec)
+        for theta, lift, ch, mask in _hom_theta_pairs(R):
+            sigma = rf.twist(lift, rf.SignHom(R, mask=mask, chamber=ch))
+            got = rf.is_quasi_split(sigma)
+            assert got == _quasi_split_by_cliques(sigma), (spec.label, theta, mask)
+            seen, split = seen + 1, split + got
+    assert seen == 1056 and 0 < split < seen
+    over_minus_one = rf.compact_cartan_enumeration(rs.build("B", 2), dedupe=False)
+    got = [rf.is_quasi_split(s) for s in over_minus_one]
+    assert got == [_quasi_split_by_cliques(s) for s in over_minus_one]
+    assert got.count(True) == 2
+
+
 def _pair_law_failure(sigma):
     """The reference pairwise cocycle check: the first pair of roots (i, j)
     with i + j a root where N(i, j) f(i + j) != N(theta i, theta j) f(i)
