@@ -637,8 +637,7 @@ class QuarterTurn:
         if turn not in (1, -1, 2):
             raise ChevalleyError("a turn is 1, -1 or 2 times pi/4, not %r" % (turn,))
         self.b_indices = list(b_indices)
-        if not algebra.system.strongly_orthogonal_set(self.b_indices):
-            raise ChevalleyError("set is not strongly orthogonal")
+        algebra.system.require_strongly_orthogonal(self.b_indices, ChevalleyError)
         self.algebra = algebra
         self._rows = _HALF_TURN_ROWS if turn == 2 else {
             poly: tuple(c * turn ** k for k, c in enumerate(row))

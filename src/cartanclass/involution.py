@@ -329,12 +329,12 @@ def _supports(system: RootSystem, idxs):
 
 def classify_sos(system: RootSystem, idxs) -> SosClass:
     """Equivalence-class label of a strongly orthogonal set."""
-    S = sorted(set(idxs))
-    if not system.strongly_orthogonal_set(S):
-        raise InvolutionError("set is not strongly orthogonal")
+    S = sorted(idxs)
+    system.require_strongly_orthogonal(S, InvolutionError)
     fam = system.spec.family
     if fam is None:
-        raise InvolutionError("classification needs an irreducible system")
+        raise InvolutionError("classification needs an irreducible system, not %s"
+                              % system.spec.label)
     k = len(S)
     if fam == "A":
         return SosClass("A", (k,))
@@ -369,14 +369,9 @@ def classify_sos(system: RootSystem, idxs) -> SosClass:
 
 
 def _completes_to_klein(system: RootSystem, triple) -> bool:
-    pm = system.pairing_matrix
-    for g in range(len(system)):
-        if g in triple:
-            continue
-        if all(pm[g][s] == 0 for s in triple):
-            if klein_in_weyl(system, list(triple) + [g]):
-                return True
-    return False
+    rows = [system.pairing_matrix[s] for s in triple]
+    return any(klein_in_weyl(system, list(triple) + [g]) for g in range(len(system))
+               if g not in triple and not any(r[g] for r in rows))
 
 
 def max_sos_class_count(family: str, rank: int) -> int:
@@ -404,28 +399,23 @@ def sos_classes_by_size(system: RootSystem):
     class invariant, so label dedup realizes the classification (every
     class of size s+1 is reached by extending some size-s representative).
     """
-    n = len(system)
-
-    def extensions_of(S):
-        return [g for g in range(n) if g not in S
-                and all(system.is_strongly_orthogonal(g, s) for s in S)]
-
-    reps: dict[SosClass, tuple[int, ...]] = {}
-    frontier: list[tuple[int, ...]] = [()]
+    # each set goes with its extensions in ascending order; S + (g,) keeps g's among S's
+    reps: dict[SosClass, tuple[tuple[int, ...], list[int]]] = {}
+    frontier: list[tuple[tuple[int, ...], list[int]]] = [((), list(range(len(system))))]
     while frontier:
         new_frontier = []
-        for S in frontier:
+        for S, exts in frontier:
             seen_here = set()
-            for g in extensions_of(S):
+            for g in exts:
                 S2 = tuple(sorted(S + (g,)))
                 lab2 = classify_sos(system, S2)
                 if lab2 in reps or lab2 in seen_here:
                     continue
                 seen_here.add(lab2)
-                reps[lab2] = S2
-                new_frontier.append(S2)
+                reps[lab2] = S2, [h for h in exts if system.is_strongly_orthogonal(g, h)]
+                new_frontier.append(reps[lab2])
         frontier = new_frontier
-    return {lab: (S, not extensions_of(S)) for lab, S in reps.items()}
+    return {lab: (S, not exts) for lab, (S, exts) in reps.items()}
 
 
 def maximal_sos_classes(system: RootSystem) -> list[tuple[SosClass, tuple[int, ...]]]:

@@ -646,7 +646,7 @@ def cartan_classes(sigma: AntiInvolution) -> list[Involution]:
     eps, base = decompose(reduced.theta)
     pm = R.pairing_matrix
     pool = [i for i in positive_representatives(R, eps.real_set)
-            if all(pm[i][b] == 0 for b in base)]
+            if all(pm[b][i] == 0 for b in base)]
 
     def theta_of(S) -> Involution:
         perm = eps.perm

@@ -234,6 +234,15 @@ class Chamber(_ChamberFields):
         return frozenset(self.basis[i] for i in range(len(cs)) if cs[i] != 0)
 
 
+def _coroot_pairings(R: "RootSystem", i: int, js) -> tuple[int, ...]:
+    """<alpha_i, alpha_j^vee> for each j of js, checked to be integers."""
+    u, norms = R._int_roots[i], [R._norms[j] for j in js]
+    dots = [2 * sum(map(operator.mul, u, R._int_roots[j])) for j in js]
+    if any(d % n for d, n in zip(dots, norms)):
+        raise RootSystemError("non-integral pairing between roots")
+    return tuple(d // n for d, n in zip(dots, norms))
+
+
 class _PairingRows(dict):
     """The rows of RootSystem.pairing_matrix, each made on its first read."""
 
@@ -243,11 +252,7 @@ class _PairingRows(dict):
         self.system = system
 
     def __missing__(self, i: int) -> tuple[int, ...]:
-        R = self.system
-        dots = [2 * sum(map(operator.mul, R._int_roots[i], v)) for v in R._int_roots]
-        if any(d % n for d, n in zip(dots, R._norms)):
-            raise RootSystemError("non-integral pairing between roots")
-        row = self[i] = tuple(d // n for d, n in zip(dots, R._norms))
+        row = self[i] = _coroot_pairings(self.system, i, range(len(self.system)))
         return row
 
 
@@ -349,7 +354,9 @@ class RootSystem:
     # -- scalar products -------------------------------------------------
 
     def pairing(self, i: int, j: int) -> int:
-        return self.pairing_matrix[i][j]
+        """<alpha_i, alpha_j^vee>, from row i when it is made, else one dot product."""
+        row = self.pairing_matrix.get(i)
+        return row[j] if row is not None else _coroot_pairings(self, i, (j,))[0]
 
     # -- integer kernel ----------------------------------------------------
     #
@@ -450,10 +457,16 @@ class RootSystem:
 
     def perm_of_reflections(self, vectors) -> tuple[int, ...] | None:
         """The root permutation of the product of the reflections across the
-        given vectors, the first applied first, or None when the product
-        does not keep the root set.  The product is an isometry, so the
-        images of the simple roots decide.  With u the vector scaled to
-        integers, the scaled simple roots y go to (u, u) y - 2 (y, u) u."""
+        given vectors, the first applied first, or None when the product does
+        not keep the root set: its simple images, extended to every root."""
+        idx = self.simple_images_of_reflections(vectors)
+        return None if idx is None else self.perm_from_simple_images(idx)
+
+    def simple_images_of_reflections(self, vectors) -> list[int] | None:
+        """The images of the canonical simple roots under that product, or
+        None when one is not a root; the product is an isometry, so they
+        decide.  With u the vector scaled to integers, the scaled simple
+        roots y go to (u, u) y - 2 (y, u) u."""
         images, scale = [self._int_roots[b] for b in self.canonical_basis], 1
         for v in vectors:
             den = math.lcm(*(x.denominator for x in v))
@@ -467,7 +480,7 @@ class RootSystem:
             scale *= d
         idx = [None if any(a % scale for a in y) else
                self._int_index.get(tuple(a // scale for a in y)) for y in images]
-        return None if None in idx else self.perm_from_simple_images(idx)
+        return None if None in idx else idx
 
     def perm_of_matrix(self, m: la.Matrix) -> tuple[int, ...] | None:
         """Permutation induced on roots by an ambient linear map, if any.
@@ -505,15 +518,22 @@ class RootSystem:
         return out[0], out[1]
 
     def is_strongly_orthogonal(self, i: int, j: int) -> bool:
+        """j is not +-i, and neither sum nor difference is a root (by key)."""
         if j == i or j == self.negation_map[i]:
             return False
-        row = self.sum_table[i]
-        return row[j] < 0 and row[self.negation_map[j]] < 0
+        a, b, look = self._keys[i], self._keys[j], self._key_index
+        return a + b not in look and a - b not in look
 
-    def strongly_orthogonal_set(self, idxs) -> bool:
+    def require_strongly_orthogonal(self, idxs, error) -> None:
+        """Raise error unless the roots are pairwise strongly orthogonal,
+        naming the first pair at fault, in order, or the root given twice."""
         idxs = list(idxs)
-        return all(self.is_strongly_orthogonal(a, b)
-                   for k, a in enumerate(idxs) for b in idxs[k + 1:])
+        for k, a in enumerate(idxs):
+            for b in idxs[k + 1:]:
+                if not self.is_strongly_orthogonal(a, b):
+                    raise error("%s is repeated" % self.root_name(a) if a == b else
+                                "set is not strongly orthogonal: %s and %s"
+                                % (self.root_name(a), self.root_name(b)))
 
     # -- chambers ----------------------------------------------------------
 

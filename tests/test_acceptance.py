@@ -372,7 +372,7 @@ def test_criterion_08_dual_vectors():
         assert system.in_dual_lattice(omega), label
         for i in msys:
             assert la.vdot(system.roots[i], omega) == 1, (label, i)
-        assert system.strongly_orthogonal_set(msys), label
+        system.require_strongly_orthogonal(msys, AssertionError)
     report(8, "dual vectors pair to one with every reference system root")
 
 
@@ -521,6 +521,19 @@ def test_e8_weyl_chain_bound():
     took = time.time() - t0
     assert wg.weyl_group(E8).order == 696729600 and len(chain.levels) <= 8
     assert took < 0.2, took
+
+
+def test_sos_classes_e7_bound():
+    """The strongly orthogonal classes of E7, with their Klein flags, read
+    only the pairing rows of the roots they test against and map only the
+    simple roots by each double reflection: on a fresh system they take
+    under 0.5 s."""
+    E7 = rs.RootSystem(rs.RootSystemSpec("E7"))  # not the cached build
+    t0 = time.time()
+    reps = iv.sos_classes_by_size(E7)
+    took = time.time() - t0
+    assert {"S_3^I(E7)", "S_3^II(E7)", "S_4^I(E7)", "S_4^II(E7)"} <= {str(lab) for lab in reps}
+    assert took < 0.5, took
 
 
 @pytest.mark.parametrize("family", ["B", "C"])

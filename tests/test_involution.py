@@ -230,7 +230,7 @@ def test_decompose_lengths_match_clique():
         th = iv.antipodal_involution(R)
         eps, b = iv.decompose(th)
         assert len(b) == th.length == length
-        assert R.strongly_orthogonal_set(b)
+        R.require_strongly_orthogonal(b, AssertionError)
         assert eps.is_special()
 
 
@@ -339,6 +339,51 @@ def test_classify_sos_examples():
     assert iv.classify_sos(D4, s).label == (2, 0)
     s = [D4.root_index(v) for v in [(0, 0, 1, 1), (0, 0, 1, -1)]]
     assert iv.classify_sos(D4, s).label == (0, 1)
+
+
+def test_classify_sos_refuses_a_repeated_root():
+    """A repeated root is refused, not dropped: [0, 0, s] is no 2-set."""
+    D4 = rs.build("D", 4)
+    s = D4.root_index((-1, 1, 0, 0))
+    assert D4.roots[0] == (-1, -1, 0, 0) and str(iv.classify_sos(D4, [0, s])) == "S_0,1(D)"
+    with pytest.raises(iv.InvolutionError, match=r"^D4 root 0 \(-1, -1, 0, 0\) is repeated$"):
+        iv.classify_sos(D4, [0, 0, s])
+
+
+def test_classify_sos_errors_name_the_system_and_the_pair():
+    D4 = rs.build("D", 4)
+    a, b = D4.root_index((1, -1, 0, 0)), D4.root_index((0, 1, -1, 0))
+    assert b < a  # the set is read in index order
+    with pytest.raises(iv.InvolutionError, match=r"^set is not strongly orthogonal: D4 root %d "
+                       r"\(0, 1, -1, 0\) and D4 root %d \(1, -1, 0, 0\)$" % (b, a)):
+        iv.classify_sos(D4, [a, b])
+    A2 = rs.build("A", 2)
+    U = rs.build(rs.RootSystemSpec(factors=(A2.spec, A2.spec)))
+    with pytest.raises(iv.InvolutionError,
+                       match=r"^classification needs an irreducible system, not A2\+A2$"):
+        iv.classify_sos(U, [0])
+
+
+def test_pairing_rows_are_made_at_the_grain_of_their_callers(monkeypatch):
+    """The dense algebra reads its n x rank pairings one at a time, and the
+    strongly orthogonal sets of E7 read only the rows of the roots they
+    test against, with key lookups in place of the sum table."""
+    from cartanclass import chevalley as cv
+    made = []
+    missing = rs._PairingRows.__missing__
+
+    def count(rows, i):
+        made.append(i)
+        return missing(rows, i)
+
+    monkeypatch.setattr(rs._PairingRows, "__missing__", count)
+    E6 = rs.RootSystem(rs.RootSystemSpec("E6"))  # not the cached build
+    cv.dense_algebra(cv.structure_constants(E6))
+    assert made == []
+    E7 = rs.RootSystem(rs.RootSystemSpec("E7"))
+    assert len(iv.sos_classes_by_size(E7)) == 9
+    assert 0 < len(made) <= 40, len(made)
+    assert "sum_table" not in vars(E7)
 
 
 def test_classify_sos_invariant_under_weyl():

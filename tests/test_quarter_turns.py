@@ -165,6 +165,15 @@ def test_turn_must_be_a_quarter_or_a_half():
         cv.QuarterTurn(A, [R.canonical_basis[0]], 3)
 
 
+def test_turn_names_the_pair_that_is_not_strongly_orthogonal():
+    R = rs.build("B", 2)
+    A = cv.dense_algebra(cv.structure_constants(R), verify="none")
+    a, b = R.root_index((1, 0)), R.root_index((0, 1))
+    with pytest.raises(cv.ChevalleyError, match=r"^set is not strongly orthogonal: B2 root %d "
+                       r"\(1, 0\) and B2 root %d \(0, 1\)$" % (a, b)):
+        cv.QuarterTurn(A, [a, b], 2)
+
+
 def test_lift_checks_the_character_negates_every_k(monkeypatch):
     R = rs.build("G2")
     theta = iv.antipodal_involution(R)

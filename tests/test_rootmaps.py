@@ -181,15 +181,17 @@ def test_perm_of_reflections_matches_rational_on_catalog_rows(spec):
 
 
 def test_perm_of_reflections_matches_rational_on_e7_double_reflections(monkeypatch):
+    # the Klein test asks only for the simple images; perm_of_reflections
+    # extends the same images to every root
     E7 = rs.build("E7")
     asked = []
-    integer = rs.RootSystem.perm_of_reflections
+    integer = rs.RootSystem.simple_images_of_reflections
 
     def record(system, vectors):
         asked.append(list(vectors))
         return integer(system, vectors)
 
-    monkeypatch.setattr(rs.RootSystem, "perm_of_reflections", record)
+    monkeypatch.setattr(rs.RootSystem, "simple_images_of_reflections", record)
     iv.sos_classes_by_size(E7)
     monkeypatch.undo()
     assert len(asked) > 100

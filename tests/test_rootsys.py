@@ -317,6 +317,38 @@ def test_pairing_range_full_scan():
         assert seen <= {-3, -2, -1, 0, 1, 2, 3}
 
 
+_A2, _B2 = rs.RootSystemSpec("A", 2), rs.RootSystemSpec("B", 2)
+PAIRING_SPECS = [rs.RootSystemSpec(f, n) for f, lo in (("A", 1), ("B", 2), ("C", 3), ("D", 4))
+                 for n in range(lo, 9)]
+PAIRING_SPECS += [rs.RootSystemSpec(f, realization=r) for f, r in
+                  (("E6", "standard"), ("E6", "prime"), ("E7", "standard"),
+                   ("E7", "prime"), ("E8", "standard"), ("F4", "standard"),
+                   ("G2", "standard"))]
+PAIRING_SPECS += [rs.RootSystemSpec(factors=(_A2, _A2)),
+                  rs.RootSystemSpec(factors=(_B2, _B2, rs.RootSystemSpec("G2")))]
+
+
+@pytest.mark.parametrize("spec", PAIRING_SPECS, ids=lambda s: s.label)
+def test_scalar_pairing_and_key_orthogonality_match_the_tables(spec):
+    """On every pair of roots: the scalar pairing, made before any row
+    exists, equals the pairing row's entry, and the key-based strong
+    orthogonality equals its definition on the sum table."""
+    R = rs.RootSystem(spec)  # not the cached build, so no row exists yet
+    n, neg = len(R), R.negation_map
+    scalars = [[R.pairing(i, j) for j in range(n)] for i in range(n)]
+    assert len(R.pairing_matrix) == 0
+    assert scalars == [list(R.pairing_matrix[i]) for i in range(n)]
+    assert [R.pairing(i, j) for i in range(n) for j in range(n)] == sum(scalars, [])
+    st = R.sum_table
+    so = [[j not in (i, neg[i]) and st[i][j] < 0 and st[i][neg[j]] < 0 for j in range(n)]
+          for i in range(n)]
+    assert [[R.is_strongly_orthogonal(i, j) for j in range(n)] for i in range(n)] == so
+    # B, C and F4 have orthogonal short roots whose sum is a root
+    orth_not_so = any(scalars[i][j] == 0 and not so[i][j] for i in range(n) for j in range(n))
+    assert orth_not_so == (spec.family in ("B", "C", "F4") or spec.factors is not None
+                           and spec.label.startswith("B2"))
+
+
 def test_height_order_is_height_then_root_vector():
     for fam, rank in [("B", 3), ("F4", 4), ("E6", 6)]:
         R = rs.build(fam, rank)

@@ -1,11 +1,13 @@
 """Permutation group engine: orders, membership, transporters, Klein sets."""
 
+import functools
 import itertools
 import math
 import random
 
 import pytest
 
+from cartanclass import _linalg as la
 from cartanclass import involution as iv, rootsys as rs, weylgroup as wg
 from test_rootsys import zeta
 
@@ -134,6 +136,68 @@ def test_klein_errors_name_the_roots():
         wg.klein_in_weyl(D4, [a, b, c, d])
     with pytest.raises(ValueError, match="not orthogonal"):
         wg.klein_in_weyl(D4, [a, a, b, d])
+
+
+def _klein_full_perms(R, quad):
+    """klein_in_weyl as it was before it stopped at the simple images: the
+    orthogonality check on pairing rows, then each double reflection as a
+    full root permutation, tested by in_weyl."""
+    q = list(quad)
+    assert len(q) == 4
+    for a, b in itertools.combinations(q, 2):
+        if R.pairing_matrix[a][b]:
+            raise ValueError("%s and %s are not orthogonal" % (R.root_name(a), R.root_name(b)))
+    vs = [R._int_roots[i] for i in q]
+    for (i, j), (k, m) in [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]:
+        perm = R.perm_of_reflections([la.vsub(vs[k], vs[m]), la.vsub(vs[i], vs[j])])
+        if perm is None or not wg.in_weyl(R, perm):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("fam, quads, kleins", [("D", 48, 48), ("B", 160, 64)])
+def test_klein_matches_full_permutations_on_every_orthogonal_quad(fam, quads, kleins):
+    R = rs.build(fam, 4)
+    quads_ = [q for q in itertools.combinations(range(len(R)), 4)
+              if all(R.pairing(a, b) == 0 for a, b in itertools.combinations(q, 2))]
+    got = [wg.klein_in_weyl(R, q) for q in quads_]
+    assert (len(quads_), sum(got)) == (quads, kleins)
+    assert got == [_klein_full_perms(R, q) for q in quads_]
+
+
+@pytest.mark.parametrize("family", ["E7", "E8"])
+def test_klein_matches_full_permutations_on_seeded_quads(family):
+    R = rs.build(family)
+    rng = random.Random(19)
+    quads = []
+    while len(quads) < 300:
+        quad = [rng.randrange(len(R))]
+        while len(quad) < 4:
+            c = rng.randrange(len(R))
+            if c not in quad and all(R.pairing(c, x) == 0 for x in quad):
+                quad.append(c)
+        quads.append(quad)
+    got = [wg.klein_in_weyl(R, q) for q in quads]
+    assert {True, False} <= set(got)
+    assert got == [_klein_full_perms(R, q) for q in quads]
+
+
+@pytest.mark.parametrize("realization", ["standard", "prime"])
+def test_completes_to_klein_matches_full_permutations(realization):
+    """On every triple of pairwise orthogonal roots of E7 that contains the
+    highest root, _completes_to_klein agrees with trying every orthogonal
+    fourth root in the full-permutation test."""
+    R = rs.build("E7", realization=realization)
+    ch = R.canonical_chamber()
+    top = max(ch.positive_set, key=ch.q_degree)
+    pm, n = R.pairing_matrix, len(R)
+    others = [a for a in range(n) if pm[top][a] == 0 and a != top]
+    triples = [[top, a, b] for a, b in itertools.combinations(others, 2) if pm[a][b] == 0]
+    full = functools.lru_cache(maxsize=None)(lambda q: _klein_full_perms(R, sorted(q)))
+    got = [iv._completes_to_klein(R, t) for t in triples]
+    assert len(triples) == 780 and {True, False} <= set(got)
+    assert got == [any(full(frozenset(t + [g])) for g in range(n)
+                       if g not in t and all(pm[g][s] == 0 for s in t)) for t in triples]
 
 
 def test_klein_census_e8():
