@@ -668,7 +668,7 @@ def cartan_classes(sigma: AntiInvolution) -> list[Involution]:
     while frontier:
         new_frontier = []
         for S in frontier:
-            psi = [g for g in pool if g not in S and not any(pm[g][s] for s in S)]
+            psi = [g for g in pool if g not in S and not any(pm[s][g] for s in S)]
             orbit = {g: (k, R._norms[g])
                      for k, c in enumerate(_orthogonal_components(R, psi)) for g in c}
             kept = set()
