@@ -399,7 +399,8 @@ def sos_classes_by_size(system: RootSystem):
     class invariant, so label dedup realizes the classification (every
     class of size s+1 is reached by extending some size-s representative).
     """
-    # each set goes with its extensions in ascending order; S + (g,) keeps g's among S's
+    # each set goes with its extensions, the roots strongly orthogonal to all of it in
+    # ascending order; those of S + (g,) are the ones of S strongly orthogonal to g
     reps: dict[SosClass, tuple[tuple[int, ...], list[int]]] = {}
     frontier: list[tuple[tuple[int, ...], list[int]]] = [((), list(range(len(system))))]
     while frontier:

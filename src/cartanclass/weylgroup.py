@@ -326,8 +326,9 @@ def full_aut_group(system: RootSystem) -> PermGroup:
 
 
 def in_weyl(system: RootSystem, perm) -> bool:
-    """Whether a root automorphism g, which keeps the Cartan matrix on the
-    simple roots, lies in W; its simple images decide."""
+    """Whether a root automorphism g lies in W; its simple images decide.
+    Keeping the Cartan matrix on the simple roots makes g an automorphism,
+    and a permutation that does not keep it raises ValueError."""
     cb = system.canonical_basis
     images = [perm[b] for b in cb]
     if any(system.pairing(i, j) != system.pairing(b, c)
