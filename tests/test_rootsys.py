@@ -338,7 +338,8 @@ def test_scalar_pairing_and_key_orthogonality_match_the_tables(spec):
     scalars = [[R.pairing(i, j) for j in range(n)] for i in range(n)]
     assert len(R.pairing_matrix) == 0
     assert scalars == [list(R.pairing_matrix[i]) for i in range(n)]
-    assert [R.pairing(i, j) for i in range(n) for j in range(n)] == sum(scalars, [])
+    again = [R.pairing(i, j) for i in range(n) for j in range(n)]  # now read from the rows
+    assert again == [p for row in scalars for p in row]
     st = R.sum_table
     so = [[j not in (i, neg[i]) and st[i][j] < 0 and st[i][neg[j]] < 0 for j in range(n)]
           for i in range(n)]
