@@ -15,7 +15,8 @@ from . import _linalg as la
 from .rootsys import CartanclassError, RootSystem, RootSystemError
 from ._linalg import e
 from .weylgroup import (Perm, diagram_automorphisms, factor_swap, full_aut_group,
-                        identity_perm, in_weyl, klein_in_weyl, perm_mul, weyl_group)
+                        identity_perm, in_weyl, klein_completer, klein_in_weyl, perm_mul,
+                        weyl_group)
 
 
 class InvolutionError(CartanclassError):
@@ -370,8 +371,8 @@ def classify_sos(system: RootSystem, idxs) -> SosClass:
 
 def _completes_to_klein(system: RootSystem, triple) -> bool:
     rows = [system.pairing_matrix[s] for s in triple]
-    return any(klein_in_weyl(system, list(triple) + [g]) for g in range(len(system))
-               if g not in triple and not any(r[g] for r in rows))
+    fourths = [g for g in range(len(system)) if g not in triple and not any(r[g] for r in rows)]
+    return any(map(klein_completer(system, triple), fourths))
 
 
 def max_sos_class_count(family: str, rank: int) -> int:

@@ -13,15 +13,14 @@ printing and for reading vectors given from outside.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-import operator
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import NamedTuple
+from operator import add, mul
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import _linalg as la
-from ._linalg import Vector, vdot
+if TYPE_CHECKING:
+    from fractions import Fraction
+    from ._linalg import Matrix, Vector
 
 FAMILIES = ("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2")
 
@@ -90,20 +89,18 @@ class RootSystemSpec(_SpecFields):
         return base + ("'" if self.realization == "prime" else "")
 
 
-def _e(i: int, n: int, c: int = 1) -> tuple[int, ...]:
-    """c times the i-th (1-based) unit vector of Z^n."""
-    return tuple(c * (k == i - 1) for k in range(n))
-
-
-def _add(*vs) -> tuple[int, ...]:
-    return tuple(map(sum, zip(*vs)))
+def _vec(n: int, *slots: tuple[int, int]) -> tuple[int, ...]:
+    """The vector of Z^n with c at each 0-based position k of the slots (k, c), else 0."""
+    v = [0] * n
+    for k, c in slots:
+        v[k] = c
+    return tuple(v)
 
 
 def _pm_pairs(n: int, c: int = 1) -> list[tuple[int, ...]]:
     """c (+-e_i +- e_j) for i < j."""
-    return [_add(_e(i, n, si * c), _e(j, n, sj * c))
-            for i in range(1, n + 1) for j in range(i + 1, n + 1)
-            for si in (1, -1) for sj in (1, -1)]
+    return [_vec(n, (i, a), (j, b)) for i, j in itertools.combinations(range(n), 2)
+            for a in (c, -c) for b in (c, -c)]
 
 
 def _roots_for(spec: RootSystemSpec) -> tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]:
@@ -113,24 +110,22 @@ def _roots_for(spec: RootSystemSpec) -> tuple[int, list[tuple[int, ...]], list[t
     if fam in ("A", "G2"):
         # e_i - e_j; G2 adds +-(2 e_i - e_j - e_k) in R^3
         n = 3 if fam == "G2" else rk + 1
-        roots = [_add(_e(i, n), _e(j, n, -1)) for i in range(1, n + 1)
-                 for j in range(1, n + 1) if i != j]
+        roots = [_vec(n, (i, 1), (j, -1)) for i, j in itertools.permutations(range(n), 2)]
         if fam == "A":
-            return 1, roots, [_add(_e(i, n), _e(i + 1, n, -1)) for i in range(1, n)]
-        roots += [_add(_e(i, n, 2 * s), *(_e(j, n, -s) for j in range(1, 4) if j != i))
-                  for i in range(1, 4) for s in (1, -1)]
+            return 1, roots, [_vec(n, (i, 1), (i + 1, -1)) for i in range(rk)]
+        roots += [_vec(3, (j, -s), (k, -s), (i, 2 * s))
+                  for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)) for s in (1, -1)]
         return 1, roots, [(1, -1, 0), (-2, 1, 1)]
     if fam in ("B", "C", "D"):
-        n = rk
-        basis = [_add(_e(i, n), _e(i + 1, n, -1)) for i in range(1, n)]
+        basis = [_vec(rk, (i, 1), (i + 1, -1)) for i in range(rk - 1)]
         if fam == "D":
-            return 1, _pm_pairs(n), basis + [_add(_e(n - 1, n), _e(n, n))]
+            return 1, _pm_pairs(rk), basis + [_vec(rk, (rk - 2, 1), (rk - 1, 1))]
         c = 1 if fam == "B" else 2  # the roots on the axes are +-c e_i
-        roots = _pm_pairs(n) + [_e(i, n, s * c) for i in range(1, n + 1) for s in (1, -1)]
-        return 1, roots, basis + [_e(n, n, c)]
+        roots = _pm_pairs(rk) + [_vec(rk, (i, s)) for i in range(rk) for s in (c, -c)]
+        return 1, roots, basis + [_vec(rk, (rk - 1, c))]
     if fam == "F4":
-        roots = [_e(i, 4, 2 * s) for i in range(1, 5) for s in (1, -1)] + _pm_pairs(4, 2)
-        roots += list(itertools.product((1, -1), repeat=4))
+        roots = [_vec(4, (i, s)) for i in range(4) for s in (2, -2)] + _pm_pairs(4, 2)
+        roots += itertools.product((1, -1), repeat=4)
         return 2, roots, [(2, -2, 0, 0), (0, 2, -2, 0), (0, 0, 2, 0), (-1, -1, -1, 1)]
     # E6, E7, E8 and the primed E6, E7: the roots of E8 orthogonal to the
     # walls.  Twice the E8 roots are 2 (+-e_i +- e_j) and the sign vectors
@@ -138,21 +133,23 @@ def _roots_for(spec: RootSystemSpec) -> tuple[int, list[tuple[int, ...]], list[t
     e8 = _pm_pairs(8, 2) + [s for s in itertools.product((1, -1), repeat=8)
                             if s.count(1) % 2 == 0]
     if spec.realization == "standard":
-        walls = [_add(_e(7, 8), _e(8, 8, -1)), _add(_e(6, 8), _e(7, 8, -1))][:8 - rk]
-        basis = [(-1,) * 8, _add(_e(1, 8, 2), _e(2, 8, 2))] + \
-            [_add(_e(i - 1, 8, 2), _e(i - 2, 8, -2)) for i in range(3, rk + 1)]
+        walls = [_vec(8, (6, 1), (7, -1)), _vec(8, (5, 1), (6, -1))][:8 - rk]
+        basis = [(-1,) * 8, _vec(8, (0, 2), (1, 2))] + \
+            [_vec(8, (i - 3, -2), (i - 2, 2)) for i in range(3, rk + 1)]
     else:
-        walls = [(1,) * 8, _add(_e(7, 8), _e(8, 8))][:8 - rk]
-        basis = [_add(_e(i, 8, 2), _e(i + 1, 8, -2)) for i in range(1, rk)] + \
+        walls = [(1,) * 8, _vec(8, (6, 1), (7, 1))][:8 - rk]
+        basis = [_vec(8, (i, 2), (i + 1, -2)) for i in range(rk - 1)] + \
             [(-1, -1, -1, 1, 1, 1, 1, -1)]
-    roots = [r for r in e8 if not any(sum(map(operator.mul, r, w)) for w in walls)]
+    roots = [r for r in e8 if not any(sum(map(mul, r, w)) for w in walls)]
     return 2, roots, basis
 
 
-def _as_ints(v) -> tuple[int, ...] | None:
-    """The vector with integer coordinates, or None when one is not an integer."""
-    v = [Fraction(x) for x in v]
-    return None if any(x.denominator != 1 for x in v) else tuple(map(int, v))
+def _integral(v) -> tuple[list[int], int]:
+    """(u, d) with v = u / d, u an integer vector and d the least common
+    denominator of the coordinates, which are ints or Fractions.  No prime
+    divides d and every entry of u, so c v is integral iff d divides c."""
+    d = math.lcm(*(x.denominator for x in v))
+    return [x.numerator * (d // x.denominator) for x in v], d
 
 
 def _coordinate_rows(system: "RootSystem", basis) -> tuple[tuple[int, ...], ...]:
@@ -229,15 +226,11 @@ class Chamber(_ChamberFields):
     def q_degree(self, idx: int) -> int:
         return sum(self._coord_rows[idx])
 
-    def support(self, idx: int) -> frozenset[int]:
-        cs = self.coords(idx)
-        return frozenset(self.basis[i] for i in range(len(cs)) if cs[i] != 0)
-
 
 def _coroot_pairings(R: "RootSystem", i: int, js) -> tuple[int, ...]:
     """<alpha_i, alpha_j^vee> for each j of js, checked to be integers."""
     u, norms = R._int_roots[i], [R._norms[j] for j in js]
-    dots = [2 * sum(map(operator.mul, u, R._int_roots[j])) for j in js]
+    dots = [2 * sum(map(mul, u, R._int_roots[j])) for j in js]
     if any(d % n for d, n in zip(dots, norms)):
         raise RootSystemError("non-integral pairing between roots")
     return tuple(d // n for d, n in zip(dots, norms))
@@ -285,15 +278,19 @@ class RootSystem:
             self.rank = spec.rank
             self.factors = None
         # sorting the vectors indexes the roots; the scale den keeps the order
-        self._int_roots: tuple[tuple[int, ...], ...] = tuple(sorted(set(roots)))
-        if len(self._int_roots) != len(roots):
+        ints = self._int_roots = tuple(sorted(set(roots)))
+        if len(ints) != len(roots):
             raise RootSystemError("duplicate roots in realization")
-        self._int_index = {r: i for i, r in enumerate(self._int_roots)}
+        self._int_index = {r: i for i, r in enumerate(ints)}
         self.canonical_basis: tuple[int, ...] = tuple(self._int_index[b] for b in basis_vecs)
-        self.negation_map: tuple[int, ...] = tuple(
-            self._int_index[tuple(-x for x in r)] for r in self._int_roots)
+        # negation reverses the order of a set closed under it: root i + root
+        # N-1-i is zero for every i, read in one pass over the coordinates
+        if any(map(add, itertools.chain.from_iterable(ints),
+                   itertools.chain.from_iterable(reversed(ints)))):
+            raise AssertionError("%s: the realization is not closed under negation" % spec.label)
+        self.negation_map: tuple[int, ...] = tuple(range(len(ints) - 1, -1, -1))
         # den^2 times the norm of each root
-        self._norms = tuple(sum(x * x for x in r) for r in self._int_roots)
+        self._norms = tuple([sum(map(mul, r, r)) for r in ints])
         self._reflection_perms: dict[int, tuple[int, ...]] = {}
         self._canonical_chamber: Chamber | None = None
         # Objects of the upper layers, built by their getters on first use
@@ -306,6 +303,7 @@ class RootSystem:
     @cached_property
     def roots(self) -> tuple[Vector, ...]:
         """The root vectors of the realization, for printing and parsing."""
+        from fractions import Fraction
         return tuple(tuple(Fraction(x, self.den) for x in r) for r in self._int_roots)
 
     # -- basic queries ---------------------------------------------------
@@ -314,6 +312,7 @@ class RootSystem:
         return len(self._int_roots)
 
     def norm2(self, idx: int) -> Fraction:
+        from fractions import Fraction
         return Fraction(self._norms[idx], self.den * self.den)
 
     @cached_property
@@ -334,14 +333,23 @@ class RootSystem:
     def root_name(self, i: int) -> str:  # for error messages
         return "%s root %d (%s)" % (self.spec.label, i, ", ".join(str(c) for c in self.roots[i]))
 
+    def _require_dim(self, v) -> None:
+        if len(v) != self.dim:
+            raise RootSystemError("%s: the vector has %d coordinates, the roots have %d"
+                                  % (self.spec.label, len(v), self.dim))
+
     def _index_of(self, v) -> int | None:
-        """The index of the root with the vector v, or None."""
-        return self._int_index.get(_as_ints(Fraction(x) * self.den for x in v))
+        """The index of the root with the vector v, or None: v times den,
+        when it is an integer vector, is the root's key in _int_index."""
+        u, d = _integral(v)
+        return None if self.den % d else self._int_index.get(tuple(x * (self.den // d) for x in u))
 
     def root_index(self, v: Vector) -> int:
+        self._require_dim(v)
         i = self._index_of(v)
         if i is None:
-            raise RootSystemError("%r is not a root of %s" % (v, self.spec.label))
+            raise RootSystemError("(%s) is not a root of %s"
+                                  % (", ".join(map(str, v)), self.spec.label))
         return i
 
     def contains_vector(self, v: Vector) -> bool:
@@ -349,7 +357,9 @@ class RootSystem:
 
     def pairing_with(self, idx: int, v: Vector) -> Fraction:
         """The scalar product of a root with an ambient vector."""
-        return vdot(self._int_roots[idx], v) / self.den
+        from fractions import Fraction
+        u, d = _integral(v)
+        return Fraction(sum(map(mul, self._int_roots[idx], u)), d * self.den)
 
     # -- scalar products -------------------------------------------------
 
@@ -452,54 +462,57 @@ class RootSystem:
         A root's image key is its canonical coordinates times their keys."""
         ks = [self._keys[j] for j in images]
         look = self._key_index
-        return tuple(look[sum(map(operator.mul, c, ks))]
+        return tuple(look[sum(map(mul, c, ks))]
                      for c in self.canonical_chamber()._coord_rows)
 
     def perm_of_reflections(self, vectors) -> tuple[int, ...] | None:
         """The root permutation of the product of the reflections across the
         given vectors, the first applied first, or None when the product does
         not keep the root set: its simple images, extended to every root."""
-        idx = self.simple_images_of_reflections(vectors)
+        idx = self.roots_of_scaled(*self.reflect_simple_roots(vectors))
         return None if idx is None else self.perm_from_simple_images(idx)
 
-    def simple_images_of_reflections(self, vectors) -> list[int] | None:
-        """The images of the canonical simple roots under that product, or
-        None when one is not a root; the product is an isometry, so they
-        decide.  With u the vector scaled to integers, the scaled simple
-        roots y go to (u, u) y - 2 (y, u) u."""
-        images, scale = [self._int_roots[b] for b in self.canonical_basis], 1
+    def reflect_simple_roots(self, vectors, start=None) -> tuple[list, int]:
+        """(images, scale): the canonical simple roots, or the pair start of an
+        earlier call, reflected across each vector in turn, the first first, as
+        the scaled roots times scale; with u the vector scaled to integers, y
+        goes to (u, u) y - 2 (y, u) u."""
+        images, scale = start or ([self._int_roots[b] for b in self.canonical_basis], 1)
         for v in vectors:
-            den = math.lcm(*(x.denominator for x in v))
-            u = [x.numerator * (den // x.denominator) for x in v]
-            d = sum(x * x for x in u)
+            u = _integral(v)[0]
+            d = sum(map(mul, u, u))
             if d == 0:
                 raise ValueError("pairing against the zero vector")
-            for k, y in enumerate(images):
-                t = 2 * sum(map(operator.mul, y, u))
-                images[k] = [d * a - t * b for a, b in zip(y, u, strict=True)]
+            images = [[d * a - t * b for a, b in zip(y, u, strict=True)]
+                      for y in images for t in (2 * sum(map(mul, y, u)),)]
             scale *= d
+        return images, scale
+
+    def roots_of_scaled(self, images, scale) -> list[int] | None:
+        """The indices of the roots y / scale for the images y, or None when one is
+        not a root; the simple images of an isometry decide if it keeps the roots."""
         idx = [None if any(a % scale for a in y) else
                self._int_index.get(tuple(a // scale for a in y)) for y in images]
         return None if None in idx else idx
 
-    def perm_of_matrix(self, m: la.Matrix) -> tuple[int, ...] | None:
+    def perm_of_matrix(self, m: Matrix) -> tuple[int, ...] | None:
         """Permutation induced on roots by an ambient linear map, if any.
         The map sends a scaled root to the scaled image."""
-        images = []
+        from ._linalg import mat_vec
+        images, look = [], self._int_index
         for r in self._int_roots:
-            j = self._int_index.get(_as_ints(la.mat_vec(m, r)))
-            if j is None:
+            u, d = _integral(mat_vec(m, r))
+            if d != 1 or tuple(u) not in look:
                 return None
-            images.append(j)
-        if len(set(images)) != len(images):
-            return None
-        return tuple(images)
+            images.append(look[tuple(u)])
+        return tuple(images) if len(set(images)) == len(images) else None
 
-    def matrix_of_perm(self, perm) -> la.Matrix:
+    def matrix_of_perm(self, perm) -> Matrix:
         """Ambient matrix inducing the permutation (identity off the span)."""
+        from ._linalg import map_from_images
         src = [self.roots[i] for i in self.canonical_basis]
         img = [self.roots[perm[i]] for i in self.canonical_basis]
-        return la.map_from_images(src, img)
+        return map_from_images(src, img)
 
     # -- strings and coordinates ------------------------------------------
 
@@ -537,14 +550,20 @@ class RootSystem:
 
     # -- chambers ----------------------------------------------------------
 
+    def _dots(self, h) -> list[int]:
+        """Each root's scalar product with h, times a positive integer."""
+        self._require_dim(h)
+        u = _integral(h)[0]
+        return [sum(map(mul, r, u)) for r in self._int_roots]
+
     def is_regular(self, h: Vector) -> bool:
-        return all(vdot(r, h) != 0 for r in self._int_roots)
+        return all(self._dots(h))
 
     def chamber_from_witness(self, h: Vector) -> Chamber:
-        h = tuple(Fraction(x) for x in h)
-        if not self.is_regular(h):
+        dots = self._dots(h)
+        if not all(dots):
             raise RootSystemError("witness is not regular")
-        pos = frozenset(i for i, r in enumerate(self._int_roots) if vdot(r, h) > 0)
+        pos = frozenset(i for i, x in enumerate(dots) if x > 0)
         return Chamber(self, self.simple_roots(pos))
 
     def simple_roots(self, pos) -> tuple[int, ...]:
@@ -573,11 +592,10 @@ class RootSystem:
 
     def in_dual_lattice(self, omega: Vector) -> bool:
         """Whether omega pairs integrally with the roots; the simple roots decide."""
-        omega = tuple(Fraction(x) for x in omega)
-        if len(omega) != self.dim:
-            raise RootSystemError("%s: the vector has %d coordinates, the roots have %d"
-                                  % (self.spec.label, len(omega), self.dim))
-        return all(self.pairing_with(b, omega).denominator == 1 for b in self.canonical_basis)
+        self._require_dim(omega)
+        u, d = _integral(omega)
+        return not any(sum(map(mul, self._int_roots[b], u)) % (d * self.den)
+                       for b in self.canonical_basis)
 
     # -- serialization -----------------------------------------------------
 
@@ -592,6 +610,7 @@ class RootSystem:
         }
 
     def to_json_str(self) -> str:
+        import json
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
     def __repr__(self):

@@ -6,87 +6,55 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import _linalg as la
-from ._linalg import e
-from .rootsys import RootSystem, build
+from .rootsys import RootSystem, _vec, build
 
-F = Fraction
+
+def _roots(system: RootSystem, slot_lists) -> list[int]:
+    """The indices of the roots with the value c at each 0-based position k
+    of the (k, c) slots of each list, zero elsewhere."""
+    return [system.root_index(_vec(system.dim, *slots)) for slots in slot_lists]
+
+
+def _pairs(k: int, signs=(-1, 1)):
+    """e_{2i-1} + s e_{2i} for i <= k and each sign s, as slot lists."""
+    return [((2 * i, 1), (2 * i + 1, s)) for i in range(k) for s in signs]
 
 
 def standard_max_sos(system: RootSystem) -> list[int]:
     """The reference maximal strongly orthogonal system per family."""
-    fam, rank, n = system.spec.family, system.rank, system.dim
-    vecs: list[la.Vector] = []
+    fam, rank = system.spec.family, system.rank
     if fam == "A":
-        vecs = [la.vsub(e(2 * i - 1, n), e(2 * i, n))
-                for i in range(1, (rank + 1) // 2 + 1)]
-    elif fam == "B":
-        for i in range(1, rank // 2 + 1):
-            vecs.append(la.vsub(e(2 * i - 1, n), e(2 * i, n)))
-            vecs.append(la.vadd(e(2 * i - 1, n), e(2 * i, n)))
-        if rank % 2:
-            vecs.append(e(rank, n))
+        slots = _pairs((rank + 1) // 2, (-1,))
+    elif fam in ("B", "D"):
+        slots = _pairs(rank // 2) + ([((rank - 1, 1),)] if fam == "B" and rank % 2 else [])
     elif fam == "C":
         # short pairs then doubled basis vectors, one maximal per (r1, r2)
-        r1 = rank // 2 if rank % 2 == 0 else (rank - 1) // 2
-        r2 = rank - 2 * r1
-        vecs = [la.vadd(e(2 * i - 1, n), e(2 * i, n)) for i in range(1, r1 + 1)]
-        vecs += [la.vscale(2, e(2 * r1 + i, n)) for i in range(1, r2 + 1)]
-    elif fam == "D":
-        for i in range(1, rank // 2 + 1):
-            vecs.append(la.vsub(e(2 * i - 1, n), e(2 * i, n)))
-            vecs.append(la.vadd(e(2 * i - 1, n), e(2 * i, n)))
-    elif fam == "E6":
-        vecs = [la.vsub(e(1, n), e(2, n)), la.vadd(e(1, n), e(2, n)),
-                la.vsub(e(3, n), e(4, n)), la.vadd(e(3, n), e(4, n))]
+        slots = _pairs(rank // 2, (1,)) + ([((rank - 1, 2),)] if rank % 2 else [])
+    elif fam in ("E6", "F4"):
+        slots = _pairs(2)
     elif fam == "E7":
-        for i in (1, 2, 3):
-            vecs.append(la.vsub(e(2 * i - 1, n), e(2 * i, n)))
-            vecs.append(la.vadd(e(2 * i - 1, n), e(2 * i, n)))
-        vecs.append(la.vadd(e(7, n), e(8, n)))
+        slots = _pairs(3) + [((6, 1), (7, 1))]
     elif fam == "E8":
-        for i in (1, 2, 3, 4):
-            vecs.append(la.vsub(e(2 * i - 1, n), e(2 * i, n)))
-            vecs.append(la.vadd(e(2 * i - 1, n), e(2 * i, n)))
-    elif fam == "F4":
-        vecs = [la.vsub(e(1, n), e(2, n)), la.vadd(e(1, n), e(2, n)),
-                la.vsub(e(3, n), e(4, n)), la.vadd(e(3, n), e(4, n))]
+        slots = _pairs(4)
     elif fam == "G2":
-        vecs = [la.vsub(e(1, n), e(2, n)),
-                la.vsub(la.vadd(e(1, n), e(2, n)), la.vscale(2, e(3, n)))]
+        slots = [((0, 1), (1, -1)), ((0, 1), (1, 1), (2, -2))]
     else:
         raise ValueError("no reference system for %r" % fam)
-    return [system.root_index(v) for v in vecs]
+    return _roots(system, slots)
 
 
-def adapted_dual_vector(system: RootSystem) -> la.Vector:
+def adapted_dual_vector(system: RootSystem) -> tuple[Fraction, ...]:
     """The dual-lattice vector pairing to one with the reference system."""
     fam, rank, n = system.spec.family, system.rank, system.dim
-    if fam == "A":
-        h = (rank + 1) // 2
-        out = la.zero_vec(n)
-        for i in range(1, h + 1):
-            out = la.vadd(out, e(2 * i - 1, n))
-        corr = la.vscale(F(h, rank + 1), tuple(la.ONE for _ in range(n)))
-        return la.vsub(out, corr)
-    if fam in ("B", "D"):
-        h = (rank + 1) // 2 if fam == "B" else rank // 2
-        out = la.zero_vec(n)
-        for i in range(1, h + 1):
-            out = la.vadd(out, e(2 * i - 1, n))
-        return out
     if fam == "C":
-        return tuple(F(1, 2) for _ in range(n))
-    if fam == "E6" or fam == "F4":
-        return la.vadd(e(1, n), e(3, n))
-    if fam in ("E7", "E8"):
-        out = la.zero_vec(n)
-        for i in (1, 3, 5, 7):
-            out = la.vadd(out, e(i, n))
-        return out
-    if fam == "G2":
-        return e(1, n)
-    raise ValueError("no dual vector for %r" % fam)
+        return (Fraction(1, 2),) * n
+    # e_1 + e_3 + ... + e_{2h-1}, less its mean for A
+    h = {"A": (rank + 1) // 2, "B": (rank + 1) // 2, "D": rank // 2, "E6": 2, "F4": 2,
+         "E7": 4, "E8": 4, "G2": 1}.get(fam)
+    if h is None:
+        raise ValueError("no dual vector for %r" % fam)
+    shift = Fraction(h, rank + 1) if fam == "A" else 0
+    return tuple(Fraction(int(k % 2 == 0 and k < 2 * h)) - shift for k in range(n))
 
 
 def dual_vector_table():
@@ -101,9 +69,7 @@ def dual_vector_table():
                      standard_max_sos(system)))
     # the second F4 reference system shares the same dual vector
     f4 = build("F4")
-    alt = [f4.root_index(la.vsub(e(1, 4), e(2, 4))),
-           f4.root_index(la.vadd(e(1, 4), e(2, 4))),
-           f4.root_index(e(3, 4))]
+    alt = _roots(f4, _pairs(1) + [((2, 1),)])
     rows.append(("F4'", f4, adapted_dual_vector(f4), alt))
     return rows
 
@@ -114,9 +80,7 @@ def compact_chain_sos(system: RootSystem) -> list[int]:
     Same as the dual-vector reference except for type C, whose chain runs
     through the doubled coordinate vectors (all long)."""
     if system.spec.family == "C":
-        n = system.dim
-        return [system.root_index(la.vscale(2, e(i, n)))
-                for i in range(1, system.rank + 1)]
+        return _roots(system, [((k, 2),) for k in range(system.rank)])
     return standard_max_sos(system)
 
 

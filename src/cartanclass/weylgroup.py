@@ -15,7 +15,6 @@ import functools
 import itertools
 import math
 import operator
-from . import _linalg as la
 from .rootsys import RootSystem
 
 Perm = tuple[int, ...]
@@ -363,10 +362,26 @@ def klein_in_weyl(system: RootSystem, quad) -> bool:
         if system.pairing(a, b):
             raise ValueError("%s and %s are not orthogonal"
                              % (system.root_name(a), system.root_name(b)))
-    vs = [system._int_roots[i] for i in q]
-    for (i, j), (k, l) in [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]:
-        images = system.simple_images_of_reflections([la.vsub(vs[k], vs[l]),
-                                                      la.vsub(vs[i], vs[j])])
-        if images is None or not _simple_images_in_weyl(system, images):
-            return False
-    return True
+    return klein_completer(system, q[:3])(q[3])
+
+
+def klein_completer(system: RootSystem, triple):
+    """klein_in_weyl on triple + (g,) as a function of g, for four pairwise
+    orthogonal roots.  Each double reflection is across a difference of two
+    triple roots and across v_p - g for the third root p; the vectors are
+    orthogonal, so the reflections commute, and the first is applied to the
+    simple roots once, here."""
+    v = [system._int_roots[i] for i in triple]
+    halves = [(v[p], system.reflect_simple_roots([tuple(map(operator.sub, v[a], v[b]))]))
+              for a, b, p in ((0, 1, 2), (0, 2, 1), (1, 2, 0))]
+
+    def completes(g: int) -> bool:
+        w = system._int_roots[g]
+        for vp, half in halves:
+            images = system.roots_of_scaled(*system.reflect_simple_roots(
+                [tuple(map(operator.sub, vp, w))], half))
+            if images is None or not _simple_images_in_weyl(system, images):
+                return False
+        return True
+
+    return completes

@@ -523,6 +523,21 @@ def test_e8_weyl_chain_bound():
     assert took < 0.2, took
 
 
+def test_catalog_builds_bound():
+    """The catalog's 31 root systems, each built fresh, in under 0.1 s: each
+    family's integer roots are written slot by slot, and the negation map is
+    the reversal of the sorted roots."""
+    specs = [rs.RootSystemSpec(f, r) for f, r in
+             [("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 9)]
+             + [("C", r) for r in range(3, 9)] + [("D", r) for r in range(4, 9)]
+             + [(f, None) for f in ("E6", "E7", "E8", "F4", "G2")]]
+    t0 = time.time()
+    systems = [rs.RootSystem(spec) for spec in specs]  # not the cached builds
+    took = time.time() - t0
+    assert len(systems) == 31 and sum(map(len, systems)) == 1862
+    assert took < 0.1, took
+
+
 def test_sos_classes_e7_bound():
     """The strongly orthogonal classes of E7, with their Klein flags, read
     only the pairing rows of the roots they test against and map only the

@@ -257,6 +257,21 @@ def test_images_errors_exit_3_with_their_messages(typ, images, msg, capsys):
     assert capsys.readouterr().err == "error: %s\n" % msg
 
 
+@pytest.mark.parametrize("root,msg", [
+    ("[1,-1,0,5]", "G2: the vector has 4 coordinates, the roots have 3"),
+    ("[1,-1]", "G2: the vector has 2 coordinates, the roots have 3"),
+    ("[1,-1,5]", "(1, -1, 5) is not a root of G2"),
+    ('[1,"1/2",0]', "(1, 1/2, 0) is not a root of G2"),
+], ids=["long", "short", "non-root", "non-root-rational"])
+def test_root_errors_exit_3_with_their_messages(root, msg, capsys):
+    """A --root of the wrong length names the two coordinate counts, as
+    --images and in_dual_lattice do; a vector that is not a root is printed
+    as the realization prints its roots."""
+    argv = ["cayley", "--type", "G2", "--label", "3", "--root", root]
+    assert run(argv) == (3, "")
+    assert capsys.readouterr().err == "error: %s\n" % msg
+
+
 def test_malformed_vectors_exit_3(capsys):
     a2 = ["diagram", "--type", "A", "--rank", "2", "--format", "ascii", "--images"]
     for images in ("[[0,1,-1],", "5", "[[0,1,-1],[1,\"y\",0]]"):

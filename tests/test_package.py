@@ -36,8 +36,7 @@ VERB_MODULES = [
     ("diagram --type E8 --label 5 --format ascii", _CATALOG | {"cartanclass.diagram"}),
     ("verify table2 --type E7", _CATALOG),
     ("verify sos-table", _CATALOG),
-    ("verify dual-vectors", {"cartanclass._linalg", "cartanclass.rootsys",
-                             "cartanclass.tables"}),
+    ("verify dual-vectors", {"cartanclass.rootsys", "cartanclass.tables"}),
 ]
 
 _PROBE = """
@@ -67,6 +66,31 @@ def test_a_query_loads_only_the_layers_its_verb_runs(argv, modules):
     assert got["code"] == 0
     assert set(got["modules"]) == modules
     assert not got["dataclasses"]
+
+
+# the root systems of the catalog workload's queries: verify dual-vectors, E7 and E8
+CATALOG_SYSTEMS = ([("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 9)]
+                   + [("C", r) for r in range(3, 9)] + [("D", r) for r in range(4, 9)]
+                   + [(f, None) for f in ("E6", "E7", "E8", "F4", "G2")])
+
+_BUILD_PROBE = """
+import sys
+from cartanclass import rootsys
+for family, rank in %r:
+    rootsys.build(family, rank)
+loaded = sorted(k for k in sys.modules if k.startswith("cartanclass."))
+stdlib = [m for m in ("json", "fractions") if m in sys.modules]
+import json
+print(json.dumps({"modules": loaded, "stdlib": stdlib}))
+"""
+
+
+def test_building_root_systems_loads_rootsys_alone():
+    """The set-up of every query, importing rootsys and building its root
+    systems, compiles no other layer and imports neither json nor fractions:
+    only printing and reading vectors use them."""
+    got = _python("-c", _BUILD_PROBE % (CATALOG_SYSTEMS,))
+    assert got == {"modules": ["cartanclass.rootsys"], "stdlib": []}
 
 
 def test_importing_the_package_loads_no_layer():

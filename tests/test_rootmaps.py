@@ -180,20 +180,42 @@ def test_perm_of_reflections_matches_rational_on_catalog_rows(spec):
         assert _same_reflection_perm(R, vecs) is not None, label
 
 
-def test_perm_of_reflections_matches_rational_on_e7_double_reflections(monkeypatch):
-    # the Klein test asks only for the simple images; perm_of_reflections
-    # extends the same images to every root
-    E7 = rs.build("E7")
-    asked = []
-    integer = rs.RootSystem.simple_images_of_reflections
+def _klein_quads(monkeypatch, system):
+    """Every 4-set that sos_classes_by_size(system) runs the Klein test on,
+    with the answer: the completer of each triple is recorded, in both
+    modules that call it."""
+    seen = {}
+    completer = wg.klein_completer
 
-    def record(system, vectors):
-        asked.append(list(vectors))
-        return integer(system, vectors)
+    def record(system, triple):
+        completes = completer(system, triple)
 
-    monkeypatch.setattr(rs.RootSystem, "simple_images_of_reflections", record)
-    iv.sos_classes_by_size(E7)
+        def rec(g):
+            seen[tuple(triple) + (g,)] = got = completes(g)
+            return got
+        return rec
+
+    monkeypatch.setattr(iv, "klein_completer", record)
+    monkeypatch.setattr(wg, "klein_completer", record)
+    iv.sos_classes_by_size(system)
     monkeypatch.undo()
+    return seen
+
+
+def _double_reflections(R, quad):
+    """The vector pairs of the three double reflections of a Klein 4-set."""
+    vs = [R._int_roots[i] for i in quad]
+    return [[la.vsub(vs[k], vs[m]), la.vsub(vs[i], vs[j])]
+            for (i, j), (k, m) in [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]]
+
+
+def test_perm_of_reflections_matches_rational_on_e7_double_reflections(monkeypatch):
+    # the Klein test maps only the simple roots, a triple's half of each
+    # product once; perm_of_reflections extends the images of the whole
+    # product to every root
+    E7 = rs.build("E7")
+    asked = [vecs for quad in _klein_quads(monkeypatch, E7)
+             for vecs in _double_reflections(E7, quad)]
     assert len(asked) > 100
     got = [_same_reflection_perm(E7, vecs) for vecs in asked]
     assert None in got and any(g is not None for g in got)
@@ -249,15 +271,7 @@ def _klein_by_matrices(R, quad):
 
 def test_klein_matches_matrices_on_e7_sos_quads(monkeypatch):
     E7 = rs.build("E7")
-    seen = {}
-    klein = iv.klein_in_weyl
-
-    def record(system, quad):
-        seen[tuple(quad)] = got = klein(system, quad)
-        return got
-
-    monkeypatch.setattr(iv, "klein_in_weyl", record)
-    iv.sos_classes_by_size(E7)
+    seen = _klein_quads(monkeypatch, E7)
     assert len(seen) > 50 and {True, False} <= set(seen.values())
     for quad, got in seen.items():
         assert got == _klein_by_matrices(E7, quad), quad

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -96,7 +97,7 @@ def test_e8_norms_and_g2_norms():
 def test_dot_and_pairing_examples():
     E8 = rs.build("E8")
     zeta0 = zeta(())
-    assert rs.la.vdot(zeta0, zeta0) == 2
+    assert la.vdot(zeta0, zeta0) == 2
     A2 = rs.build("A", 2)
     a1 = A2.root_index((1, -1, 0))
     a2 = A2.root_index((0, 1, -1))
@@ -142,7 +143,7 @@ def test_coords_in_basis_examples():
     i = B2.root_index((1, 1))
     assert ch.coords(i) == (1, 2)
     assert ch.q_degree(i) == 3
-    assert ch.support(i) == frozenset(ch.basis)
+    assert frozenset(b for b, c in zip(ch.basis, ch.coords(i)) if c) == frozenset(ch.basis)
     for b in ch.basis:
         cs = ch.coords(b)
         assert sorted(cs) == [0, 1]
@@ -159,9 +160,9 @@ def test_coords_round_trip():
         ch = R.canonical_chamber()
         for i in range(len(R)):
             cs = ch.coords(i)
-            acc = rs.la.zero_vec(R.dim)
+            acc = la.zero_vec(R.dim)
             for c, b in zip(cs, ch.basis):
-                acc = rs.la.vadd(acc, rs.la.vscale(c, R.roots[b]))
+                acc = la.vadd(acc, la.vscale(c, R.roots[b]))
             assert acc == R.roots[i]
             assert all(c >= 0 for c in cs) or all(c <= 0 for c in cs)
 
@@ -378,3 +379,166 @@ def test_root_name():
     B2 = rs.build("B", 2)
     i = B2.root_index((1, -1))
     assert B2.root_name(i) == "B2 root %d (1, -1)" % i
+
+
+# -- the root generator and the dual-vector table against their references ----------
+#
+# The references are the code the program used before it assigned the nonzero
+# slots of each integer root directly: unit vectors summed coordinate by
+# coordinate, negation looked up per root, and the dual-vector table in
+# Fraction vector arithmetic.
+
+
+def _e(i, n, c=1):
+    return tuple(c * (k == i - 1) for k in range(n))
+
+
+def _add(*vs):
+    return tuple(map(sum, zip(*vs)))
+
+
+def _pm_pairs(n, c=1):
+    return [_add(_e(i, n, si * c), _e(j, n, sj * c))
+            for i in range(1, n + 1) for j in range(i + 1, n + 1)
+            for si in (1, -1) for sj in (1, -1)]
+
+
+def _reference_roots_for(spec):
+    fam, rk = spec.family, spec.rank
+    if fam in ("A", "G2"):
+        n = 3 if fam == "G2" else rk + 1
+        roots = [_add(_e(i, n), _e(j, n, -1)) for i in range(1, n + 1)
+                 for j in range(1, n + 1) if i != j]
+        if fam == "A":
+            return 1, roots, [_add(_e(i, n), _e(i + 1, n, -1)) for i in range(1, n)]
+        roots += [_add(_e(i, n, 2 * s), *(_e(j, n, -s) for j in range(1, 4) if j != i))
+                  for i in range(1, 4) for s in (1, -1)]
+        return 1, roots, [(1, -1, 0), (-2, 1, 1)]
+    if fam in ("B", "C", "D"):
+        n = rk
+        basis = [_add(_e(i, n), _e(i + 1, n, -1)) for i in range(1, n)]
+        if fam == "D":
+            return 1, _pm_pairs(n), basis + [_add(_e(n - 1, n), _e(n, n))]
+        c = 1 if fam == "B" else 2
+        roots = _pm_pairs(n) + [_e(i, n, s * c) for i in range(1, n + 1) for s in (1, -1)]
+        return 1, roots, basis + [_e(n, n, c)]
+    if fam == "F4":
+        roots = [_e(i, 4, 2 * s) for i in range(1, 5) for s in (1, -1)] + _pm_pairs(4, 2)
+        roots += list(itertools.product((1, -1), repeat=4))
+        return 2, roots, [(2, -2, 0, 0), (0, 2, -2, 0), (0, 0, 2, 0), (-1, -1, -1, 1)]
+    e8 = _pm_pairs(8, 2) + [s for s in itertools.product((1, -1), repeat=8)
+                            if s.count(1) % 2 == 0]
+    if spec.realization == "standard":
+        walls = [_add(_e(7, 8), _e(8, 8, -1)), _add(_e(6, 8), _e(7, 8, -1))][:8 - rk]
+        basis = [(-1,) * 8, _add(_e(1, 8, 2), _e(2, 8, 2))] + \
+            [_add(_e(i - 1, 8, 2), _e(i - 2, 8, -2)) for i in range(3, rk + 1)]
+    else:
+        walls = [(1,) * 8, _add(_e(7, 8), _e(8, 8))][:8 - rk]
+        basis = [_add(_e(i, 8, 2), _e(i + 1, 8, -2)) for i in range(1, rk)] + \
+            [(-1, -1, -1, 1, 1, 1, 1, -1)]
+    roots = [r for r in e8 if not any(sum(a * b for a, b in zip(r, w)) for w in walls)]
+    return 2, roots, basis
+
+
+def _reference_fields(spec):
+    """(_int_roots, canonical_basis, negation_map, _norms) as the reference
+    generator and per-root negation lookup give them; a union pads each
+    factor's scaled vectors into its own block of coordinates."""
+    parts = [_reference_roots_for(f) for f in (spec.factors or (spec,))]
+    den = math.lcm(*(p[0] for p in parts))
+    dim = sum(len(p[1][0]) for p in parts)
+    roots, basis, offset = [], [], 0
+    for d, rts, bas in parts:
+        k = len(rts[0])
+        pad = [(0,) * offset + tuple(den // d * x for x in r) + (0,) * (dim - offset - k)
+               for r in rts + bas]
+        roots, basis, offset = roots + pad[:len(rts)], basis + pad[len(rts):], offset + k
+    ints = tuple(sorted(set(roots)))
+    index = {r: i for i, r in enumerate(ints)}
+    return (ints, tuple(index[b] for b in basis),
+            tuple(index[tuple(-x for x in r)] for r in ints),
+            tuple(sum(x * x for x in r) for r in ints))
+
+
+GENERATOR_SPECS = [rs.RootSystemSpec(f, n) for f, lo in (("A", 1), ("B", 2), ("C", 3), ("D", 4))
+                   for n in range(lo, 17)]
+GENERATOR_SPECS += PAIRING_SPECS[-9:]  # the exceptional systems and the two unions
+
+
+@pytest.mark.parametrize("spec", GENERATOR_SPECS, ids=lambda s: s.label)
+def test_root_generator_matches_the_unit_vector_sums(spec):
+    R = rs.RootSystem(spec)  # not the cached build
+    assert (R._int_roots, R.canonical_basis, R.negation_map, R._norms) == \
+        _reference_fields(spec)
+    assert all(R._int_roots[R.negation_map[i]] == tuple(-x for x in r)
+               for i, r in enumerate(R._int_roots))
+
+
+def test_generator_covers_the_specs():
+    labels = [s.label for s in GENERATOR_SPECS]
+    assert len(labels) == 16 + 15 + 14 + 13 + 9 and len(set(labels)) == len(labels)
+    assert labels[-9:] == ["E6", "E6'", "E7", "E7'", "E8", "F4", "G2", "A2+A2", "B2+B2+G2"]
+
+
+def test_a_realization_not_closed_under_negation_is_an_internal_error(monkeypatch):
+    den, roots, basis = rs._roots_for(rs.RootSystemSpec("A", 2))
+    monkeypatch.setattr(rs, "_roots_for", lambda spec: (den, roots[:-1], basis[:1]))
+    with pytest.raises(AssertionError, match="^A2: the realization is not closed under negation$"):
+        rs.RootSystem(rs.RootSystemSpec("A", 2))
+
+
+def _reference_standard_max_sos(system):
+    e, add, sub = la.e, la.vadd, la.vsub
+    fam, rank, n = system.spec.family, system.rank, system.dim
+    if fam == "A":
+        vecs = [sub(e(2 * i - 1, n), e(2 * i, n)) for i in range(1, (rank + 1) // 2 + 1)]
+    elif fam in ("B", "D"):
+        vecs = [f(e(2 * i - 1, n), e(2 * i, n)) for i in range(1, rank // 2 + 1)
+                for f in (sub, add)]
+        if fam == "B" and rank % 2:
+            vecs.append(e(rank, n))
+    elif fam == "C":
+        r1 = rank // 2 if rank % 2 == 0 else (rank - 1) // 2
+        vecs = [add(e(2 * i - 1, n), e(2 * i, n)) for i in range(1, r1 + 1)]
+        vecs += [la.vscale(2, e(2 * r1 + i, n)) for i in range(1, rank - 2 * r1 + 1)]
+    elif fam == "G2":
+        vecs = [sub(e(1, n), e(2, n)), sub(add(e(1, n), e(2, n)), la.vscale(2, e(3, n)))]
+    else:
+        pairs = {"E6": 2, "F4": 2, "E7": 3, "E8": 4}[fam]
+        vecs = [f(e(2 * i - 1, n), e(2 * i, n)) for i in range(1, pairs + 1) for f in (sub, add)]
+        if fam == "E7":
+            vecs.append(add(e(7, n), e(8, n)))
+    return [system.root_index(v) for v in vecs]
+
+
+def _reference_dual_vector(system):
+    fam, rank, n = system.spec.family, system.rank, system.dim
+    if fam == "C":
+        return tuple(F(1, 2) for _ in range(n))
+    h = {"A": (rank + 1) // 2, "B": (rank + 1) // 2, "D": rank // 2, "E6": 2, "F4": 2,
+         "E7": 4, "E8": 4, "G2": 1}[fam]
+    out = la.zero_vec(n)
+    for i in range(1, h + 1):
+        out = la.vadd(out, la.e(2 * i - 1, n))
+    if fam == "A":
+        out = la.vsub(out, la.vscale(F(h, rank + 1), tuple(la.ONE for _ in range(n))))
+    return out
+
+
+def test_dual_vector_table_matches_the_rational_reference():
+    from cartanclass import tables
+    systems = [rs.build(f, r) for f, r in
+               [("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 9)]
+               + [("C", r) for r in range(3, 9)] + [("D", r) for r in range(4, 9)]
+               + [(f, None) for f in ("E6", "E7", "E8", "F4", "G2")]]
+    want = [(R.spec.label, R, _reference_dual_vector(R), _reference_standard_max_sos(R))
+            for R in systems]
+    F4 = rs.build("F4")
+    want.append(("F4'", F4, _reference_dual_vector(F4),
+                 [F4.root_index(v) for v in [(1, -1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0)]]))
+    rows = tables.dual_vector_table()
+    assert rows == want
+    assert all(type(x) is F for _, _, omega, _ in rows for x in omega)
+    C4 = rs.build("C", 4)
+    assert tables.compact_chain_sos(C4) == [C4.root_index(la.vscale(2, la.e(i, 4)))
+                                            for i in range(1, 5)]
