@@ -287,18 +287,26 @@ def _orthogonal_components(system: RootSystem, idxs) -> list[list[int]]:
     return comps
 
 
+def subsystem_components(system: RootSystem, roots) -> list[tuple[list[int], list[int]]]:
+    """The irreducible components of a closed subsystem, given by its
+    positive roots, as (simple roots, given roots) pairs: a root belongs to
+    the component of the simple roots it pairs nonzero with.  Only the
+    simple roots' pairing rows are read."""
+    pm = system.pairing_matrix
+    return [(c, [i for i in roots if any(pm[s][i] for s in c)])
+            for c in _orthogonal_components(system, system.simple_roots(set(roots)))]
+
+
 def subsystem_type(system: RootSystem, subset) -> tuple:
     """Multiset of irreducible types of a closed subsystem, the roots lying
     in a subspace (such as an eigenspace of an involution), each reported
     as (rank, size, long_count, top norm), the norm as stored (den^2 times
     the norm).  A component's rank is the size of its simple system, and its
-    positive roots, half its roots, pair nonzero with one of its simple roots."""
+    positive roots are half its roots."""
     pos = system.canonical_chamber().positive_set
-    roots = [i for i in subset if i in pos]
-    pm, norm = system.pairing_matrix, system._norms
+    norm = system._norms
     out = []
-    for c in _orthogonal_components(system, system.simple_roots(set(roots))):
-        mine = [i for i in roots if any(pm[s][i] for s in c)]
+    for c, mine in subsystem_components(system, [i for i in subset if i in pos]):
         top = max(norm[i] for i in mine)
         out.append((len(c), 2 * len(mine), 2 * sum(norm[i] == top for i in mine), top))
     return tuple(sorted(out))

@@ -17,10 +17,9 @@ from . import _linalg as la
 from .chevalley import (ChevalleySystem, DenseAlgebra, LinearMap, QuarterTurn,
                         dense_algebra, structure_constants)
 from .diagram import find_s_chamber
-from .involution import (Involution, InvolutionError, antipodal_involution,
-                         _orthogonal_components, decompose, first_max_clique,
-                         identity_involution, positive_representatives,
-                         table2_representatives)
+from .involution import (Involution, InvolutionError, antipodal_involution, decompose,
+                         first_max_clique, identity_involution, positive_representatives,
+                         subsystem_components, table2_representatives)
 from .rootsys import CartanclassError, RootSystem
 from .weylgroup import identity_perm, perm_mul, weyl_group
 
@@ -194,6 +193,19 @@ def _extend_signs_by_height(theta: Involution, chamber, signs: dict[int, int],
     return f
 
 
+def _datum_from_basis_signs(theta: Involution, chamber, signs: dict[int, int],
+                            constants: ChevalleySystem) -> AntiInvolution:
+    """The sign datum over theta with the given signs on the chamber basis,
+    extended by height to every root; the cocycle law is checked."""
+    R = theta.system
+    bad = next((b for b in chamber.basis if signs[b] not in (1, -1)), None)
+    if bad is not None:
+        raise RealFormError("sign %r at %s is not +-1" % (signs[bad], R.root_name(bad)))
+    f = _extend_signs_by_height(theta, chamber, {b: signs[b] for b in chamber.basis},
+                                constants)
+    return AntiInvolution(theta, f, constants, full=True)
+
+
 def eps_sharp_map(algebra: DenseAlgebra, eps: Involution, chamber) -> LinearMap:
     """The canonical lift fixing the chosen simple root vectors."""
     sign = _extend_signs_by_height(eps, chamber, dict.fromkeys(chamber.basis, 1),
@@ -225,8 +237,7 @@ def _sign_datum(algebra: DenseAlgebra, theta: Involution, factors) -> AntiInvolu
             raise RealFormError("sign differs between %s and its negative"
                                 % R.root_name(b))
         signs[b] = got[0]
-    f = _extend_signs_by_height(theta, ch, signs, algebra.constants)
-    return AntiInvolution(theta, f, algebra.constants, full=True)
+    return _datum_from_basis_signs(theta, ch, signs, algebra.constants)
 
 
 # -- dual-lattice vectors -------------------------------------------------------------
@@ -271,50 +282,36 @@ def quasi_split_lift(theta: Involution) -> AntiInvolution:
     """The quasi-split sign datum over an involution: a sign character's map
     psi conjugated by the Cayley transform c = exp(pi/4 ad K_B) of the
     decomposition set B, times the canonical lift of the special part.  As
-    psi negates every K_beta, c psi c^-1 = c^2 psi: one half turn."""
+    psi negates every K_beta, c psi c^-1 = c^2 psi: one half turn.  The
+    factors, right to left: [half, psi(omega)], omega pairing to one with B;
+    with a special part eps, [eps#, psi(mu), half, psi(omega)], omega and mu
+    compatible with eps and mu odd at the b in B with eps# X_b = -X_eps(b);
+    in type A_2m, where no such pair exists, mu = omega pairing to one with B."""
     R = theta.system
     if R.factors is not None:
         raise RealFormError("lifts are computed per irreducible factor")
     A = dense_algebra(structure_constants(R))
     eps, b_set = decompose(theta)
-    special = eps.perm != identity_perm(len(R))
-    half = QuarterTurn(A, b_set, 2)
-
-    def sharp_of(omega):
-        for b in b_set:
-            if omega(b) != -1:
-                raise RealFormError("the sign character is +1 at decomposition root %s"
-                                    % R.root_name(b))
-        return [half, psi_map(A, omega)]
-
-    # each candidate is a list of factors, applied right to left
-    candidates = []
-    if not special:
-        candidates.append(sharp_of(omega_for_set(R, b_set)))
+    if eps.perm == identity_perm(len(R)):
+        omega, factors = omega_for_set(R, b_set), []
     else:
-        ch_eps = find_s_chamber(eps)
-        esh = eps_sharp_map(A, eps, ch_eps)
-        # 1 where the canonical special lift is -1 on a decomposition root
+        esh = eps_sharp_map(A, eps, find_s_chamber(eps))
         odd = [int(esh.col(A.rank + b)[A.rank + eps(b)] < 0) for b in b_set]
         omega = omega_for_targets(R, b_set, [1] * len(b_set), parity_of=eps)
         mu = omega_for_targets(R, b_set, odd, parity_of=eps)
-        if omega is not None and mu is not None:
-            candidates.append([esh, psi_map(A, mu)] + sharp_of(omega))
-        plain = omega_for_set(R, b_set)
-        candidates.append([esh] + sharp_of(plain))
-        candidates.append([esh, psi_map(A, plain)] + sharp_of(plain))
-    last_err = None
-    for factors in candidates:
-        try:
-            sigma = _sign_datum(A, theta, factors)
-        except RealFormError as exc:
-            last_err = exc
-            continue
-        if any(b not in sigma.noncompact_set for b in b_set):
-            last_err = RealFormError("decomposition roots came out compact")
-            continue
-        return sigma
-    raise RealFormError("no quasi-split lift candidate verified: %s" % last_err)
+        if omega is None or mu is None:
+            omega = mu = omega_for_set(R, b_set)
+        factors = [esh, psi_map(A, mu)]
+    for b in b_set:
+        if omega(b) != -1:
+            raise RealFormError("%s: the sign character is +1 at decomposition root %s"
+                                % (R.spec.label, R.root_name(b)))
+    sigma = _sign_datum(A, theta, factors + [QuarterTurn(A, b_set, 2), psi_map(A, omega)])
+    for b in b_set:
+        if b not in sigma.noncompact_set:
+            raise RealFormError("%s: decomposition root %s came out compact in the "
+                                "quasi-split lift" % (R.spec.label, R.root_name(b)))
+    return sigma
 
 
 def twist(sigma: AntiInvolution, eta: SignHom) -> AntiInvolution:
@@ -408,17 +405,10 @@ def cayley(sigma: AntiInvolution, beta: int, verify_dense: bool = True) -> AntiI
     if beta not in sigma.noncompact_set:
         raise RealFormError("transform root must be negated and noncompact")
     theta2 = Involution(R, perm_mul(sigma.theta.perm, R.reflection_perm(beta)))
-    f2: dict[int, int] = {}
-    for i in sigma.theta.imaginary_set:
-        if i not in theta2.imaginary_set:
-            continue
-        if R.is_strongly_orthogonal(i, beta):
-            f2[i] = sigma.f[i]
-        else:
-            f2[i] = -sigma.f[i]
-    for i in theta2.imaginary_set:
-        if i not in f2:
-            raise RealFormError("new negated root outside the old negated set")
+    if not theta2.imaginary_set <= sigma.theta.imaginary_set:
+        raise RealFormError("new negated root outside the old negated set")
+    f2 = {i: sigma.f[i] if R.is_strongly_orthogonal(i, beta) else -sigma.f[i]
+          for i in theta2.imaginary_set}
     if verify_dense and sigma.full:
         A = dense_algebra(sigma.constants)
         out = _sign_datum(A, theta2, [QuarterTurn(A, [beta], 2), sigma_dense(A, sigma)])
@@ -580,8 +570,9 @@ def identify(sigma: AntiInvolution) -> RealFormName:
 def twist_names(lift: AntiInvolution, chamber, label: str) -> dict[int, RealFormName]:
     """The name of each twist of lift by a character in Hom_theta on the
     chamber, by mask.  Only n3k in dim k = ellk + n1 + 2 n2 + 2 n3k depends on
-    the mask, counted once it passes the Hom_theta rows and the laws of
-    _verify_signs on f eta; the first of each dim k is twisted and identified."""
+    the mask, and it is counted; the Hom_theta rows and the laws of
+    _verify_signs on f eta are checked once for the whole span, and the
+    first twist of each dim k is made and identified."""
     theta, R, f, pm = lift.theta, lift.system, lift.f, chamber.parity_masks
     rows, _ = hom_theta_constraints(theta, chamber)
     # f eta keeps f(i) f(j) = 1 at j = theta(i), -i iff eta(i) eta(j) = f(i) f(j)
@@ -589,10 +580,13 @@ def twist_names(lift: AntiInvolution, chamber, label: str) -> dict[int, RealForm
             if j in f and (pm[i] != pm[j] or f[i] != f[j])} | {(row, False) for row in rows}
     groups = Counter((pm[i], f[i]) for i in theta.imaginary_set)
     sig, named, out, nbits = signature(lift), {}, {}, len(chamber.basis)
-    for mask in project_span(f2_solution_space(rows, nbits), (1 << nbits) - 1):
+    basis = f2_solution_space(rows, nbits)
+    # each law is affine in the mask, so mask 0 and the basis vouch for the span
+    for mask in [0, *basis]:
         if any(_parity(mask & m) != odd for m, odd in laws):
             raise RealFormError("%s, involution %s: mask %d is not in Hom_theta or breaks "
                                 "the sign laws" % (R.spec.label, label, mask))
+    for mask in project_span(basis, (1 << nbits) - 1):
         n3k = sum(c for (p, v), c in groups.items() if _parity(mask & p) == (v < 0)) // 2
         dim_k = sig.dim_k + 2 * (n3k - sig.n3k)
         if dim_k not in named:
@@ -654,13 +648,11 @@ def cartan_classes(sigma: AntiInvolution) -> list[Involution]:
             perm = perm_mul(perm, R.reflection_perm(b))
         return Involution(R, perm)
 
-    ident = identity_perm(len(R))
-    special = eps.perm != ident
+    pairs = [(eps.perm, eps.perm)] if eps.perm != identity_perm(len(R)) else []
 
     def same_class(t1: Involution, t2: Involution) -> bool:
         if t1.perm == t2.perm:
             return True
-        pairs = [(eps.perm, eps.perm)] if special else []
         return weyl_group(R).conjugator(t1.perm, t2.perm, pairs=pairs) is not None
 
     reps: list[tuple[tuple[int, ...], Involution]] = [(tuple(base), theta_of(base))]
@@ -670,7 +662,7 @@ def cartan_classes(sigma: AntiInvolution) -> list[Involution]:
         for S in frontier:
             psi = [g for g in pool if g not in S and not any(pm[s][g] for s in S)]
             orbit = {g: (k, R._norms[g])
-                     for k, c in enumerate(_orthogonal_components(R, psi)) for g in c}
+                     for k, (_, c) in enumerate(subsystem_components(R, psi)) for g in c}
             kept = set()
             for g in psi:
                 if orbit[g] in kept:
@@ -698,11 +690,9 @@ def sigma_from_chamber_signs(theta: Involution, chamber,
     constants = structure_constants(theta.system)
     last = None
     for bits in itertools.product((1, -1), repeat=len(free)):
-        given = {**signs, **dict(zip(free, bits))}
         try:
-            f = _extend_signs_by_height(theta, chamber, {b: given[b] for b in chamber.basis},
-                                       constants)
-            return AntiInvolution(theta, f, constants, full=True)
+            return _datum_from_basis_signs(theta, chamber, {**signs, **dict(zip(free, bits))},
+                                           constants)
         except RealFormError as exc:
             if not free:
                 raise
@@ -713,19 +703,12 @@ def sigma_from_chamber_signs(theta: Involution, chamber,
 # -- compact Cartan enumeration -----------------------------------------------------------
 
 
-def sigma_from_basis_signs(system: RootSystem, signs: dict[int, int],
-                           theta: Involution | None = None) -> AntiInvolution:
-    """Sign datum over the all-negating involution (or theta) given by the
-    character with the given signs on the canonical simple roots."""
-    if theta is None:
-        theta = antipodal_involution(system)
-    basis = system.canonical_basis
-    bad = next((b for b in basis if signs[b] not in (1, -1)), None)
-    if bad is not None:
-        raise RealFormError("sign %r at %s is not +-1" % (signs[bad], system.root_name(bad)))
-    eta = SignHom(system, mask=sum(1 << k for k, b in enumerate(basis) if signs[b] == -1))
-    return AntiInvolution(theta, dict(enumerate(map(eta, range(len(system))))),
-                          full=True)
+def sigma_from_basis_signs(system: RootSystem, signs: dict[int, int]) -> AntiInvolution:
+    """Sign datum over the all-negating involution with the given signs on
+    the canonical simple roots.  As N(-a, -b) = N(a, b), the height
+    recursion makes it the character of those signs."""
+    return _datum_from_basis_signs(antipodal_involution(system), system.canonical_chamber(),
+                                   signs, structure_constants(system))
 
 
 def compact_cartan_enumeration(system: RootSystem, dedupe: bool = True) -> list[AntiInvolution]:
@@ -733,12 +716,9 @@ def compact_cartan_enumeration(system: RootSystem, dedupe: bool = True) -> list[
     dedupe is set; each entry may be queried with is_quasi_split."""
     if system.factors is not None:
         raise RealFormError("enumeration handles irreducible systems")
-    ch = system.canonical_chamber()
-    theta = antipodal_involution(system)
     out: list[AntiInvolution] = []
-    for bits in itertools.product((1, -1), repeat=len(ch.basis)):
-        signs = dict(zip(ch.basis, bits))
-        sigma = sigma_from_basis_signs(system, signs, theta)
+    for bits in itertools.product((1, -1), repeat=system.rank):
+        sigma = sigma_from_basis_signs(system, dict(zip(system.canonical_basis, bits)))
         if dedupe and any(isomorphic(sigma, other) for other in out):
             continue
         out.append(sigma)

@@ -540,6 +540,25 @@ def test_cartan_classes_match_the_search_on_seeded_conjugates():
         assert [t.perm for t in rf.cartan_classes(sigma)] == want
 
 
+def test_cartans_e6_w3_reads_the_pairing_rows_of_simple_roots(monkeypatch):
+    """`cartans --type E6 --label w3` splits each Psi into components by its
+    simple roots: 12 pairing rows on a fresh E6, where a row for every root
+    of Psi made 36."""
+    made = []
+    missing = rs._PairingRows.__missing__
+
+    def count(rows, i):
+        made.append(i)
+        return missing(rows, i)
+
+    monkeypatch.setattr(rs._PairingRows, "__missing__", count)
+    E6 = rs.RootSystem(rs.RootSystemSpec("E6"))  # not the cached build
+    theta = dict(iv.table2_representatives(E6))["w3"]
+    dg.find_s_chamber(theta)
+    assert len(rf.cartan_classes(rf.quasi_split_lift(theta))) == 5
+    assert 0 < len(made) <= 12, len(made)
+
+
 def _reflection_word(R, psi, src, dst):
     """A product of reflections in psi mapping the root src to +-dst, by a
     breadth-first search over the orbit of src, or None."""
@@ -879,8 +898,8 @@ def test_counted_names_equal_the_twisted_names(key):
 
 
 def test_twist_names_refuse_a_lift_with_one_flipped_negated_sign():
-    """Flipping f at one negated root breaks f(i) = f(-i); the per-mask
-    sign-law check refuses the lift before any twist is built."""
+    """Flipping f at one negated root breaks f(i) = f(-i); the sign-law
+    check refuses the lift before any twist is built."""
     B3 = rs.build("B", 3)
     theta = iv.table2_representatives(B3)[-1][1]
     lift = rf.quasi_split_lift(theta)
@@ -942,3 +961,142 @@ def test_sign_datum_errors_name_the_root():
     anti = iv.antipodal_involution(A2)
     with pytest.raises(rf.RealFormError, match="at " + label):
         rf._sign_datum(A, anti, [cv.LinearMap.identity(A)])
+
+
+# -- the quasi-split lift by rule ------------------------------------------------------
+
+
+def _lift_by_trial(theta):
+    """The quasi-split lift as it was once found: three factor lists tried in
+    order, the first whose datum verifies and leaves the decomposition roots
+    noncompact winning.  Returns the datum and the index of its list."""
+    R = theta.system
+    A = cv.dense_algebra(cv.structure_constants(R))
+    eps, b_set = iv.decompose(theta)
+    half = cv.QuarterTurn(A, b_set, 2)
+    if eps.perm == wg.identity_perm(len(R)):
+        candidates = [[half, rf.psi_map(A, rf.omega_for_set(R, b_set))]]
+    else:
+        esh = rf.eps_sharp_map(A, eps, dg.find_s_chamber(eps))
+        odd = [int(esh.col(A.rank + b)[A.rank + eps(b)] < 0) for b in b_set]
+        omega = rf.omega_for_targets(R, b_set, [1] * len(b_set), parity_of=eps)
+        mu = rf.omega_for_targets(R, b_set, odd, parity_of=eps)
+        plain = rf.psi_map(A, rf.omega_for_set(R, b_set))
+        candidates = [None if omega is None or mu is None
+                      else [esh, rf.psi_map(A, mu), half, rf.psi_map(A, omega)],
+                      [esh, half, plain], [esh, plain, half, plain]]
+    for k, factors in enumerate(candidates):
+        if factors is None:
+            continue
+        try:
+            sigma = rf._sign_datum(A, theta, factors)
+        except rf.RealFormError:
+            continue
+        if all(b in sigma.noncompact_set for b in b_set):
+            return sigma, k
+    raise AssertionError("no factor list verified")
+
+
+_LIFT_RULE_SPECS = ([rs.RootSystemSpec("A", r) for r in range(1, 11)]
+                    + [rs.RootSystemSpec("B", r) for r in range(2, 9)]
+                    + [rs.RootSystemSpec("C", r) for r in range(3, 9)]
+                    + [rs.RootSystemSpec("D", r) for r in range(4, 9)]
+                    + [rs.RootSystemSpec(f) for f in ("G2", "F4", "E6", "E7")]
+                    + [rs.RootSystemSpec("E6", realization="prime")])
+
+
+@pytest.mark.parametrize("spec", _LIFT_RULE_SPECS, ids=lambda s: s.label)
+def test_lift_by_rule_matches_the_trial_loop(spec):
+    """On id, -1, every catalog row and two seeded conjugates of each, the
+    one factor list of the rule gives the datum the trial loop settled on."""
+    R = rs.build(spec)
+    rng = random.Random(21)
+    thetas = ([("id", iv.identity_involution(R)), ("-1", iv.antipodal_involution(R))]
+              + iv.table2_representatives(R))
+    for lab, theta in thetas:
+        for t in [theta] + [_seeded_conjugate(theta, rng) for _ in range(2)]:
+            assert rf.quasi_split_lift(t).f == _lift_by_trial(t)[0].f, lab
+
+
+def test_lift_by_rule_matches_the_trial_loop_on_e7_prime():
+    R = rs.build(rs.RootSystemSpec("E7", realization="prime"))
+    for theta in (iv.identity_involution(R), iv.antipodal_involution(R)):
+        assert rf.quasi_split_lift(theta).f == _lift_by_trial(theta)[0].f
+
+
+@pytest.mark.parametrize("fam,rank,lab,first", [("A", 4, "e1", 2), ("E6", None, "-1", 0)])
+def test_lift_rule_branches(fam, rank, lab, first):
+    """A4 row e1 has no pair omega, mu compatible with its special part, so
+    the lift takes the type A_2m list, the third of the trial loop; the
+    antipodal involution of E6 (outer) takes the first."""
+    R = rs.build(fam, rank)
+    theta = (iv.antipodal_involution(R) if lab == "-1"
+             else dict(iv.table2_representatives(R))[lab])
+    eps, b_set = iv.decompose(theta)
+    assert eps.perm != wg.identity_perm(len(R)) and b_set
+    omega = rf.omega_for_targets(R, b_set, [1] * len(b_set), parity_of=eps)
+    assert (omega is None) == (first == 2)
+    sigma, k = _lift_by_trial(theta)
+    assert k == first
+    assert rf.quasi_split_lift(theta).f == sigma.f
+
+
+def _sigma_by_character(system, signs):
+    """sigma_from_basis_signs as the sign character of the basis signs."""
+    basis = system.canonical_basis
+    eta = rf.SignHom(system, mask=sum(1 << k for k, b in enumerate(basis) if signs[b] == -1))
+    return rf.AntiInvolution(iv.antipodal_involution(system),
+                             dict(enumerate(map(eta, range(len(system))))), full=True)
+
+
+@pytest.mark.parametrize("spec", [rs.RootSystemSpec(f, r) for f, r in
+                                  [("A", 1), ("A", 4), ("A", 6), ("B", 2), ("B", 5), ("C", 3),
+                                   ("C", 6), ("D", 4), ("D", 6), ("G2", None), ("F4", None),
+                                   ("E6", None), ("E7", None), ("E8", None)]]
+                         + [rs.RootSystemSpec("E6", realization="prime")],
+                         ids=lambda s: s.label)
+def test_basis_signs_by_height_give_the_character(spec):
+    """Extended by height over the all-negating involution, basis signs give
+    their character: N(-a, -b) = N(a, b)."""
+    R = rs.build(spec)
+    rng = random.Random(7)
+    for _ in range(4):
+        signs = {b: rng.choice((1, -1)) for b in R.canonical_basis}
+        got, want = rf.sigma_from_basis_signs(R, signs), _sigma_by_character(R, signs)
+        assert (got.f, got.full) == (want.f, want.full)
+
+
+def test_basis_signs_name_the_first_bad_sign():
+    B2 = rs.build("B", 2)
+    b = B2.canonical_basis
+    with pytest.raises(rf.RealFormError,
+                       match="^sign 0 at %s is not \\+-1$" % re.escape(B2.root_name(b[1]))):
+        rf.sigma_from_basis_signs(B2, {b[0]: 1, b[1]: 0})
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 5), ("A", 6), ("D", 5), ("E6", None)])
+def test_twist_names_check_every_basis_vector(fam, rank):
+    """With one Hom_theta row dropped, the span twist_names walks gains a
+    character that breaks eta(theta i) = eta(i); the check on mask 0 and the
+    basis of the span refuses it.  Among these cases the basis holds exactly
+    one such vector at each of positions 0 to 5, so skipping any position
+    fails here."""
+    R = rs.build(fam, rank)
+    hom_rows = rf.hom_theta_constraints
+    cases = 0
+    for lab, theta in iv.table2_representatives(R):
+        ch = dg.find_s_chamber(theta)
+        lift = rf.quasi_split_lift(theta)
+        rows, bullets = hom_rows(theta, ch)
+        n = len(ch.basis)
+        for k in range(len(rows)):
+            fewer = rows[:k] + rows[k + 1:]
+            if len(rf.f2_solution_space(fewer, n)) == len(rf.f2_solution_space(rows, n)):
+                continue
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(rf, "hom_theta_constraints", lambda *_: (fewer, bullets))
+                with pytest.raises(rf.RealFormError, match="is not in Hom_theta or breaks "
+                                                           "the sign laws"):
+                    rf.twist_names(lift, ch, lab)
+            cases += 1
+    assert cases
