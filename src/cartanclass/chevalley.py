@@ -294,9 +294,6 @@ class DenseAlgebra:
     def x(self, root_idx: int) -> dict:
         return {self.rank + root_idx: 1}
 
-    def h(self, k: int) -> dict:
-        return {k: 1}
-
     def coroot_elem(self, root_idx: int) -> dict:
         return {k: c for k, c in enumerate(self._coroot_coords[root_idx]) if c}
 

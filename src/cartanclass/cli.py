@@ -56,22 +56,25 @@ def _involution_from_args(args, system: rs.RootSystem):
 
 
 def _sigma_from_args(args, system: rs.RootSystem):
+    """The sign datum of --signs, one sign per node in the order the
+    diagram of the involution draws its nodes; the quasi-split datum
+    without --signs."""
     from . import diagram as dg, realform as rf
     signs_arg = getattr(args, "signs", None)
+    if signs_arg == []:
+        signs_arg = "--"  # argparse drops a lone -- from an option's value
     bad = next((ch for ch in signs_arg or "" if ch not in "+-"), None)
     if bad is not None:
         raise rf.RealFormError("--signs: %r is not + or -" % bad)
     theta = _involution_from_args(args, system)
     chamber = dg.find_s_chamber(theta)
-    if signs_arg:
-        order = dg.canonical_node_order(system, chamber.basis)
-        if len(signs_arg) != len(order):
-            raise rf.RealFormError("expected %d signs" % len(order))
-        signs = {b: (1 if ch == "+" else -1) for b, ch in zip(order, signs_arg)}
-        sigma = rf.sigma_from_chamber_signs(theta, chamber, signs)
-    else:
-        sigma = rf.quasi_split_lift(theta)
-    return sigma, chamber
+    if signs_arg is None:
+        return rf.quasi_split_lift(theta), chamber
+    order = dg.s_diagram(theta, chamber).node_roots
+    if len(signs_arg) != len(order):
+        raise rf.RealFormError("expected %d signs" % len(order))
+    signs = {b: (1 if ch == "+" else -1) for b, ch in zip(order, signs_arg)}
+    return rf.sigma_from_chamber_signs(theta, chamber, signs), chamber
 
 
 def _emit(obj) -> None:
@@ -354,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON list of simple-root images ('-' for stdin)")
         if verb in ("sigma", "cayley", "cartans"):
             sp.add_argument("--signs", default=None,
-                            help="signs (+/-) on the S-chamber basis")
+                            help="one + or - per node, in the order the diagram "
+                                 "draws the nodes")
         if verb == "sigma":
             sp.add_argument("--restricted", action="store_true")
         if verb == "cayley":

@@ -165,7 +165,8 @@ def canonical_node_order(system: RootSystem, basis) -> tuple[int, ...]:
     """Order a simple basis to match the canonical basis layout.
 
     Finds the norm- and pairing-preserving bijection onto the canonical
-    basis, lexicographically minimal in the resulting index tuple."""
+    basis, lexicographically minimal in the resulting index tuple;
+    s_diagram chooses among all of them by the drawing."""
     basis = sorted(basis)
     if len(basis) != len(system.canonical_basis):
         raise DiagramError("basis size does not match the rank")
@@ -195,9 +196,6 @@ class Diagram(NamedTuple):
 
     def __hash__(self):
         return hash(self[:6])
-
-    def color(self, pos: int) -> str:
-        return self.colors[pos]
 
     def black_positions(self) -> frozenset[int]:
         return frozenset(i for i, c in enumerate(self.colors) if c in (BLACK, STAR))
@@ -364,39 +362,32 @@ def _arrow_key(rank: int, arrows) -> tuple:
                         for i, j in (tuple(sorted(p)) for p in arrows)))
 
 
-def _normalize(system: RootSystem, d: Diagram) -> Diagram:
-    best = None
-    for rho in system.diagram_symmetries:
-        inv = {v: k for k, v in enumerate(rho)}
-        colors = tuple(d.colors[rho[k]] for k in range(d.rank))
-        arrows = frozenset(frozenset((inv[i], inv[j])) for i, j in
-                           (tuple(p) for p in d.arrows))
-        roots = tuple(d.node_roots[rho[k]] for k in range(d.rank))
-        key = (colors, _arrow_key(d.rank, arrows), roots)
-        if best is None or key < best[0]:
-            best = (key, colors, arrows, roots)
-    return Diagram(d.family, d.rank, d.realization, best[1],
-                   d.bonds, best[2], node_roots=best[3])
-
-
 def s_diagram(theta: Involution, chamber: Chamber) -> Diagram:
-    """Decorated Dynkin diagram of the involution on an S-chamber."""
+    """Decorated Dynkin diagram of the involution on an S-chamber.
+
+    Of the orders of the chamber basis that match the canonical basis, the
+    drawing takes the one with the least (colors, arrow key, node roots):
+    nodes read black first, arrows sit near the tail of the order, and
+    node_roots is the root at each drawn node."""
     R = theta.system
     if R.factors is not None:
         raise DiagramError("diagrams are drawn per irreducible factor")
-    order = canonical_node_order(R, chamber.basis)
-    pos_of = {b: k for k, b in enumerate(order)}
-    colors = [BLACK if b in theta.imaginary_set else WHITE for b in order]
-    arrows = set()
-    for k, b in enumerate(order):
-        if b in theta.imaginary_set or b in theta.real_set:
-            continue
-        prime, _ = theta_on_simple(theta, chamber, b)
-        if prime != b:
-            arrows.add(frozenset((k, pos_of[prime])))
-    d = Diagram(R.spec.family, R.rank, R.spec.realization, tuple(colors),
-                _bonds_of_basis(R, order), frozenset(arrows), node_roots=order)
-    d = _normalize(R, d)
+    basis = sorted(chamber.basis)
+    image = {b: theta_on_simple(theta, chamber, b)[0] for b in basis
+             if b not in theta.imaginary_set and b not in theta.real_set}
+    best = None
+    for order in R.basis_isomorphisms(basis, R.canonical_basis):
+        pos_of = {b: k for k, b in enumerate(order)}
+        colors = tuple(BLACK if b in theta.imaginary_set else WHITE for b in order)
+        arrows = frozenset(frozenset((pos_of[b], pos_of[p])) for b, p in image.items() if p != b)
+        key = (colors, _arrow_key(R.rank, arrows), order)
+        if best is None or key < best[0]:
+            best = key, arrows
+    if best is None:
+        raise DiagramError("basis does not match the canonical diagram shape")
+    (colors, _, order), arrows = best
+    d = Diagram(R.spec.family, R.rank, R.spec.realization, colors,
+                _bonds_of_basis(R, order), arrows, node_roots=order)
     d.validate()
     return d
 

@@ -364,7 +364,6 @@ def classify_sos(system: RootSystem, idxs) -> SosClass:
         return SosClass("C", (k - longs, longs))
     if fam in ("B", "D"):
         sups = _supports(system, S)
-        paired = 0
         seen = {}
         for s in sups:
             seen[s] = seen.get(s, 0) + 1

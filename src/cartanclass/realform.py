@@ -14,8 +14,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from . import _linalg as la
-from .chevalley import (ChevalleySystem, DenseAlgebra, LinearMap, QuarterTurn,
-                        dense_algebra, structure_constants)
+from .chevalley import DenseAlgebra, LinearMap, QuarterTurn, dense_algebra, structure_constants
 from .diagram import find_s_chamber
 from .involution import (Involution, InvolutionError, antipodal_involution, decompose,
                          first_max_clique, identity_involution, positive_representatives,
@@ -69,19 +68,18 @@ class AntiInvolution:
     full=True it covers every root and the cocycle laws are verified.  Only
     twist makes one without the pairwise check, from a datum that had it."""
 
-    def __init__(self, theta: Involution, f: dict[int, int],
-                 constants: ChevalleySystem | None = None, full: bool | None = None):
-        self._setup(theta, f, constants, full)
+    def __init__(self, theta: Involution, f: dict[int, int], full: bool | None = None):
+        self._setup(theta, f, full)
         if self.full:
             self._verify_cocycle()
 
-    def _setup(self, theta, f, constants, full) -> None:
+    def _setup(self, theta, f, full) -> None:
         """Everything but the pairwise cocycle law: the fields, the signs on
         the negated roots, and the O(n) checks of _verify_signs."""
         self.theta = theta
         self.system = theta.system
         self.f = dict(f)
-        self.constants = constants or structure_constants(self.system)
+        self.constants = structure_constants(self.system)
         if full is None:
             full = len(self.f) == len(self.system)
         self.full = full
@@ -162,8 +160,7 @@ def psi_map(algebra: DenseAlgebra, eta: SignHom) -> LinearMap:
     return _signed_map(algebra, lambda i: i, eta)
 
 
-def _extend_signs_by_height(theta: Involution, chamber, signs: dict[int, int],
-                           constants: ChevalleySystem) -> dict[int, int]:
+def _extend_signs_by_height(theta: Involution, chamber, signs: dict[int, int]) -> dict[int, int]:
     """Extend +-1 signs on a chamber basis to every root.
 
     Positive roots are taken by height: g = b + rest with b simple and
@@ -173,7 +170,7 @@ def _extend_signs_by_height(theta: Involution, chamber, signs: dict[int, int],
     R = theta.system
     sums = R.sum_table
     neg = R.negation_map
-    n = constants.n
+    n = structure_constants(R).n
     f = dict(signs)
     for g in chamber.height_order:
         if g in f:
@@ -193,23 +190,22 @@ def _extend_signs_by_height(theta: Involution, chamber, signs: dict[int, int],
     return f
 
 
-def _datum_from_basis_signs(theta: Involution, chamber, signs: dict[int, int],
-                            constants: ChevalleySystem) -> AntiInvolution:
+def _datum_from_basis_signs(theta: Involution, chamber, signs: dict[int, int]) -> AntiInvolution:
     """The sign datum over theta with the given signs on the chamber basis,
     extended by height to every root; the cocycle law is checked."""
     R = theta.system
-    bad = next((b for b in chamber.basis if signs[b] not in (1, -1)), None)
-    if bad is not None:
-        raise RealFormError("sign %r at %s is not +-1" % (signs[bad], R.root_name(bad)))
-    f = _extend_signs_by_height(theta, chamber, {b: signs[b] for b in chamber.basis},
-                                constants)
-    return AntiInvolution(theta, f, constants, full=True)
+    for b in chamber.basis:
+        if b not in signs:
+            raise RealFormError("no sign given at %s of the chamber basis" % R.root_name(b))
+        if signs[b] not in (1, -1):
+            raise RealFormError("sign %r at %s is not +-1" % (signs[b], R.root_name(b)))
+    f = _extend_signs_by_height(theta, chamber, {b: signs[b] for b in chamber.basis})
+    return AntiInvolution(theta, f, full=True)
 
 
 def eps_sharp_map(algebra: DenseAlgebra, eps: Involution, chamber) -> LinearMap:
     """The canonical lift fixing the chosen simple root vectors."""
-    sign = _extend_signs_by_height(eps, chamber, dict.fromkeys(chamber.basis, 1),
-                                  algebra.constants)
+    sign = _extend_signs_by_height(eps, chamber, dict.fromkeys(chamber.basis, 1))
     return _signed_map(algebra, eps, sign.__getitem__)
 
 
@@ -237,7 +233,7 @@ def _sign_datum(algebra: DenseAlgebra, theta: Involution, factors) -> AntiInvolu
             raise RealFormError("sign differs between %s and its negative"
                                 % R.root_name(b))
         signs[b] = got[0]
-    return _datum_from_basis_signs(theta, ch, signs, algebra.constants)
+    return _datum_from_basis_signs(theta, ch, signs)
 
 
 # -- dual-lattice vectors -------------------------------------------------------------
@@ -332,8 +328,7 @@ def twist(sigma: AntiInvolution, eta: SignHom) -> AntiInvolution:
         raise RealFormError("the chamber's parity masks are not additive at %s and %s"
                             % tuple(map(sigma.system.root_name, bad)))
     out = AntiInvolution.__new__(AntiInvolution)
-    out._setup(sigma.theta, {i: v * eta(i) for i, v in sigma.f.items()},
-               sigma.constants, sigma.full)
+    out._setup(sigma.theta, {i: v * eta(i) for i, v in sigma.f.items()}, sigma.full)
     return out
 
 
@@ -415,7 +410,7 @@ def cayley(sigma: AntiInvolution, beta: int, verify_dense: bool = True) -> AntiI
         if any(out.f[i] != f2[i] for i in theta2.imaginary_set):
             raise RealFormError("dense and combinatorial signs disagree")
         return out
-    return AntiInvolution(theta2, f2, sigma.constants, full=False)
+    return AntiInvolution(theta2, f2, full=False)
 
 
 def _max_long_sos_in(system: RootSystem, pool: list[int]) -> list[int]:
@@ -680,24 +675,10 @@ def cartan_classes(sigma: AntiInvolution) -> list[Involution]:
 
 def sigma_from_chamber_signs(theta: Involution, chamber,
                              signs: dict[int, int]) -> AntiInvolution:
-    """Sign datum from prescribed values on (part of) a chamber basis.
-
-    Extends the given signs through the cocycle recurrence by height and
-    verifies the result; unspecified basis signs are solved for (first
-    consistent assignment in +1-first order).  Raises when the
-    prescription is inconsistent."""
-    free = [b for b in chamber.basis if b not in signs]
-    constants = structure_constants(theta.system)
-    last = None
-    for bits in itertools.product((1, -1), repeat=len(free)):
-        try:
-            return _datum_from_basis_signs(theta, chamber, {**signs, **dict(zip(free, bits))},
-                                           constants)
-        except RealFormError as exc:
-            if not free:
-                raise
-            last = exc
-    raise RealFormError("no consistent completion of the signs: %s" % last)
+    """Sign datum from a sign at every root of a chamber basis, extended
+    through the cocycle recurrence by height and verified.  Raises when a
+    basis root has no sign or the signs break a law."""
+    return _datum_from_basis_signs(theta, chamber, signs)
 
 
 # -- compact Cartan enumeration -----------------------------------------------------------
@@ -708,7 +689,7 @@ def sigma_from_basis_signs(system: RootSystem, signs: dict[int, int]) -> AntiInv
     the canonical simple roots.  As N(-a, -b) = N(a, b), the height
     recursion makes it the character of those signs."""
     return _datum_from_basis_signs(antipodal_involution(system), system.canonical_chamber(),
-                                   signs, structure_constants(system))
+                                   signs)
 
 
 def compact_cartan_enumeration(system: RootSystem, dedupe: bool = True) -> list[AntiInvolution]:

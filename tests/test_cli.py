@@ -13,6 +13,7 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 from cartanclass import cli
+from cartanclass import diagram as dg, involution as iv, realform as rf, rootsys as rs
 
 HERE = pathlib.Path(__file__).parent
 SCHEMAS = HERE.parent / "schemas"
@@ -221,6 +222,47 @@ def test_signs_must_be_plus_or_minus(capsys):
     code, _ = run(["sigma", "--type", "B", "--rank", "2", "--label", "r0,2",
                    "--signs=--", "--format", "ascii"])
     assert code == 0
+
+
+def test_signs_double_minus_is_two_minus_signs():
+    """argparse drops a lone -- from an option's value; --signs=-- still
+    means a minus sign at both nodes, not the quasi-split datum."""
+    assert run(["sigma", "--type", "G2", "--label", "-1", "--signs=--"]) == (0, "x<3=x\n")
+    b2 = ["--type", "B", "--rank", "2", "--label", "r0,2"]
+    assert run(["sigma", *b2, "--signs=--"]) == (0, "x==>x\n")
+    assert run(["sigma", *b2, "--signs=--", "--restricted"]) == (0, "x==>*\n")
+    code, out = run(["cayley", *b2, "--signs=--"])
+    assert code == 0 and json.loads(out)["f_on_simple"] == {"4": -1, "5": -1}
+    assert run(["cayley", *b2, "--signs=--"]) != run(["cayley", *b2])
+
+
+def test_empty_signs_exit_3(capsys):
+    for verb in ("sigma", "cayley", "cartans"):
+        argv = [verb, "--type", "B", "--rank", "2", "--label", "r0,2", "--signs="]
+        assert run(argv) == (3, ""), verb
+        assert capsys.readouterr().err == "error: expected 2 signs\n"
+
+
+def _round_trip_cases():
+    specs = [("A", r) for r in range(2, 8)] + [("D", r) for r in (4, 5, 6)] + [("E6", None)]
+    return [(fam, rank, lab) for fam, rank in specs
+            for lab in ["id", "-1"] + [lab for lab, _ in
+                                        iv.table2_representatives(rs.build(fam, rank))]]
+
+
+@pytest.mark.parametrize("fam,rank,label", _round_trip_cases())
+def test_quasi_split_signs_at_the_drawn_nodes_round_trip(fam, rank, label):
+    """sigma and cayley given the quasi-split datum's signs at the drawn
+    nodes print what they print without --signs."""
+    R = rs.build(fam, rank)
+    args = ["--type", fam, "--label", label] + (["--rank", str(rank)] if rank else [])
+    theta = {"id": iv.identity_involution(R), "-1": iv.antipodal_involution(R),
+             **dict(iv.table2_representatives(R))}[label]
+    lift = rf.quasi_split_lift(theta)
+    drawn = dg.s_diagram(theta, dg.find_s_chamber(theta)).node_roots
+    signs = "--signs=" + "".join("+" if lift.f[b] == 1 else "-" for b in drawn)
+    for verb in ("sigma", "cayley"):
+        assert run([verb, *args, signs]) == run([verb, *args]), (verb, signs)
 
 
 def test_sos_size_must_be_positive(capsys):

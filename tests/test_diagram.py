@@ -1,6 +1,7 @@
 """Adapted chambers, decorated diagram construction and the catalogs."""
 
 import itertools
+import random
 import re
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from cartanclass import _linalg as la
 from cartanclass import diagram as dg, involution as iv, realform as rf, rootsys as rs
 from cartanclass import weylgroup as wg
+from test_realform import _seeded_conjugate
 import reference_linalg as rl
 
 F = Fraction
@@ -451,9 +453,62 @@ def test_admissible_equals_drawn_diagrams(fam, rank, realization):
         for arrows in _matchings(whites):
             d = _canonical_diagram(R, colors, arrows)
             if dg.admissible(d)[0]:
-                d = dg._normalize(R, d)
+                d = _normalize(R, d)
                 accepted.add((d.colors, d.arrows))
     assert accepted == drawn
+
+
+def _normalize(system, d):
+    """The relabelling of d by a diagram symmetry with the least (colors,
+    arrow key, node roots)."""
+    best = None
+    for rho in system.diagram_symmetries:
+        inv = {v: k for k, v in enumerate(rho)}
+        colors = tuple(d.colors[rho[k]] for k in range(d.rank))
+        arrows = frozenset(frozenset((inv[i], inv[j])) for i, j in
+                           (tuple(p) for p in d.arrows))
+        roots = tuple(d.node_roots[rho[k]] for k in range(d.rank))
+        key = (colors, dg._arrow_key(d.rank, arrows), roots)
+        if best is None or key < best[0]:
+            best = (key, colors, arrows, roots)
+    return dg.Diagram(d.family, d.rank, d.realization, best[1],
+                      d.bonds, best[2], node_roots=best[3])
+
+
+def _two_step_diagram(theta, chamber):
+    """The drawing as two steps: the nodes in canonical_node_order, then the
+    least relabelling by a diagram symmetry."""
+    R = theta.system
+    order = dg.canonical_node_order(R, chamber.basis)
+    pos_of = {b: k for k, b in enumerate(order)}
+    arrows = set()
+    for k, b in enumerate(order):
+        if b not in theta.imaginary_set and b not in theta.real_set:
+            prime, _ = dg.theta_on_simple(theta, chamber, b)
+            if prime != b:
+                arrows.add(frozenset((k, pos_of[prime])))
+    colors = tuple(dg.BLACK if b in theta.imaginary_set else dg.WHITE for b in order)
+    d = dg.Diagram(R.spec.family, R.rank, R.spec.realization, colors,
+                   dg._bonds_of_basis(R, order), frozenset(arrows), node_roots=order)
+    return _normalize(R, d)
+
+
+@pytest.mark.parametrize("fam,rank,realization",
+                         [("A", r, "standard") for r in range(2, 8)]
+                         + [("D", r, "standard") for r in (4, 5, 6)]
+                         + [("E6", 6, "standard"), ("E6", 6, "prime")])
+def test_s_diagram_is_the_least_relabelling_of_the_first_order(fam, rank, realization):
+    """One pass over every order of the basis draws what the first order
+    relabelled by the least diagram symmetry draws, on catalog rows and
+    seeded conjugates of each, node roots and all."""
+    R = rs.build(fam, rank, realization)
+    rng = random.Random(22)
+    for lab, row in [("id", iv.identity_involution(R)), ("-1", iv.antipodal_involution(R)),
+                     *iv.table2_representatives(R)]:
+        for theta in [row] + [_seeded_conjugate(row, rng) for _ in range(2)]:
+            ch = dg.find_s_chamber(theta)
+            got, want = dg.s_diagram(theta, ch), _two_step_diagram(theta, ch)
+            assert got == want and got.node_roots == want.node_roots, lab
 
 
 def _longest_element(R, black):

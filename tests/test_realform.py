@@ -867,7 +867,7 @@ def test_direct_antiinvolution_runs_the_pair_loop():
     i, j = sorted(named)
     assert {i, j, B3.sum_table[i][j]} & {top, B3.negation_map[top]}
     loose = rf.AntiInvolution.__new__(rf.AntiInvolution)
-    loose._setup(theta, f, lift.constants, True)  # the twist path alone would pass it
+    loose._setup(theta, f, True)  # the twist path alone would pass it
     assert _pair_law_failure(loose) is not None
 
 
@@ -961,6 +961,22 @@ def test_sign_datum_errors_name_the_root():
     anti = iv.antipodal_involution(A2)
     with pytest.raises(rf.RealFormError, match="at " + label):
         rf._sign_datum(A, anti, [cv.LinearMap.identity(A)])
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_chamber_signs_take_a_sign_at_every_basis_root(k):
+    """No basis sign is guessed: leaving one out names that root, on
+    involutions where some completion of the others would pass."""
+    B4 = rs.build("B", 4)
+    for theta in (iv.identity_involution(B4), dict(iv.table2_representatives(B4))["r0,2"]):
+        ch = dg.find_s_chamber(theta)
+        lift = rf.quasi_split_lift(theta)
+        b = ch.basis[k]
+        signs = {c: lift.f[c] for c in ch.basis if c != b}
+        with pytest.raises(rf.RealFormError, match="no sign given at %s of the chamber basis"
+                           % re.escape(B4.root_name(b))):
+            rf.sigma_from_chamber_signs(theta, ch, signs)
+        assert rf.sigma_from_chamber_signs(theta, ch, {**signs, b: lift.f[b]}).f == lift.f
 
 
 # -- the quasi-split lift by rule ------------------------------------------------------
