@@ -15,7 +15,7 @@ from typing import NamedTuple
 from .involution import Involution, _orthogonal_components
 from .rootsys import (CartanclassError, Chamber, RootSystem, RootSystemError, RootSystemSpec,
                       _coordinate_rows, build)
-from .weylgroup import perm_mul
+from .weylgroup import _simple_images_in_weyl, perm_mul
 
 WHITE, BLACK, STAR = "white", "black", "star"
 
@@ -362,6 +362,13 @@ def _arrow_key(rank: int, arrows) -> tuple:
                         for i, j in (tuple(sorted(p)) for p in arrows)))
 
 
+def _labellings(R: RootSystem, basis) -> list[tuple[int, ...]]:
+    """Every order of a chamber basis that matches the canonical basis: the
+    first one composed with each diagram symmetry."""
+    first = canonical_node_order(R, basis)
+    return [tuple(first[k] for k in p) for p in R.diagram_symmetries]
+
+
 def s_diagram(theta: Involution, chamber: Chamber) -> Diagram:
     """Decorated Dynkin diagram of the involution on an S-chamber.
 
@@ -372,19 +379,16 @@ def s_diagram(theta: Involution, chamber: Chamber) -> Diagram:
     R = theta.system
     if R.factors is not None:
         raise DiagramError("diagrams are drawn per irreducible factor")
-    basis = sorted(chamber.basis)
-    image = {b: theta_on_simple(theta, chamber, b)[0] for b in basis
+    image = {b: theta_on_simple(theta, chamber, b)[0] for b in chamber.basis
              if b not in theta.imaginary_set and b not in theta.real_set}
     best = None
-    for order in R.basis_isomorphisms(basis, R.canonical_basis):
+    for order in _labellings(R, chamber.basis):
         pos_of = {b: k for k, b in enumerate(order)}
         colors = tuple(BLACK if b in theta.imaginary_set else WHITE for b in order)
         arrows = frozenset(frozenset((pos_of[b], pos_of[p])) for b, p in image.items() if p != b)
         key = (colors, _arrow_key(R.rank, arrows), order)
         if best is None or key < best[0]:
             best = key, arrows
-    if best is None:
-        raise DiagramError("basis does not match the canonical diagram shape")
     (colors, _, order), arrows = best
     d = Diagram(R.spec.family, R.rank, R.spec.realization, colors,
                 _bonds_of_basis(R, order), arrows, node_roots=order)
@@ -403,7 +407,7 @@ def sigma_diagram(sigma, chamber: Chamber) -> Diagram:
                    base.bonds, base.arrows, node_roots=base.node_roots)
 
 
-# -- admissibility -------------------------------------------------------------------
+# -- admissibility and class keys ----------------------------------------------------
 
 
 def _system_of(d: Diagram) -> RootSystem:
@@ -429,27 +433,64 @@ def admissible(d: Diagram) -> tuple[bool, str]:
     an involution that draws the diagram on the canonical chamber."""
     d.validate()
     R = _system_of(d)
-    cb = R.canonical_basis
-    pos = R.canonical_chamber().positive_set
-    black = [cb[k] for k in sorted(d.black_positions())]
-    # w_B, the longest element of the black subgroup: lengthen by a black
-    # reflection while some black root keeps a positive image
-    w = tuple(range(len(R)))
-    while (b := next((b for b in black if w[b] in pos), None)) is not None:
-        w = perm_mul(w, R.reflection_perm(b))
-    at = {b: k for k, b in enumerate(cb)}
     tau = list(range(d.rank))
     for i, j in map(tuple, d.arrows):
         tau[i], tau[j] = j, i
-    for b in black:
-        tau[at[b]] = at[R.negation_map[w[b]]]
+    for k, j in _opposition(R, d.black_positions()).items():
+        tau[k] = j
     if tuple(tau) in R.diagram_symmetries:
         return True, "arrows and black opposition form a diagram symmetry"
-    pm = R.pairing_matrix
+    pm, cb = R.pairing_matrix, R.canonical_basis
     k, j = next((k, j) for k in range(d.rank) for j in range(d.rank)
                 if pm[cb[k]][cb[j]] != pm[cb[tau[k]]][cb[tau[j]]])
     return False, ("node %d goes to node %d and node %d to node %d, which changes "
                    "their bond" % (k, tau[k], j, tau[j]))
+
+
+def _opposition(R: RootSystem, nodes: frozenset[int]) -> dict[int, int]:
+    """-w_L on the positions of a set L of canonical nodes, kept on the
+    system: w_L is lengthened by a reflection of L while some root of L
+    keeps a positive image."""
+    got = R._oppositions.get(nodes)
+    if got is None:
+        cb, pos = R.canonical_basis, R.canonical_chamber().positive_set
+        w = tuple(range(len(R)))
+        while (b := next((cb[k] for k in nodes if w[cb[k]] in pos), None)) is not None:
+            w = perm_mul(w, R.reflection_perm(b))
+        at = {b: k for k, b in enumerate(cb)}
+        got = R._oppositions[nodes] = {k: at[R.negation_map[w[cb[k]]]] for k in nodes}
+    return got
+
+
+def class_key(theta: Involution, group: str = "W") -> tuple:
+    """A complete invariant of theta's class under W ("W") or the full group
+    ("A").  The element of W that labels theta's S-chamber onto the canonical
+    nodes conjugates theta to w_J tau: J the black nodes, tau the diagram
+    symmetry that follows theta on white nodes and is -w_J on J.  A move
+    replaces J by -w_L(J), L = J + O for a tau-orbit O: conjugation by w_L
+    w_J, and moves link the drawings of a W-class (Richardson, Bull. Austral.
+    Math. Soc. 26 (1982); Springer, Comm. Algebra 10 (1982)).  The key is
+    tau with the least bitmask of J reached; under "A", the least such pair
+    over the diagram symmetries g, which carry (tau, J) to (g tau g^-1, g J)."""
+    R = theta.system
+    chamber = find_s_chamber(theta)
+    order = next(t for t in _labellings(R, chamber.basis) if _simple_images_in_weyl(R, list(t)))
+    black = frozenset(k for k, b in enumerate(order) if b in theta.imaginary_set)
+    at, opp = {b: k for k, b in enumerate(order)}, _opposition(R, black)
+    tau = [opp[k] if k in black else at[theta_on_simple(theta, chamber, b)[0]]
+           for k, b in enumerate(order)]
+    orbits = {frozenset((k, j)) for k, j in enumerate(tau)}  # one inside J keeps J
+    reached, todo = {black}, [black]
+    for J in todo:  # grows while it is read
+        for O in orbits:
+            opp = _opposition(R, J | O)
+            if (K := frozenset(opp[j] for j in J)) not in reached:
+                reached.add(K)
+                todo.append(K)
+    gammas = R.diagram_symmetries if group != "W" else [tuple(range(R.rank))]
+    # (g tau g^-1, g J): the nodes k sorted by g[k] are g^-1(0), g^-1(1), ...
+    return min((tuple(g[tau[k]] for k in sorted(range(R.rank), key=g.__getitem__)),
+                min(sum(1 << g[j] for j in J) for J in reached)) for g in gammas)
 
 
 # -- restricted sigma-diagrams ----------------------------------------------------------

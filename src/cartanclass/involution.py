@@ -14,9 +14,8 @@ from typing import NamedTuple
 from . import _linalg as la
 from .rootsys import CartanclassError, RootSystem, RootSystemError
 from ._linalg import e
-from .weylgroup import (Perm, diagram_automorphisms, factor_swap, full_aut_group,
-                        identity_perm, in_weyl, klein_completer, klein_in_weyl, perm_mul,
-                        weyl_group)
+from .weylgroup import (Perm, diagram_automorphisms, factor_swap, identity_perm, in_weyl,
+                        klein_completer, klein_in_weyl, perm_mul)
 
 
 class InvolutionError(CartanclassError):
@@ -80,15 +79,6 @@ class Involution:
 
     def is_special(self) -> bool:
         return not self.imaginary_set
-
-    def invariants(self):
-        """Conjugation invariants used to separate classes cheaply."""
-        return (
-            len(self.real_set), len(self.imaginary_set), self.length,
-            self.in_weyl,
-            subsystem_type(self.system, self.real_set),
-            subsystem_type(self.system, self.imaginary_set),
-        )
 
     def to_json(self) -> dict:
         return {
@@ -457,83 +447,53 @@ def _table2_rows(system: RootSystem):
         raise InvolutionError("the catalog is stated on the standard "
                               "realization of E7")
     n = system.dim
+
+    def es(*ks):  # the unit vectors e_k
+        return [e(k, n) for k in ks]
+
+    def d(i, j):  # e_i - e_j
+        return la.vsub(e(i, n), e(j, n))
+
+    def s(i, j):  # e_i + e_j
+        return la.vadd(e(i, n), e(j, n))
+
     rows = []
     if fam == "A":
         half = (rank + 1) // 2
         for h in range(1, half + 1):
-            rows.append(("w%d" % h,
-                         [la.vsub(e(2 * i - 1, n), e(2 * i, n)) for i in range(1, h + 1)]))
+            rows.append(("w%d" % h, [d(2 * i - 1, 2 * i) for i in range(1, h + 1)]))
         for p in range(0, half + 1):
-            vecs = [la.vadd(e(i, n), e(rank + 2 - i, n)) for i in range(1, p + 1)]
-            vecs += [e(k, n) for k in range(p + 1, rank + 2 - p)]
-            rows.append(("e%d" % p, vecs))
+            vecs = [s(i, rank + 2 - i) for i in range(1, p + 1)]
+            rows.append(("e%d" % p, vecs + es(*range(p + 1, rank + 2 - p))))
     elif fam in ("B", "C", "D"):
         for r1 in range(0, rank // 2 + 1):
             for r2 in range(0, rank - 2 * r1 + 1):
                 if r1 == r2 == 0:
                     continue
-                vecs = [la.vsub(e(2 * i - 1, n), e(2 * i, n)) for i in range(1, r1 + 1)]
-                vecs += [e(k, n) for k in range(rank - r2 + 1, rank + 1)]
-                rows.append(("r%d,%d" % (r1, r2), vecs))
+                vecs = [d(2 * i - 1, 2 * i) for i in range(1, r1 + 1)]
+                rows.append(("r%d,%d" % (r1, r2), vecs + es(*range(rank - r2 + 1, rank + 1))))
     elif fam == "E6" and system.spec.realization == "standard":
-        rows = [
-            ("w1", [la.vsub(e(1, n), e(2, n))]),
-            ("w2", [e(1, n), e(2, n)]),
-            ("w3", [e(1, n), e(2, n), la.vsub(e(3, n), e(4, n))]),
-            ("w4", [e(1, n), e(2, n), e(3, n), e(4, n)]),
-        ]
+        rows = [("w1", [d(1, 2)]), ("w2", es(1, 2)), ("w3", es(1, 2) + [d(3, 4)]),
+                ("w4", es(1, 2, 3, 4))]
     elif fam == "E6" and system.spec.realization == "prime":
-        rows = [
-            ("e1", [la.vadd(e(1, n), e(6, n)), la.vadd(e(2, n), e(5, n)),
-                    la.vadd(e(3, n), e(4, n))]),
-            ("e2", [la.vadd(e(1, n), e(6, n)), la.vadd(e(2, n), e(5, n)),
-                    e(3, n), e(4, n)]),
-            ("e3", [la.vadd(e(1, n), e(6, n)), e(2, n), e(3, n), e(4, n), e(5, n)]),
-            ("e4", [e(i, n) for i in range(1, 7)]),
-        ]
+        rows = [("e1", [s(1, 6), s(2, 5), s(3, 4)]), ("e2", [s(1, 6), s(2, 5)] + es(3, 4)),
+                ("e3", [s(1, 6)] + es(2, 3, 4, 5)), ("e4", es(1, 2, 3, 4, 5, 6))]
     elif fam == "E7":
-        rows = [
-            ("1", [la.vsub(e(1, n), e(2, n))]),
-            ("2", [e(1, n), e(2, n)]),
-            ("3", [e(1, n), e(2, n), la.vsub(e(3, n), e(4, n))]),
-            ("4", [la.vsub(e(1, n), e(2, n)), la.vsub(e(3, n), e(4, n)),
-                   la.vsub(e(5, n), e(6, n))]),
-            ("5", [e(1, n), e(2, n), e(3, n), e(4, n)]),
-            ("6", [e(1, n), e(2, n), la.vsub(e(3, n), e(4, n)),
-                   la.vsub(e(5, n), e(6, n))]),
-            ("7", [e(1, n), e(2, n), e(3, n), e(4, n), la.vsub(e(5, n), e(6, n))]),
-            ("8", [e(i, n) for i in range(1, 7)]),
-            ("9", [e(i, n) for i in range(1, 7)] + [la.vadd(e(7, n), e(8, n))]),
-        ]
+        rows = [("1", [d(1, 2)]), ("2", es(1, 2)), ("3", es(1, 2) + [d(3, 4)]),
+                ("4", [d(1, 2), d(3, 4), d(5, 6)]), ("5", es(1, 2, 3, 4)),
+                ("6", es(1, 2) + [d(3, 4), d(5, 6)]), ("7", es(1, 2, 3, 4) + [d(5, 6)]),
+                ("8", es(1, 2, 3, 4, 5, 6)), ("9", es(1, 2, 3, 4, 5, 6) + [s(7, 8)])]
     elif fam == "E8":
-        rows = [
-            ("1", [la.vsub(e(1, n), e(2, n))]),
-            ("2", [e(1, n), e(2, n)]),
-            ("3", [e(1, n), e(2, n), la.vsub(e(3, n), e(4, n))]),
-            ("4", [e(1, n), e(2, n), e(3, n), e(4, n)]),
-            ("5", [e(1, n), e(2, n), la.vsub(e(3, n), e(4, n)),
-                   la.vsub(e(5, n), e(6, n))]),
-            ("6", [e(1, n), e(2, n), e(3, n), e(4, n), la.vsub(e(5, n), e(6, n))]),
-            ("7", [e(i, n) for i in range(1, 7)]),
-            ("8", [e(i, n) for i in range(1, 7)] + [la.vsub(e(7, n), e(8, n))]),
-            ("9", [e(i, n) for i in range(1, 9)]),
-        ]
+        rows = [("1", [d(1, 2)]), ("2", es(1, 2)), ("3", es(1, 2) + [d(3, 4)]),
+                ("4", es(1, 2, 3, 4)), ("5", es(1, 2) + [d(3, 4), d(5, 6)]),
+                ("6", es(1, 2, 3, 4) + [d(5, 6)]), ("7", es(1, 2, 3, 4, 5, 6)),
+                ("8", es(1, 2, 3, 4, 5, 6) + [d(7, 8)]), ("9", es(1, 2, 3, 4, 5, 6, 7, 8))]
     elif fam == "F4":
-        rows = [
-            ("1", [e(1, n)]),
-            ("2", [la.vsub(e(1, n), e(2, n))]),
-            ("3", [e(1, n), la.vsub(e(2, n), e(3, n))]),
-            ("4", [e(1, n), e(2, n)]),
-            ("5", [e(1, n), e(2, n), e(3, n)]),
-            ("6", [e(2, n), e(3, n), la.vadd(e(1, n), e(4, n))]),
-            ("7", [e(1, n), e(2, n), e(3, n), e(4, n)]),
-        ]
+        rows = [("1", es(1)), ("2", [d(1, 2)]), ("3", es(1) + [d(2, 3)]), ("4", es(1, 2)),
+                ("5", es(1, 2, 3)), ("6", es(2, 3) + [s(1, 4)]), ("7", es(1, 2, 3, 4))]
     elif fam == "G2":
-        rows = [
-            ("1", [la.vsub(e(1, n), e(2, n))]),
-            ("2", [la.vsub(la.vscale(2, e(1, n)), la.vadd(e(2, n), e(3, n)))]),
-            ("3", [e(1, n), e(2, n), e(3, n)]),
-        ]
+        rows = [("1", [d(1, 2)]), ("2", [la.vsub(la.vscale(2, e(1, n)), s(2, 3))]),
+                ("3", es(1, 2, 3))]
     else:
         raise InvolutionError("no catalog for %r" % (system.spec,))
     return rows
@@ -560,32 +520,29 @@ def table2_representatives(system: RootSystem) -> list[tuple[str, Involution]]:
 
 
 def equivalent_involutions(t1: Involution, t2: Involution, group: str = "W") -> bool:
-    """Conjugacy inside the Weyl group ("W") or the full group ("A")."""
+    """Conjugacy inside the Weyl group ("W") or the full group ("A"): the
+    class keys of diagram.class_key agree."""
     if t1.system is not t2.system:
         raise InvolutionError("involutions live on different systems")
     if t1.perm == t2.perm:
         return True
-    G = weyl_group(t1.system) if group == "W" else full_aut_group(t1.system)
-    return G.conjugator(t1.perm, t2.perm) is not None
+    from .diagram import class_key  # diagram imports this module
+    return class_key(t1, group) == class_key(t2, group)
 
 
 def class_label(theta: Involution, group: str = "W") -> str:
     """Catalog label of the involution class (identity labeled 'id').
 
-    Matching runs against the catalog of theta's realization; invariant
-    vectors prefilter before any conjugacy search.  When no catalog row
-    matches under W-conjugacy, the full automorphism group is tried (the
-    D4 triality orbit folds several W-classes onto one catalog row)."""
+    The class key of theta is looked up among the keys of the catalog rows
+    of theta's realization.  When no row has its W-key, the full
+    automorphism group is tried (the D4 triality orbit folds several
+    W-classes onto one catalog row), and the first row with its key wins."""
+    from .diagram import class_key
     if theta.perm == identity_perm(len(theta.system)):
         return "id"
     rows = table2_representatives(theta.system)
-    inv = theta.invariants()
-    candidates = [(lab, rep) for lab, rep in rows if rep.invariants() == inv]
-    for lab, rep in candidates:
-        if equivalent_involutions(theta, rep, group):
+    for g in dict.fromkeys((group, "A")):
+        labels = {class_key(rep, g): lab for lab, rep in reversed(rows)}  # first row wins
+        if (lab := labels.get(class_key(theta, g))) is not None:
             return lab
-    if group == "W":
-        for lab, rep in candidates:
-            if equivalent_involutions(theta, rep, "A"):
-                return lab
     raise InvolutionError("involution matches no catalog row")

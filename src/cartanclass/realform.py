@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from . import _linalg as la
 from .chevalley import DenseAlgebra, LinearMap, QuarterTurn, dense_algebra, structure_constants
-from .diagram import find_s_chamber
+from .diagram import class_key, find_s_chamber
 from .involution import (Involution, InvolutionError, antipodal_involution, decompose,
                          first_max_clique, identity_involution, positive_representatives,
                          subsystem_components, table2_representatives)
@@ -619,17 +619,17 @@ def cartan_classes(sigma: AntiInvolution) -> list[Involution]:
 
     Transform chains extend the decomposition set of the maximally vector
     datum by pairwise orthogonal fixed roots of the special part; the
-    classes of the resulting involutions (modulo Weyl elements commuting
-    with the special part) stand for the Cartan subalgebras.
+    W-classes of the resulting involutions stand for the Cartan subalgebras
+    (on every catalog form up to E8 they are the classes modulo the Weyl
+    elements commuting with the special part).
 
     A set S is extended only by the first eligible root, in pool order, of
     each (component, length) orbit of Psi, the real roots of the special
     part eps orthogonal to S.  A reflection in Psi fixes S and commutes
     with eps (s_{eps g} = s_{-g} = s_g), and W(Psi) is transitive on the
     roots of one length in each irreducible component, so a skipped root
-    gives an involution conjugate to that of the kept one.  A conjugacy
-    search decides the candidates left, and builds the Weyl group only
-    when the first one runs."""
+    gives an involution conjugate to that of the kept one.  The class key
+    of diagram.class_key decides the candidates left."""
     R = sigma.system
     reduced = reduce_noncompact(sigma, verify_dense=False)
     eps, base = decompose(reduced.theta)
@@ -643,14 +643,8 @@ def cartan_classes(sigma: AntiInvolution) -> list[Involution]:
             perm = perm_mul(perm, R.reflection_perm(b))
         return Involution(R, perm)
 
-    pairs = [(eps.perm, eps.perm)] if eps.perm != identity_perm(len(R)) else []
-
-    def same_class(t1: Involution, t2: Involution) -> bool:
-        if t1.perm == t2.perm:
-            return True
-        return weyl_group(R).conjugator(t1.perm, t2.perm, pairs=pairs) is not None
-
-    reps: list[tuple[tuple[int, ...], Involution]] = [(tuple(base), theta_of(base))]
+    first = theta_of(base)
+    reps = {class_key(first): (tuple(base), first)}  # one (set, involution) per W-class
     frontier = [tuple(base)]
     while frontier:
         new_frontier = []
@@ -665,12 +659,12 @@ def cartan_classes(sigma: AntiInvolution) -> list[Involution]:
                 kept.add(orbit[g])
                 S2 = tuple(sorted(S + (g,)))
                 t2 = theta_of(S2)
-                if any(same_class(t2, t) for _, t in reps):
+                if (key := class_key(t2)) in reps:
                     continue
-                reps.append((S2, t2))
+                reps[key] = S2, t2
                 new_frontier.append(S2)
         frontier = new_frontier
-    return [t for _, t in sorted(reps, key=lambda st: (len(st[0]), st[0]))]
+    return [t for _, t in sorted(reps.values(), key=lambda st: (len(st[0]), st[0]))]
 
 
 def sigma_from_chamber_signs(theta: Involution, chamber,

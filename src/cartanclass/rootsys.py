@@ -294,11 +294,13 @@ class RootSystem:
         self._reflection_perms: dict[int, tuple[int, ...]] = {}
         self._canonical_chamber: Chamber | None = None
         # Objects of the upper layers, built by their getters on first use
-        # (weylgroup.weyl_group, weylgroup.full_aut_group and
-        # chevalley.structure_constants) and kept with the system.
+        # (weylgroup.weyl_group, weylgroup.full_aut_group,
+        # chevalley.structure_constants and diagram._opposition) and kept
+        # with the system.
         self._weyl_group = None
         self._full_aut_group = None
         self._constants = None
+        self._oppositions: dict = {}
 
     @cached_property
     def roots(self) -> tuple[Vector, ...]:
@@ -411,11 +413,14 @@ class RootSystem:
         Positions are filled in dst order, each with the candidates in src
         order, and a candidate is tried only if it agrees with every root
         already placed; so the tuples come in lexicographic order of their
-        positions in src."""
+        positions in src.  The pairings among src and among dst are read
+        once, as two small tables, and no pairing row is made."""
         src, dst = tuple(src), tuple(dst)
         if len(src) != len(dst):
             return
-        pm, norms = self.pairing_matrix, self._norms
+        norms = self._norms
+        ps = {s: dict(zip(src, _coroot_pairings(self, s, src))) for s in src}
+        pd = [_coroot_pairings(self, d, dst) for d in dst]
         placed: list[int] = []
 
         def rec(p):
@@ -426,7 +431,7 @@ class RootSystem:
             for s in src:
                 if s in placed or norms[s] != norms[d]:
                     continue
-                if any(pm[s][t] != pm[d][e] for t, e in zip(placed, dst)):
+                if any(ps[s][t] != x for t, x in zip(placed, pd[p])):
                     continue
                 placed.append(s)
                 yield from rec(p + 1)

@@ -21,6 +21,7 @@ from cartanclass import rootsys as rs
 from cartanclass import weylgroup as wg
 from cartanclass.tables import compact_cartan_identities, dual_vector_table
 from test_rootsys import zeta
+import reference_classes as rc
 import reference_linalg as rl
 
 F = la.Fraction
@@ -189,7 +190,7 @@ def test_criterion_03_catalog():
     for fam in ("E7", "E8"):
         R = rs.build(fam)
         rows = iv.table2_representatives(R)
-        invs = [rep.invariants() for _, rep in rows]
+        invs = [rc.invariants(rep) for _, rep in rows]
         assert len(set(invs)) == len(invs)
         for lab, rep in rows:
             assert rep.in_weyl
@@ -521,6 +522,18 @@ def test_cartan_classes_e7_row_9_bound():
     took = time.time() - t0
     assert len(classes) == 10
     assert took < 1, took
+
+
+def test_cartan_classes_d12_identity_bound():
+    """The Cartan classes of the split form of D12, the lift of the
+    identity: 29, in under 5 s (the conjugacy searches took over 40 s)."""
+    D12 = rs.build("D", 12)
+    sigma = rf.quasi_split_lift(iv.identity_involution(D12))
+    t0 = time.time()
+    classes = rf.cartan_classes(sigma)
+    took = time.time() - t0
+    assert len(classes) == 29
+    assert took < 5, took
 
 
 def test_e8_weyl_chain_bound():

@@ -11,6 +11,7 @@ from cartanclass import _linalg as la
 from cartanclass import diagram as dg, involution as iv, realform as rf, rootsys as rs
 from cartanclass import weylgroup as wg
 from test_realform import _seeded_conjugate
+import reference_classes as rc
 import reference_linalg as rl
 
 F = Fraction
@@ -675,3 +676,106 @@ def test_canonical_node_order_matches_canonical_basis():
             for j in range(rank):
                 assert (la.vdot(R.roots[order[i]], R.roots[order[j]])
                         == la.vdot(R.roots[cb[i]], R.roots[cb[j]]))
+
+
+# -- class keys ------------------------------------------------------------------------
+
+
+def _aut_involutions(R):
+    """Every involution of the full automorphism group, the identity too."""
+    ident = wg.identity_perm(len(R))
+    return [g for g in wg.full_aut_group(R).iter_elements() if wg.perm_mul(g, g) == ident]
+
+
+def _orbit_classes(G, perms):
+    """The conjugacy class of each permutation under G, numbered, by
+    conjugating by every element of G."""
+    elements = list(G.iter_elements())
+    out = {}
+    for t in perms:
+        if t not in out:
+            k = len(set(out.values()))
+            for g in elements:
+                out[wg.perm_mul(wg.perm_mul(g, t), wg.perm_inv(g))] = k
+    return out
+
+
+@pytest.mark.parametrize("fam,rank,count", [
+    ("A", 2, 8), ("A", 3, 20), ("A", 4, 52), ("A", 5, 152), ("B", 3, 20), ("B", 4, 76),
+    ("C", 3, 20), ("D", 4, 140), ("G2", 2, 8), ("F4", 4, 140)])
+def test_class_key_decides_weyl_conjugacy_by_brute_force(fam, rank, count):
+    """Two involutions of the full automorphism group have equal W-keys
+    exactly when some element of W conjugates one to the other."""
+    R = rs.build(fam, rank)
+    invs = _aut_involutions(R)
+    assert len(invs) == count
+    classes = _orbit_classes(wg.weyl_group(R), invs)
+    keys = {t: dg.class_key(iv.Involution(R, t)) for t in invs}
+    pairs = {(classes[t], keys[t]) for t in invs}
+    assert len(pairs) == len(set(classes.values())) == len(set(keys.values()))
+    if (fam, rank) == ("D", 4):
+        assert len(pairs) == 16
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5)])
+def test_class_key_decides_full_group_conjugacy_by_brute_force(fam, rank):
+    R = rs.build(fam, rank)
+    invs = _aut_involutions(R)
+    classes = _orbit_classes(wg.full_aut_group(R), invs)
+    keys = {t: dg.class_key(iv.Involution(R, t), "A") for t in invs}
+    pairs = {(classes[t], keys[t]) for t in invs}
+    assert len(pairs) == len(set(classes.values())) == len(set(keys.values()))
+
+
+@pytest.mark.parametrize("factors", [(("A", 2), ("A", 2)), (("B", 2), ("A", 1)),
+                                     (("A", 1), ("A", 1), ("A", 1))],
+                         ids=["A2+A2", "B2+A1", "A1+A1+A1"])
+def test_class_key_decides_conjugacy_on_unions(factors):
+    """On a union the full group also swaps equal factors."""
+    R = rs.build(rs.RootSystemSpec(factors=tuple(rs.RootSystemSpec(*f) for f in factors)))
+    invs = _aut_involutions(R)
+    for G, group in ((wg.weyl_group(R), "W"), (wg.full_aut_group(R), "A")):
+        classes = _orbit_classes(G, invs)
+        keys = {t: dg.class_key(iv.Involution(R, t), group) for t in invs}
+        pairs = {(classes[t], keys[t]) for t in invs}
+        assert len(pairs) == len(set(classes.values())) == len(set(keys.values())), group
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 3), ("A", 4), ("A", 5), ("B", 3), ("B", 4),
+                                      ("C", 3), ("D", 4), ("D", 5), ("G2", 2), ("F4", 4)])
+def test_class_label_matches_the_search(fam, rank):
+    """class_label by keys gives the label, or the error, that the
+    invariants prefilter and the conjugacy searches gave."""
+    R = rs.build(fam, rank)
+
+    def label(fn, theta, group):
+        try:
+            return fn(theta, group)
+        except iv.InvolutionError as exc:
+            return str(exc)
+
+    for t in _aut_involutions(R):
+        theta = iv.Involution(R, t)
+        for group in ("W", "A"):
+            assert label(iv.class_label, theta, group) == \
+                label(rc.class_label_by_search, theta, group), (group, t)
+
+
+def test_catalog_rows_have_distinct_keys():
+    """The rows have pairwise distinct W-keys, the rows with equal
+    invariants of D4, D6, D8 and D10 included; D4 has eight W-keys and
+    seven A-keys, as triality folds r0,2 and r2,0 onto one class."""
+    for fam, ranks in [("A", range(1, 9)), ("B", range(2, 9)), ("C", range(3, 9)),
+                       ("D", range(4, 11)), ("E6", [6]), ("E7", [7]), ("E8", [8])]:
+        for rank in ranks:
+            R = rs.build(fam, rank)
+            rows = [rep for _, rep in iv.table2_representatives(R)]
+            assert len({dg.class_key(rep) for rep in rows}) == len(rows), R.spec.label
+            invs = [rc.invariants(rep) for rep in rows]
+            assert (len(set(invs)) < len(invs)) == (fam == "D" and rank % 2 == 0)
+    D4 = rs.build("D", 4)
+    rows = [rep for _, rep in iv.table2_representatives(D4)]
+    assert len(rows) == 8
+    assert len({dg.class_key(rep, "A") for rep in rows}) == 7
+    rows = dict(iv.table2_representatives(D4))
+    assert dg.class_key(rows["r0,2"], "A") == dg.class_key(rows["r2,0"], "A")

@@ -34,7 +34,8 @@ VERB_MODULES = [
     ("involutions --type E8", _CATALOG),
     ("sos --type E8 --size 4", _CATALOG),
     ("diagram --type E8 --label 5 --format ascii", _CATALOG | {"cartanclass.diagram"}),
-    ("verify table2 --type E7", _CATALOG),
+    # the rows' class keys are read on their S-chambers
+    ("verify table2 --type E7", _CATALOG | {"cartanclass.diagram"}),
     ("verify sos-table", _CATALOG),
     ("verify dual-vectors", {"cartanclass.rootsys", "cartanclass.tables"}),
 ]

@@ -525,13 +525,27 @@ def _conjugate_lifts():
     return out
 
 
+def _one_twist_per_dim_k(R):
+    """(label, dim k, datum): the lift of id, of -1 and of every catalog row,
+    twisted by the first character of Hom_theta of each dim k."""
+    thetas = [("id", iv.identity_involution(R)), ("-1", iv.antipodal_involution(R))]
+    for lab, theta in thetas + iv.table2_representatives(R):
+        lift, chamber = rf.quasi_split_lift(theta), dg.find_s_chamber(theta)
+        masks = {}
+        for mask, name in rf.twist_names(lift, chamber, lab).items():
+            masks.setdefault(name.dim_k, mask)
+        for dim_k, mask in masks.items():
+            yield lab, dim_k, rf.twist(lift, rf.SignHom(R, mask=mask, chamber=chamber))
+
+
 @pytest.mark.parametrize("spec", _CARTAN_SPECS, ids=lambda s: s.label)
 def test_cartan_classes_match_the_search_on_every_catalog_row(spec):
-    R = rs.build(spec)
-    for lab, theta in iv.table2_representatives(R):
-        sigma = rf.quasi_split_lift(theta)
+    """On one twist per dim k of id, -1 and every catalog row, the W-classes
+    of cartan_classes are the classes under the Weyl elements commuting
+    with the special part, which the search decides."""
+    for lab, dim_k, sigma in _one_twist_per_dim_k(rs.build(spec)):
         want = [t.perm for t in _cartan_walk_by_search(sigma)[0]]
-        assert [t.perm for t in rf.cartan_classes(sigma)] == want, lab
+        assert [t.perm for t in rf.cartan_classes(sigma)] == want, (lab, dim_k)
 
 
 def test_cartan_classes_match_the_search_on_seeded_conjugates():

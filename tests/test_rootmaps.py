@@ -22,6 +22,7 @@ from cartanclass import involution as iv
 from cartanclass import rootsys as rs
 from cartanclass import weylgroup as wg
 from test_rootsys import coweight_sum, fundamental_coweights, reflect_vec, witness
+import reference_classes as rc
 import reference_linalg as rl
 
 FAMILIES = ([("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 9)]
@@ -299,9 +300,9 @@ def test_klein_matches_matrices_on_e8_sample():
 @settings(max_examples=4, deadline=None)
 @given(word=st.lists(st.integers(0, 10_000), max_size=12))
 def test_weyl_conjugates_keep_class_data(spec, word):
-    """g theta g^-1, for a word g in reflections, keeps the class invariants
-    and the catalog label of every catalog row, and on the chamber g(C) it
-    has the S-diagram that theta has on its S-chamber C.
+    """g theta g^-1, for a word g in reflections, keeps the class invariants,
+    the class key and the catalog label of every catalog row, and on the
+    chamber g(C) it has the S-diagram that theta has on its S-chamber C.
 
     The diagram find_s_chamber picks for the conjugate itself may differ:
     S-diagrams of one class are not unique (B4 r1,0 conjugated by a single
@@ -312,7 +313,8 @@ def test_weyl_conjugates_keep_class_data(spec, word):
         g = wg.perm_mul(R.reflection_perm(w % len(R)), g)
     for lab, theta in iv.table2_representatives(R):
         conj = iv.Involution(R, wg.perm_mul(g, wg.perm_mul(theta.perm, wg.perm_inv(g))))
-        assert conj.invariants() == theta.invariants()
+        assert rc.invariants(conj) == rc.invariants(theta)
+        assert dg.class_key(conj) == dg.class_key(theta)
         assert iv.class_label(conj) == lab
         ch = dg.find_s_chamber(theta)
         moved = R.chamber_from_simple_basis([R.roots[g[b]] for b in ch.basis])
