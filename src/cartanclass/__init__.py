@@ -8,8 +8,8 @@ package, or one layer of it, compiles and runs no other layer."""
 import importlib
 
 _HOMES = {
-    "rootsys": "CartanclassError Chamber RootSystem RootSystemError RootSystemSpec build",
-    "weylgroup": "PermGroup full_aut_group in_weyl klein_in_weyl weyl_group",
+    "rootsys": "CartanclassError Chamber RootSystem RootSystemError RootSystemSpec build in_weyl",
+    "weylgroup": "PermGroup full_aut_group klein_in_weyl weyl_group",
     "chevalley": "ChevalleySystem DenseAlgebra Qrt2 QuarterTurn ad_k_char_polys apply_map "
                  "dense_algebra exp_quarter_pi_adk structure_constants",
     "involution": "Involution SosClass class_label classify_sos complex_type_involution "

@@ -43,11 +43,6 @@ def unit_vec(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def e(i: int, n: int) -> Vector:
-    """e_i, the i-th (1-based) unit vector of Q^n, as the catalogs write it."""
-    return unit_vec(n, i - 1)
-
-
 def mat_vec(m: Matrix, v: Vector) -> Vector:
     return tuple(vdot(row, v) for row in m)
 

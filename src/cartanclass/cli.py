@@ -9,10 +9,8 @@ goes to stdout, errors to stderr.  Exit codes: 0 success, 2 usage error
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from fractions import Fraction
 
 from . import rootsys as rs
 
@@ -29,6 +27,8 @@ def _system(args) -> rs.RootSystem:
 def _parse_rationals(text: str, option: str, error, nested: bool):
     """Rational vectors from JSON text: a list of vectors when nested, else
     one vector.  Malformed input raises the given package error."""
+    import json
+    from fractions import Fraction
     try:
         data = json.loads(text)
         out = [[Fraction(str(x)) for x in row] for row in (data if nested else [data])]
@@ -78,6 +78,7 @@ def _sigma_from_args(args, system: rs.RootSystem):
 
 
 def _emit(obj) -> None:
+    import json
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
@@ -130,12 +131,9 @@ def cmd_sos(args) -> int:
     for lab, (S, is_max) in sorted(reps.items(), key=lambda kv: (len(kv[1][0]), str(kv[0]))):
         if args.size is not None and len(S) != args.size:
             continue
-        row = {
-            "label": str(lab),
-            "size": len(S),
-            "maximal": is_max,
-            "representative": [[str(c) for c in system.roots[i]] for i in S],
-        }
+        row = {"label": str(lab), "size": len(S), "maximal": is_max}
+        if args.format == "json":  # the text lines print no vectors
+            row["representative"] = [[str(c) for c in system.roots[i]] for i in S]
         if lab.family in ("E7", "E8") and len(lab.label) == 2:
             row["klein"] = bool(lab.label[1])
         rows.append(row)

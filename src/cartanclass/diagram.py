@@ -9,13 +9,11 @@ compact and noncompact ones.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 from .involution import Involution, _orthogonal_components
 from .rootsys import (CartanclassError, Chamber, RootSystem, RootSystemError, RootSystemSpec,
-                      _coordinate_rows, build)
-from .weylgroup import _simple_images_in_weyl, perm_mul
+                      _coordinate_rows, _simple_images_in_weyl, build, perm_mul)
 
 WHITE, BLACK, STAR = "white", "black", "star"
 
@@ -255,6 +253,7 @@ class Diagram(NamedTuple):
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
+            import json
             return json.dumps(self.to_json(), indent=2, sort_keys=True)
         if fmt == "ascii":
             return _render_ascii(self)

@@ -7,15 +7,14 @@ of involution class representatives per family.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import _linalg as la
-from .rootsys import CartanclassError, RootSystem, RootSystemError
-from ._linalg import e
-from .weylgroup import (Perm, diagram_automorphisms, factor_swap, identity_perm, in_weyl,
-                        klein_completer, klein_in_weyl, perm_mul)
+from .rootsys import (CartanclassError, Perm, RootSystem, RootSystemError, _vec, identity_perm,
+                      in_weyl, klein_completer, perm_mul)
+
+if TYPE_CHECKING:
+    from ._linalg import Matrix, Vector
 
 
 class InvolutionError(CartanclassError):
@@ -54,11 +53,12 @@ class Involution:
     def __hash__(self):
         return hash((id(self.system), self.perm))
 
-    def apply_vec(self, v: la.Vector) -> la.Vector:
-        return la.mat_vec(self.matrix, v)
+    def apply_vec(self, v: Vector) -> Vector:
+        from ._linalg import mat_vec
+        return mat_vec(self.matrix, v)
 
     @cached_property
-    def matrix(self) -> la.Matrix:
+    def matrix(self) -> Matrix:
         return self.system.matrix_of_perm(self.perm)
 
     @cached_property
@@ -115,6 +115,7 @@ def involution_from_images(system: RootSystem, images) -> Involution:
     Images are coordinate vectors in the ambient space; the map sending the
     simple roots to them and fixing the orthogonal complement of their span
     must be an isometry of order at most two preserving the root set."""
+    from fractions import Fraction
     basis = system.canonical_basis
     imgs = [tuple(Fraction(x) for x in v) for v in images]
     if len(imgs) != len(basis):
@@ -131,6 +132,7 @@ def involution_from_images(system: RootSystem, images) -> Involution:
     # isometry exactly when the images keep the scalar products of the simple
     # roots and lie in their span; an isometry that sends a simple root off
     # the roots does not preserve the root set.
+    from . import _linalg as la
     srcs = [system.roots[b] for b in basis]
     if any(la.vdot(u, v) != la.vdot(x, y) for u, x in zip(imgs, srcs)
            for v, y in zip(imgs, srcs)) or any(la.solve(srcs, v) is None for v in imgs):
@@ -147,7 +149,7 @@ def _gram(system: RootSystem, idxs) -> list[list[int]]:
 def from_reflections(system: RootSystem, vectors) -> Involution:
     """Product of reflections across the given (not necessarily root)
     vectors; raises unless the result is an involution preserving roots."""
-    perm = system.perm_of_reflections([tuple(Fraction(x) for x in v) for v in vectors])
+    perm = system.perm_of_reflections(vectors)
     if perm is None:
         raise InvolutionError("map does not preserve the root set")
     return Involution(system, perm)
@@ -161,6 +163,7 @@ def complex_type_involution(system: RootSystem) -> Involution:
     if f1.spec != f2.spec:
         raise InvolutionError("complex type needs two equal factors, not %s and %s"
                               % (f1.spec.label, f2.spec.label))
+    from .weylgroup import factor_swap
     return Involution(system, factor_swap(system, 0, 1))
 
 
@@ -340,8 +343,8 @@ def classify_sos(system: RootSystem, idxs) -> SosClass:
     if fam == "E6":
         return SosClass("E6", (k,))
     if fam in ("E7", "E8"):
-        if k == 4:
-            return SosClass(fam, (4, klein_in_weyl(system, S)))
+        if k == 4:  # S is checked: four strongly orthogonal roots
+            return SosClass(fam, (4, klein_completer(system, S[:3])(S[3])))
         if fam == "E7" and k == 3:
             flag = _completes_to_klein(system, S)
             return SosClass(fam, (3, flag))
@@ -432,6 +435,7 @@ def special_involutions(system: RootSystem) -> list[Involution]:
     diagram automorphism keeps the positive roots, so it negates none."""
     if system.factors is not None:
         raise InvolutionError("special census handles irreducible systems")
+    from .weylgroup import diagram_automorphisms
     ident = identity_perm(len(system))
     flips = [p for p in diagram_automorphisms(system) if p != ident and perm_mul(p, p) == ident]
     return [Involution(system, p) for p in [ident] + flips[:1]]
@@ -441,21 +445,21 @@ def special_involutions(system: RootSystem) -> list[Involution]:
 
 
 def _table2_rows(system: RootSystem):
-    """(label, list of reflection vectors) rows for the family catalog."""
+    """(label, list of integer reflection vectors) rows for the family catalog."""
     fam, rank = system.spec.family, system.rank
     if fam == "E7" and system.spec.realization == "prime":
         raise InvolutionError("the catalog is stated on the standard "
                               "realization of E7")
     n = system.dim
 
-    def es(*ks):  # the unit vectors e_k
-        return [e(k, n) for k in ks]
+    def es(*ks):  # the unit vectors e_k, numbered from 1 as the catalogs write them
+        return [_vec(n, (k - 1, 1)) for k in ks]
 
     def d(i, j):  # e_i - e_j
-        return la.vsub(e(i, n), e(j, n))
+        return _vec(n, (i - 1, 1), (j - 1, -1))
 
     def s(i, j):  # e_i + e_j
-        return la.vadd(e(i, n), e(j, n))
+        return _vec(n, (i - 1, 1), (j - 1, 1))
 
     rows = []
     if fam == "A":
@@ -492,7 +496,7 @@ def _table2_rows(system: RootSystem):
         rows = [("1", es(1)), ("2", [d(1, 2)]), ("3", es(1) + [d(2, 3)]), ("4", es(1, 2)),
                 ("5", es(1, 2, 3)), ("6", es(2, 3) + [s(1, 4)]), ("7", es(1, 2, 3, 4))]
     elif fam == "G2":
-        rows = [("1", [d(1, 2)]), ("2", [la.vsub(la.vscale(2, e(1, n)), s(2, 3))]),
+        rows = [("1", [d(1, 2)]), ("2", [_vec(n, (0, 2), (1, -1), (2, -1))]),
                 ("3", es(1, 2, 3))]
     else:
         raise InvolutionError("no catalog for %r" % (system.spec,))
@@ -533,16 +537,18 @@ def equivalent_involutions(t1: Involution, t2: Involution, group: str = "W") -> 
 def class_label(theta: Involution, group: str = "W") -> str:
     """Catalog label of the involution class (identity labeled 'id').
 
-    The class key of theta is looked up among the keys of the catalog rows
-    of theta's realization.  When no row has its W-key, the full
-    automorphism group is tried (the D4 triality orbit folds several
-    W-classes onto one catalog row), and the first row with its key wins."""
+    The class key of theta is looked up in a table, kept on the system, of
+    the keys of the catalog rows of theta's realization; the first row with
+    the key wins.  When no row has its W-key, the full automorphism group is
+    tried (the D4 triality orbit folds several W-classes onto one row)."""
     from .diagram import class_key
-    if theta.perm == identity_perm(len(theta.system)):
+    R = theta.system
+    if theta.perm == identity_perm(len(R)):
         return "id"
-    rows = table2_representatives(theta.system)
     for g in dict.fromkeys((group, "A")):
-        labels = {class_key(rep, g): lab for lab, rep in reversed(rows)}  # first row wins
-        if (lab := labels.get(class_key(theta, g))) is not None:
+        if g not in R._row_labels:
+            R._row_labels[g] = {class_key(rep, g): lab
+                                for lab, rep in reversed(table2_representatives(R))}
+        if (lab := R._row_labels[g].get(class_key(theta, g))) is not None:
             return lab
     raise InvolutionError("involution matches no catalog row")

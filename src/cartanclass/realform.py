@@ -19,8 +19,7 @@ from .diagram import class_key, find_s_chamber
 from .involution import (Involution, InvolutionError, antipodal_involution, decompose,
                          first_max_clique, identity_involution, positive_representatives,
                          subsystem_components, table2_representatives)
-from .rootsys import CartanclassError, RootSystem
-from .weylgroup import identity_perm, perm_mul, weyl_group
+from .rootsys import CartanclassError, RootSystem, identity_perm, perm_mul
 
 
 class RealFormError(CartanclassError):
@@ -467,6 +466,7 @@ def isomorphic(s1: AntiInvolution, s2: AntiInvolution) -> bool:
         bullets = [b for b in ch.basis if b in s1.theta.imaginary_set]
         if all(s1.f[b] == s2.f[b] for b in bullets):
             return True
+    from .weylgroup import weyl_group
     W = weyl_group(s1.system)
     got = W.transporter_pair((tuple(s1.compact_set), tuple(s1.noncompact_set)),
                              (frozenset(s2.compact_set), frozenset(s2.noncompact_set)))

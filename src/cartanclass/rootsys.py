@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cached_property, lru_cache
-from operator import add, mul
+from operator import add, itemgetter, mul, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -150,6 +150,27 @@ def _integral(v) -> tuple[list[int], int]:
     divides d and every entry of u, so c v is integral iff d divides c."""
     d = math.lcm(*(x.denominator for x in v))
     return [x.numerator * (d // x.denominator) for x in v], d
+
+
+Perm = tuple[int, ...]
+
+
+def perm_mul(p: Perm, q: Perm) -> Perm:
+    """Composition applying q first: (p*q)(x) = p(q(x))."""
+    if len(q) < 2:  # itemgetter returns a bare item for one index, fails for none
+        return tuple(p[x] for x in q)
+    return itemgetter(*q)(p)
+
+
+def perm_inv(p: Perm) -> Perm:
+    out = [0] * len(p)
+    for i, j in enumerate(p):
+        out[j] = i
+    return tuple(out)
+
+
+def identity_perm(n: int) -> Perm:
+    return tuple(range(n))
 
 
 def _coordinate_rows(system: "RootSystem", basis) -> tuple[tuple[int, ...], ...]:
@@ -294,13 +315,13 @@ class RootSystem:
         self._reflection_perms: dict[int, tuple[int, ...]] = {}
         self._canonical_chamber: Chamber | None = None
         # Objects of the upper layers, built by their getters on first use
-        # (weylgroup.weyl_group, weylgroup.full_aut_group,
-        # chevalley.structure_constants and diagram._opposition) and kept
-        # with the system.
+        # (weylgroup's two groups, chevalley.structure_constants,
+        # diagram._opposition, involution.class_label's row keys) and kept.
         self._weyl_group = None
         self._full_aut_group = None
         self._constants = None
         self._oppositions: dict = {}
+        self._row_labels: dict = {}
 
     @cached_property
     def roots(self) -> tuple[Vector, ...]:
@@ -620,6 +641,53 @@ class RootSystem:
 
     def __repr__(self):
         return "RootSystem(%s, %d roots)" % (self.spec.label, len(self))
+
+
+def in_weyl(system: RootSystem, perm) -> bool:
+    """Whether a root automorphism g lies in W; its simple images decide.
+    Keeping the Cartan matrix on the simple roots makes g an automorphism,
+    and a permutation that does not keep it raises ValueError."""
+    cb = system.canonical_basis
+    images = [perm[b] for b in cb]
+    if any(system.pairing(i, j) != system.pairing(b, c)
+           for i, b in zip(images, cb) for j, c in zip(images, cb)):
+        raise ValueError("%s: the permutation does not keep the Cartan matrix" % system.spec.label)
+    return _simple_images_in_weyl(system, images)
+
+
+def _simple_images_in_weyl(system: RootSystem, images) -> bool:
+    """Whether the automorphism sending the canonical simple roots to the
+    given roots lies in W, by descent: while it sends a canonical simple
+    root b below zero, g becomes g s_b (one inversion fewer; c goes to
+    g(c) - <c, b^vee> g(b)).  W acts simply transitively on chambers, so g
+    is in W iff what is left, which keeps Phi+, fixes every simple root."""
+    cb, pos = system.canonical_basis, system.canonical_chamber().positive_set
+    keys, look, pm = system._keys, system._key_index, system.pairing_matrix
+    while (k := next((k for k, i in enumerate(images) if i not in pos), None)) is not None:
+        images = [look[keys[i] - pm[c][cb[k]] * keys[images[k]]] for i, c in zip(images, cb)]
+    return images == list(cb)
+
+
+def klein_completer(system: RootSystem, triple):
+    """Whether the three double reflections of triple + (g,), four pairwise
+    orthogonal roots, lie in W, as a function of g.  Each is across a
+    difference of two triple roots, applied to the simple roots once, here,
+    and across v_p - g for the third root p; the vectors are orthogonal, so
+    the reflections commute, and each product's simple images decide."""
+    v = [system._int_roots[i] for i in triple]
+    halves = [(v[p], system.reflect_simple_roots([tuple(map(sub, v[a], v[b]))]))
+              for a, b, p in ((0, 1, 2), (0, 2, 1), (1, 2, 0))]
+
+    def completes(g: int) -> bool:
+        w = system._int_roots[g]
+        for vp, half in halves:
+            images = system.roots_of_scaled(*system.reflect_simple_roots(
+                [tuple(map(sub, vp, w))], half))
+            if images is None or not _simple_images_in_weyl(system, images):
+                return False
+        return True
+
+    return completes
 
 
 _build_cached = lru_cache(maxsize=None)(RootSystem)

@@ -15,27 +15,8 @@ import functools
 import itertools
 import math
 import operator
-from .rootsys import RootSystem
 
-Perm = tuple[int, ...]
-
-
-def perm_mul(p: Perm, q: Perm) -> Perm:
-    """Composition applying q first: (p*q)(x) = p(q(x))."""
-    if len(q) < 2:  # itemgetter returns a bare item for one index, fails for none
-        return tuple(p[x] for x in q)
-    return operator.itemgetter(*q)(p)
-
-
-def perm_inv(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
-
-
-def identity_perm(n: int) -> Perm:
-    return tuple(range(n))
+from .rootsys import Perm, RootSystem, identity_perm, klein_completer, perm_inv, perm_mul
 
 
 class _Level:
@@ -324,36 +305,10 @@ def full_aut_group(system: RootSystem) -> PermGroup:
     return got
 
 
-def in_weyl(system: RootSystem, perm) -> bool:
-    """Whether a root automorphism g lies in W; its simple images decide.
-    Keeping the Cartan matrix on the simple roots makes g an automorphism,
-    and a permutation that does not keep it raises ValueError."""
-    cb = system.canonical_basis
-    images = [perm[b] for b in cb]
-    if any(system.pairing(i, j) != system.pairing(b, c)
-           for i, b in zip(images, cb) for j, c in zip(images, cb)):
-        raise ValueError("%s: the permutation does not keep the Cartan matrix" % system.spec.label)
-    return _simple_images_in_weyl(system, images)
-
-
-def _simple_images_in_weyl(system: RootSystem, images) -> bool:
-    """Whether the automorphism sending the canonical simple roots to the
-    given roots lies in W, by descent: while it sends a canonical simple
-    root b below zero, g becomes g s_b (one inversion fewer; c goes to
-    g(c) - <c, b^vee> g(b)).  W acts simply transitively on chambers, so g
-    is in W iff what is left, which keeps Phi+, fixes every simple root."""
-    cb, pos = system.canonical_basis, system.canonical_chamber().positive_set
-    keys, look, pm = system._keys, system._key_index, system.pairing_matrix
-    while (k := next((k for k, i in enumerate(images) if i not in pos), None)) is not None:
-        images = [look[keys[i] - pm[c][cb[k]] * keys[images[k]]] for i, c in zip(images, cb)]
-    return images == list(cb)
-
-
 def klein_in_weyl(system: RootSystem, quad) -> bool:
     """Whether the three double reflections attached to a 4-set of pairwise
-    orthogonal roots all lie in the Weyl group.  The reflections are taken
-    across the differences v_i - v_j, which need not be roots; each product
-    is an isometry, so its simple images decide."""
+    orthogonal roots all lie in the Weyl group: rootsys.klein_completer on
+    its first three roots, asked of the fourth, once the set is checked."""
     q = list(quad)
     if len(q) != 4:
         raise ValueError("%s: a Klein set needs exactly four roots, got %d"
@@ -363,25 +318,3 @@ def klein_in_weyl(system: RootSystem, quad) -> bool:
             raise ValueError("%s and %s are not orthogonal"
                              % (system.root_name(a), system.root_name(b)))
     return klein_completer(system, q[:3])(q[3])
-
-
-def klein_completer(system: RootSystem, triple):
-    """klein_in_weyl on triple + (g,) as a function of g, for four pairwise
-    orthogonal roots.  Each double reflection is across a difference of two
-    triple roots and across v_p - g for the third root p; the vectors are
-    orthogonal, so the reflections commute, and the first is applied to the
-    simple roots once, here."""
-    v = [system._int_roots[i] for i in triple]
-    halves = [(v[p], system.reflect_simple_roots([tuple(map(operator.sub, v[a], v[b]))]))
-              for a, b, p in ((0, 1, 2), (0, 2, 1), (1, 2, 0))]
-
-    def completes(g: int) -> bool:
-        w = system._int_roots[g]
-        for vp, half in halves:
-            images = system.roots_of_scaled(*system.reflect_simple_roots(
-                [tuple(map(operator.sub, vp, w))], half))
-            if images is None or not _simple_images_in_weyl(system, images):
-                return False
-        return True
-
-    return completes

@@ -67,7 +67,7 @@ def test_in_weyl_matches_brute_group(fam, rank):
                     for g2 in [wg.perm_mul(R.reflection_perm(b), g)] if g2 not in weyl]
         weyl.update(frontier)
     brute = brute_full_group(R)
-    assert [wg.in_weyl(R, g) for g in brute] == [g in weyl for g in brute]
+    assert [rs.in_weyl(R, g) for g in brute] == [g in weyl for g in brute]
     assert (fam == "A" and rank > 1) == (len(weyl) < len(brute))
 
 

@@ -17,10 +17,10 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 # -- modules loaded per query ------------------------------------------------------
 
-_CATALOG = {"cartanclass._linalg", "cartanclass.rootsys", "cartanclass.weylgroup",
-            "cartanclass.involution"}
-_SIGN_DATA = _CATALOG | {"cartanclass.chevalley", "cartanclass.diagram",
-                         "cartanclass.realform"}
+# the catalog verbs run no Weyl-group chain and no rational algebra
+_CATALOG = {"cartanclass.rootsys", "cartanclass.involution"}
+_SIGN_DATA = _CATALOG | {"cartanclass._linalg", "cartanclass.chevalley",
+                         "cartanclass.diagram", "cartanclass.realform"}
 
 # the verbs of the benchmark workloads, each with the layers it may load
 VERB_MODULES = [
@@ -38,6 +38,7 @@ VERB_MODULES = [
     ("verify table2 --type E7", _CATALOG | {"cartanclass.diagram"}),
     ("verify sos-table", _CATALOG),
     ("verify dual-vectors", {"cartanclass.rootsys", "cartanclass.tables"}),
+    ("verify empty-system", {"cartanclass.rootsys", "cartanclass.weylgroup"}),
 ]
 
 _PROBE = """
@@ -49,6 +50,7 @@ try:
 except SystemExit as exc:
     code = exc.code
 print(json.dumps({"code": code, "dataclasses": "dataclasses" in sys.modules,
+                  "fractions": "fractions" in sys.modules,
                   "modules": sorted(k for k in sys.modules if k.startswith("cartanclass."))}))
 """
 
@@ -67,6 +69,8 @@ def test_a_query_loads_only_the_layers_its_verb_runs(argv, modules):
     assert got["code"] == 0
     assert set(got["modules"]) == modules
     assert not got["dataclasses"]
+    # rational vectors come with the layers that do rational algebra or print them
+    assert got["fractions"] == bool(modules & {"cartanclass._linalg", "cartanclass.tables"})
 
 
 # the root systems of the catalog workload's queries: verify dual-vectors, E7 and E8
@@ -107,8 +111,9 @@ def test_importing_the_package_loads_no_layer():
 # left the API (the tests keep it in test_realform.py), and so has
 # RootPermutation: group searches return plain permutation tuples.
 EXPORTS = {
-    "rootsys": ["Chamber", "RootSystem", "RootSystemError", "RootSystemSpec", "build"],
-    "weylgroup": ["PermGroup", "full_aut_group", "in_weyl", "klein_in_weyl", "weyl_group"],
+    "rootsys": ["Chamber", "RootSystem", "RootSystemError", "RootSystemSpec", "build",
+                "in_weyl"],
+    "weylgroup": ["PermGroup", "full_aut_group", "klein_in_weyl", "weyl_group"],
     "chevalley": ["ChevalleySystem", "DenseAlgebra", "Qrt2", "QuarterTurn",
                   "ad_k_char_polys", "apply_map", "dense_algebra", "exp_quarter_pi_adk",
                   "structure_constants"],

@@ -487,8 +487,13 @@ def test_a_realization_not_closed_under_negation_is_an_internal_error(monkeypatc
         rs.RootSystem(rs.RootSystemSpec("A", 2))
 
 
+def _unit(i, n):
+    """e_i, the i-th unit vector of Q^n numbered from 1, as the catalogs write it."""
+    return la.unit_vec(n, i - 1)
+
+
 def _reference_standard_max_sos(system):
-    e, add, sub = la.e, la.vadd, la.vsub
+    e, add, sub = _unit, la.vadd, la.vsub
     fam, rank, n = system.spec.family, system.rank, system.dim
     if fam == "A":
         vecs = [sub(e(2 * i - 1, n), e(2 * i, n)) for i in range(1, (rank + 1) // 2 + 1)]
@@ -519,7 +524,7 @@ def _reference_dual_vector(system):
          "E7": 4, "E8": 4, "G2": 1}[fam]
     out = la.zero_vec(n)
     for i in range(1, h + 1):
-        out = la.vadd(out, la.e(2 * i - 1, n))
+        out = la.vadd(out, _unit(2 * i - 1, n))
     if fam == "A":
         out = la.vsub(out, la.vscale(F(h, rank + 1), tuple(la.ONE for _ in range(n))))
     return out
@@ -540,5 +545,5 @@ def test_dual_vector_table_matches_the_rational_reference():
     assert rows == want
     assert all(type(x) is F for _, _, omega, _ in rows for x in omega)
     C4 = rs.build("C", 4)
-    assert tables.compact_chain_sos(C4) == [C4.root_index(la.vscale(2, la.e(i, 4)))
+    assert tables.compact_chain_sos(C4) == [C4.root_index(la.vscale(2, _unit(i, 4)))
                                             for i in range(1, 5)]

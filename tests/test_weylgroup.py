@@ -150,7 +150,7 @@ def _klein_full_perms(R, quad):
     vs = [R._int_roots[i] for i in q]
     for (i, j), (k, m) in [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]:
         perm = R.perm_of_reflections([la.vsub(vs[k], vs[m]), la.vsub(vs[i], vs[j])])
-        if perm is None or not wg.in_weyl(R, perm):
+        if perm is None or not rs.in_weyl(R, perm):
             return False
     return True
 
@@ -346,7 +346,7 @@ def test_in_weyl_matches_chain_on_random_words(spec):
         g = wg.identity_perm(len(R))
         for _ in range(rng.randrange(0, 3 * R.rank)):
             g = wg.perm_mul(rng.choice(gens), g)
-        got = wg.in_weyl(R, g)
+        got = rs.in_weyl(R, g)
         assert got == W.contains(g)
         seen.add(got)
     outer = R.factors is not None or len(R.diagram_symmetries) > 1
@@ -359,7 +359,7 @@ def test_in_weyl_rejects_maps_that_break_the_cartan_matrix():
     swap = list(range(len(B2)))
     swap[long_], swap[short] = short, long_
     with pytest.raises(ValueError, match="^B2: the permutation does not keep the Cartan matrix$"):
-        wg.in_weyl(B2, swap)
+        rs.in_weyl(B2, swap)
 
 
 def test_in_weyl_on_d4_triality_and_outer_generators():
@@ -368,13 +368,13 @@ def test_in_weyl_on_d4_triality_and_outer_generators():
     D4 = rs.build("D", 4)
     W = wg.weyl_group(D4)
     syms = wg.diagram_automorphisms(D4)
-    assert len(syms) == 6 and wg.in_weyl(D4, syms[0])
+    assert len(syms) == 6 and rs.in_weyl(D4, syms[0])
     for g in syms[1:]:
-        assert not wg.in_weyl(D4, g) and not W.contains(g)
+        assert not rs.in_weyl(D4, g) and not W.contains(g)
         for b in D4.canonical_basis:
             h = wg.perm_mul(D4.reflection_perm(b), g)
-            assert not wg.in_weyl(D4, h) and not W.contains(h)
-    assert wg.in_weyl(D4, D4.negation_map)
+            assert not rs.in_weyl(D4, h) and not W.contains(h)
+    assert rs.in_weyl(D4, D4.negation_map)
 
 
 @pytest.mark.parametrize("spec", [s for s in UP_TO_RANK_8 if s.label != "E7'"],
@@ -384,7 +384,7 @@ def test_in_weyl_of_catalog_rows(spec):
     R = rs.build(spec)
     W = wg.weyl_group(R)
     for label, theta in iv.table2_representatives(R):
-        assert theta.in_weyl == wg.in_weyl(R, theta.perm) == W.contains(theta.perm), label
+        assert theta.in_weyl == rs.in_weyl(R, theta.perm) == W.contains(theta.perm), label
 
 
 # -- the chain against brute force -------------------------------------------------
@@ -395,7 +395,7 @@ BRUTE_SPECS = [rs.RootSystemSpec("A", 3), rs.RootSystemSpec("B", 3), rs.RootSyst
 
 def _brute_weyl(R):
     from test_oracle import brute_full_group
-    return [g for g in brute_full_group(R) if wg.in_weyl(R, g)]
+    return [g for g in brute_full_group(R) if rs.in_weyl(R, g)]
 
 
 @pytest.mark.parametrize("spec", BRUTE_SPECS, ids=lambda s: s.label)
@@ -449,7 +449,7 @@ def test_full_group_searches_match_brute_force(spec):
         if got is not None:
             assert got in brute and conj(got, t1) == t2
             found += 1
-            outside += not wg.in_weyl(R, got)
+            outside += not rs.in_weyl(R, got)
     for k in range(16):
         g = rng.choice(brute)
         x1, x2 = rng.sample(range(n), 2), rng.sample(range(n), 1)
@@ -462,7 +462,7 @@ def test_full_group_searches_match_brute_force(spec):
                                         for h in brute)
         if got is not None:
             assert got in brute and {got[x] for x in x1} == set(y1) and got[x2[0]] == y2[0]
-            outside += not wg.in_weyl(R, got)
+            outside += not rs.in_weyl(R, got)
     assert found >= 8 and outside >= 1
 
 
