@@ -9,15 +9,16 @@ import importlib
 
 _HOMES = {
     "rootsys": "CartanclassError Chamber RootSystem RootSystemError RootSystemSpec build in_weyl",
+    "_linalg": "Qrt2",
     "weylgroup": "PermGroup full_aut_group klein_in_weyl weyl_group",
-    "chevalley": "ChevalleySystem DenseAlgebra Qrt2 QuarterTurn ad_k_char_polys apply_map "
+    "chevalley": "ChevalleySystem DenseAlgebra QuarterTurn ad_k_char_polys apply_map "
                  "dense_algebra exp_quarter_pi_adk structure_constants",
     "involution": "Involution SosClass class_label classify_sos complex_type_involution "
-                  "decompose equivalent_involutions involution_from_images "
-                  "max_sos_class_count maximal_sos_classes special_involutions "
+                  "decompose equivalent_involutions find_s_chamber involution_from_images "
+                  "is_s_chamber max_sos_class_count maximal_sos_classes special_involutions "
                   "strongly_orthogonalize table2_representatives",
-    "diagram": "Diagram admissible chamber_with_imaginary_basis find_s_chamber is_s_chamber "
-               "is_v_chamber restrict_sigma s_diagram sigma_diagram theta_on_simple",
+    "diagram": "Diagram admissible chamber_with_imaginary_basis restrict_sigma s_diagram "
+               "sigma_diagram theta_on_simple",
     "realform": "AntiInvolution RealFormName SignatureCounts cartan_classes cayley "
                 "compact_cartan_enumeration identify in_hom_theta is_quasi_split isomorphic "
                 "quasi_split_lift reduce_noncompact signature sigma_from_basis_signs "

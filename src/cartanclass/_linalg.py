@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals used by the geometry layers.
+"""Exact linear algebra over the rationals, and the field Q(sqrt 2).
 
 Vectors are tuples of Fraction, matrices are tuples of row tuples.  Nothing
 here is meant to be fast on large inputs; ambient dimensions are at most 9.
@@ -6,6 +6,7 @@ here is meant to be fast on large inputs; ambient dimensions are at most 9.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Sequence
 
@@ -18,10 +19,6 @@ ONE = Fraction(1)
 
 def vadd(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vscale(c, u: Vector) -> Vector:
@@ -128,66 +125,109 @@ def map_from_images(sources: Sequence[Vector], images: Sequence[Vector]) -> Matr
     return tuple(tuple(x_cols[j][i] for j in range(n)) for i in range(n))
 
 
-def solve_integer(rows: Sequence[Sequence[int]], target: Sequence[int]) -> list[int] | None:
-    """An integer solution x of M x = target, or None when none exists.
+def _char_poly(m) -> tuple:
+    """Characteristic polynomial det(xI - M), coefficients by increasing
+    degree, via sums of principal minors (dims <= 4)."""
+    n = len(m)
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    for k in range(1, n + 1):
+        s = Fraction(0)
+        for rows in itertools.combinations(range(n), k):
+            s += _det([[m[i][j] for j in rows] for i in rows])
+        coeffs[n - k] = s * (-1) ** k
+    # det(xI - M) expansion: coefficient of x^(n-k) is (-1)^k e_k(minors)
+    return tuple(int(c) if c.denominator == 1 else c for c in coeffs)
 
-    Uses unimodular column operations to bring M to a lower staircase form,
-    then forward substitution with divisibility checks.
-    """
-    h = [list(map(int, r)) for r in rows]
-    t = list(map(int, target))
-    nr = len(h)
-    nc = len(h[0]) if h else 0
-    if nc == 0:
-        return [] if all(x == 0 for x in t) else None
-    # u[c] is column c of the accumulated unimodular matrix
-    u = [[int(i == j) for i in range(nc)] for j in range(nc)]
-    cpiv = 0
-    pivot_of_row: list[int | None] = []
-    for r in range(nr):
-        if cpiv >= nc:
-            pivot_of_row.append(None)
+
+def _det(m) -> Fraction:
+    n = len(m)
+    if n == 1:
+        return Fraction(m[0][0])
+    if n == 2:
+        return Fraction(m[0][0] * m[1][1] - m[0][1] * m[1][0])
+    out = Fraction(0)
+    for j in range(n):
+        if m[0][j] == 0:
             continue
-        while True:
-            cols = [c for c in range(cpiv, nc) if h[r][c] != 0]
-            if not cols:
-                break
-            c0 = min(cols, key=lambda c: abs(h[r][c]))
-            if c0 != cpiv:
-                for rr in range(nr):
-                    h[rr][c0], h[rr][cpiv] = h[rr][cpiv], h[rr][c0]
-                u[c0], u[cpiv] = u[cpiv], u[c0]
-            clean = True
-            for c in range(cpiv + 1, nc):
-                if h[r][c] != 0:
-                    q = h[r][c] // h[r][cpiv]
-                    if q:
-                        for rr in range(nr):
-                            h[rr][c] -= q * h[rr][cpiv]
-                        u[c] = [a - q * b for a, b in zip(u[c], u[cpiv])]
-                    if h[r][c] != 0:
-                        clean = False
-            if clean:
-                break
-        if any(h[r][c] != 0 for c in range(cpiv, nc)):
-            pivot_of_row.append(cpiv)
-            cpiv += 1
-        else:
-            pivot_of_row.append(None)
-    y = [0] * nc
-    for r in range(nr):
-        resid = t[r] - sum(h[r][c] * y[c] for c in range(nc) if h[r][c])
-        p = pivot_of_row[r]
-        if p is None:
-            if resid != 0:
-                return None
-        else:
-            resid_p = t[r] - sum(h[r][c] * y[c] for c in range(nc) if c != p and h[r][c])
-            if resid_p % h[r][p] != 0:
-                return None
-            y[p] = resid_p // h[r][p]
-    x = [sum(u[c][j] * y[c] for c in range(nc)) for j in range(nc)]
-    for row, trg in zip(rows, target):
-        if sum(a * b for a, b in zip(row, x)) != trg:
-            return None
-    return x
+        minor = [[m[i][jj] for jj in range(n) if jj != j] for i in range(1, n)]
+        out += (-1) ** j * m[0][j] * _det(minor)
+    return out
+
+
+# -- the field Q(sqrt 2) -------------------------------------------------------
+
+
+class Qrt2:
+    """Exact numbers a + b*sqrt(2) with rational a, b."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a=0, b=0):
+        self.a = Fraction(a)
+        self.b = Fraction(b)
+
+    @staticmethod
+    def of(x) -> "Qrt2":
+        return x if isinstance(x, Qrt2) else Qrt2(x)
+
+    def __add__(self, other):
+        o = Qrt2.of(other)
+        return Qrt2(self.a + o.a, self.b + o.b)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Qrt2(-self.a, -self.b)
+
+    def __sub__(self, other):
+        return self + (-Qrt2.of(other))
+
+    def __rsub__(self, other):
+        return Qrt2.of(other) + (-self)
+
+    def __mul__(self, other):
+        o = Qrt2.of(other)
+        return Qrt2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "Qrt2":
+        d = self.a * self.a - 2 * self.b * self.b
+        if d == 0:
+            raise ZeroDivisionError("inverse of 0 in Q(sqrt2)")
+        return Qrt2(self.a / d, -self.b / d)
+
+    def __truediv__(self, other):
+        return self * Qrt2.of(other).inverse()
+
+    def __eq__(self, other):
+        o = Qrt2.of(other)
+        return self.a == o.a and self.b == o.b
+
+    def __hash__(self):
+        # equal numbers hash alike: a rational one hashes as its value
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
+
+    def __bool__(self):
+        return self.a != 0 or self.b != 0
+
+    def __repr__(self):
+        if self.b == 0:
+            return str(self.a)
+        return "(%s+%s*r2)" % (self.a, self.b)
+
+
+SQRT2_HALF = Qrt2(0, Fraction(1, 2))  # sqrt(2)/2
+
+# exp(pi/4 * M) v as sum_k c_k M^k v for a vector v with P(M) v = 0, keyed by
+# P (coefficients by increasing degree: lambda, lambda^2 + 1, lambda^3 +
+# 4 lambda and (lambda^2 + 1)(lambda^2 + 9)): cos and sin at pi/4 reduced
+# modulo P.  The turn by -pi/4 negates the odd terms.
+_TURN_ROWS = {
+    (0, 1): (Qrt2(1),),
+    (1, 0, 1): (SQRT2_HALF, SQRT2_HALF),
+    (0, 4, 0, 1): (Qrt2(1), Qrt2(Fraction(1, 2)), Qrt2(Fraction(1, 4))),
+    (9, 0, 10, 0, 1): tuple(SQRT2_HALF * Fraction(n, d)
+                            for n, d in ((5, 4), (13, 12), (1, 4), (1, 12))),
+}

@@ -4,85 +4,16 @@ The constant table is built positive-height-first: each extraspecial pair
 gets the positive sign, every other pair follows from the two- and
 four-term bracket identities.  The dense oracle realizes the split form on
 the basis {H_1..H_l} + {X_alpha} and is used to verify involutions, lifts
-and turns exactly: half turns over Q, quarter turns over Q(sqrt2).
+and turns exactly: half turns over Z, quarter turns over Q(sqrt2).
 """
 
 from __future__ import annotations
 
-import itertools
 import random
-from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from . import _linalg as la
 from .rootsys import CartanclassError, RootSystem
-
-# -- the field Q(sqrt 2) -------------------------------------------------------
-
-
-class Qrt2:
-    """Exact numbers a + b*sqrt(2) with rational a, b."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a=0, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-
-    @staticmethod
-    def of(x) -> "Qrt2":
-        return x if isinstance(x, Qrt2) else Qrt2(x)
-
-    def __add__(self, other):
-        o = Qrt2.of(other)
-        return Qrt2(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Qrt2(-self.a, -self.b)
-
-    def __sub__(self, other):
-        return self + (-Qrt2.of(other))
-
-    def __rsub__(self, other):
-        return Qrt2.of(other) + (-self)
-
-    def __mul__(self, other):
-        o = Qrt2.of(other)
-        return Qrt2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "Qrt2":
-        d = self.a * self.a - 2 * self.b * self.b
-        if d == 0:
-            raise ZeroDivisionError("inverse of 0 in Q(sqrt2)")
-        return Qrt2(self.a / d, -self.b / d)
-
-    def __truediv__(self, other):
-        return self * Qrt2.of(other).inverse()
-
-    def __eq__(self, other):
-        o = Qrt2.of(other)
-        return self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        # equal numbers hash alike: a rational one hashes as its value
-        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
-
-    def __bool__(self):
-        return self.a != 0 or self.b != 0
-
-    def __repr__(self):
-        if self.b == 0:
-            return str(self.a)
-        return "(%s+%s*r2)" % (self.a, self.b)
-
-
-SQRT2_HALF = Qrt2(0, Fraction(1, 2))  # sqrt(2)/2
-
 
 # -- structure constants -------------------------------------------------------
 
@@ -244,21 +175,13 @@ def structure_constants(system: RootSystem) -> ChevalleySystem:
 # -- dense algebra -------------------------------------------------------------
 
 
-def _poly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return tuple(out)
-
-
 # characteristic polynomials admitted for the quarter-turn blocks,
 # coefficient tuples in increasing degree
 POLY_LAMBDA = (0, 1)
 POLY_L2P1 = (1, 0, 1)
 POLY_L2P4 = (4, 0, 1)
 POLY_L_L2P4 = (0, 4, 0, 1)
-POLY_L2P1_L2P9 = _poly_mul((1, 0, 1), (9, 0, 1))
+POLY_L2P1_L2P9 = (9, 0, 10, 0, 1)  # (lambda^2 + 1)(lambda^2 + 9)
 ADMITTED_POLYS = {POLY_LAMBDA, POLY_L2P1, POLY_L2P4, POLY_L_L2P4, POLY_L2P1_L2P9}
 
 
@@ -518,8 +441,10 @@ def ad_k_char_polys(constants: ChevalleySystem, alpha_idx: int):
     # kernel block: K_alpha and the alpha-orthogonal part of the Cartan
     if A.bracket(k_elem, k_elem):
         raise ChevalleyError("K does not commute with itself")
+    from fractions import Fraction
+    from ._linalg import _char_poly, nullspace
     pair_row = [Fraction(R.pairing(alpha_idx, b)) for b in R.canonical_basis]
-    for h_coords in la.nullspace([tuple(pair_row)]):
+    for h_coords in nullspace([tuple(pair_row)]):
         h_el = {k: c for k, c in enumerate(h_coords) if c}
         if A.bracket(k_elem, h_el):
             raise ChevalleyError("Cartan kernel piece is not killed by ad(K)")
@@ -553,12 +478,14 @@ def ad_k_char_polys(constants: ChevalleySystem, alpha_idx: int):
 
 def _block_matrix(A: DenseAlgebra, k_elem: dict, vecs: list[dict]):
     """Matrix of ad(k_elem) on the span of vecs, exact rational entries."""
+    from fractions import Fraction
+    from ._linalg import solve
     cols = []
     basis_cols = [tuple(v.get(i, Fraction(0)) for i in range(A.dim)) for v in vecs]
     for v in vecs:
         w = A.bracket(k_elem, v)
         wt = tuple(Fraction(w.get(i, 0)) for i in range(A.dim))
-        sol = la.solve(basis_cols, wt)
+        sol = solve(basis_cols, wt)
         if sol is None:
             raise ChevalleyError("block is not invariant")
         cols.append(sol)
@@ -566,55 +493,19 @@ def _block_matrix(A: DenseAlgebra, k_elem: dict, vecs: list[dict]):
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def _char_poly(m) -> tuple:
-    """Characteristic polynomial det(xI - M), coefficients by increasing
-    degree, via sums of principal minors (dims <= 4)."""
-    n = len(m)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    for k in range(1, n + 1):
-        s = Fraction(0)
-        for rows in itertools.combinations(range(n), k):
-            s += _det([[m[i][j] for j in rows] for i in rows])
-        coeffs[n - k] = s * (-1) ** k
-    # det(xI - M) expansion: coefficient of x^(n-k) is (-1)^k e_k(minors)
-    out = tuple(int(c) if c.denominator == 1 else c for c in coeffs)
-    return out
-
-
-def _det(m) -> Fraction:
-    n = len(m)
-    if n == 1:
-        return Fraction(m[0][0])
-    if n == 2:
-        return Fraction(m[0][0] * m[1][1] - m[0][1] * m[1][0])
-    out = Fraction(0)
-    for j in range(n):
-        if m[0][j] == 0:
-            continue
-        minor = [[m[i][jj] for jj in range(n) if jj != j] for i in range(1, n)]
-        out += (-1) ** j * m[0][j] * _det(minor)
-    return out
-
-
 # -- exact turns ---------------------------------------------------------------
 
-# exp(pi/4 * M) v as sum_k c_k M^k v for a vector v with P(M) v = 0, keyed by
-# P: cos and sin at pi/4 reduced modulo P.  The turn by -pi/4 negates the
-# odd terms.
-_TURN_ROWS = {
-    POLY_LAMBDA: (Qrt2(1),),
-    POLY_L2P1: (SQRT2_HALF, SQRT2_HALF),
-    POLY_L_L2P4: (Qrt2(1), Qrt2(Fraction(1, 2)), Qrt2(Fraction(1, 4))),
-    POLY_L2P1_L2P9: tuple(SQRT2_HALF * Fraction(n, d)
-                          for n, d in ((5, 4), (13, 12), (1, 4), (1, 12))),
-}
-# the same at pi/2, where cos and sin are 0 and +-1: rational rows
+# exp(pi/2 * M) v as (sum_k c_k M^k v) / d for a vector v with P(M) v = 0,
+# keyed by P: cos and sin at pi/2, 0 and 1, reduced modulo P, as integer
+# numerators c_k over one denominator d.  A half turn is Ad of a Tits element
+# n_beta, which keeps the Chevalley Z-form (Steinberg, Lectures on Chevalley
+# Groups, section 3), so d divides every coordinate of the sum; QuarterTurn
+# checks it.  The pi/4 rows, over Q(sqrt2), are in _linalg.
 _HALF_TURN_ROWS = {
-    POLY_LAMBDA: (1,),
-    POLY_L2P1: (0, 1),
-    POLY_L_L2P4: (1, 0, Fraction(1, 2)),
-    POLY_L2P1_L2P9: (0, Fraction(7, 6), 0, Fraction(1, 6)),
+    POLY_LAMBDA: ((1,), 1),
+    POLY_L2P1: ((0, 1), 1),
+    POLY_L_L2P4: ((2, 0, 1), 2),
+    POLY_L2P1_L2P9: ((0, 7, 0, 1), 6),
 }
 # block polynomial of X_gamma by the length of its beta-string
 _STRING_POLY = {1: POLY_LAMBDA, 2: POLY_L2P1, 3: POLY_L_L2P4, 4: POLY_L2P1_L2P9}
@@ -622,13 +513,14 @@ _STRING_POLY = {1: POLY_LAMBDA, 2: POLY_L2P1, 3: POLY_L_L2P4, 4: POLY_L2P1_L2P9}
 
 class QuarterTurn:
     """exp(turn * pi/4 * ad(K_B)) for a strongly orthogonal set B and turn
-    1, -1 or 2 (the half turn, rational), applied to vectors one root at a
+    1, -1 or 2 (the half turn, integral), applied to vectors one root at a
     time (the single-root turns commute).
 
     A basis element e is turned in closed form: it is killed by the block
     polynomial P of its beta-string (Cartan elements and X_{+-beta}: the
     polynomial of the H/T block), so exp e is a combination of the powers
-    (ad K)^k e below deg P.  P(ad K) e = 0 is checked on every element."""
+    (ad K)^k e below deg P.  P(ad K) e = 0 is checked on every element, and
+    so is the exact division of a half turn's integer numerators."""
 
     def __init__(self, algebra: DenseAlgebra, b_indices, turn: int):
         if turn not in (1, -1, 2):
@@ -636,9 +528,12 @@ class QuarterTurn:
         self.b_indices = list(b_indices)
         algebra.system.require_strongly_orthogonal(self.b_indices, ChevalleyError)
         self.algebra = algebra
-        self._rows = _HALF_TURN_ROWS if turn == 2 else {
-            poly: tuple(c * turn ** k for k, c in enumerate(row))
-            for poly, row in _TURN_ROWS.items()}
+        if turn == 2:
+            self._rows = _HALF_TURN_ROWS
+        else:
+            from ._linalg import _TURN_ROWS  # Q(sqrt2) entries, loaded by quarter turns only
+            self._rows = {poly: (tuple(c * turn ** k for k, c in enumerate(row)), 1)
+                          for poly, row in _TURN_ROWS.items()}
         self._cols: dict[tuple[int, int], dict] = {}
 
     def _col(self, beta: int, i: int) -> dict:
@@ -659,7 +554,14 @@ class QuarterTurn:
             powers.append(A.bracket(k_elem, powers[-1]))
         if _combine(poly, powers):
             raise ChevalleyError("ad(K) spectrum escapes {0,+-i,+-2i,+-3i}")
-        got = self._cols[(beta, i)] = _combine(self._rows[poly], powers)
+        row, den = self._rows[poly]
+        got = _combine(row, powers)
+        if den != 1:
+            if any(c % den for c in got.values()):
+                raise ChevalleyError("%s: the half turn along %s takes basis element %d off "
+                                     "the Chevalley lattice" % (R.spec.label, R.root_name(beta), i))
+            got = {j: c // den for j, c in got.items()}
+        self._cols[(beta, i)] = got
         return got
 
     def apply(self, v: dict) -> dict:

@@ -59,7 +59,7 @@ def _sigma_from_args(args, system: rs.RootSystem):
     """The sign datum of --signs, one sign per node in the order the
     diagram of the involution draws its nodes; the quasi-split datum
     without --signs."""
-    from . import diagram as dg, realform as rf
+    from . import involution as iv, realform as rf
     signs_arg = getattr(args, "signs", None)
     if signs_arg == []:
         signs_arg = "--"  # argparse drops a lone -- from an option's value
@@ -67,10 +67,11 @@ def _sigma_from_args(args, system: rs.RootSystem):
     if bad is not None:
         raise rf.RealFormError("--signs: %r is not + or -" % bad)
     theta = _involution_from_args(args, system)
-    chamber = dg.find_s_chamber(theta)
+    chamber = iv.find_s_chamber(theta)
     if signs_arg is None:
         return rf.quasi_split_lift(theta), chamber
-    order = dg.s_diagram(theta, chamber).node_roots
+    from .diagram import s_diagram  # only --signs reads the drawn node order
+    order = s_diagram(theta, chamber).node_roots
     if len(signs_arg) != len(order):
         raise rf.RealFormError("expected %d signs" % len(order))
     signs = {b: (1 if ch == "+" else -1) for b, ch in zip(order, signs_arg)}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .involution import Involution, _orthogonal_components
+from .involution import Involution, _orthogonal_components, find_s_chamber, is_s_chamber
 from .rootsys import (CartanclassError, Chamber, RootSystem, RootSystemError, RootSystemSpec,
                       _coordinate_rows, _simple_images_in_weyl, build, perm_mul)
 
@@ -23,50 +23,6 @@ class DiagramError(CartanclassError):
 
 
 # -- chamber adaptation -----------------------------------------------------------
-
-
-def is_s_chamber(theta: Involution, chamber: Chamber) -> bool:
-    """Every complex positive root has a positive image."""
-    pos = chamber.positive_set
-    return all(theta(i) in pos for i in chamber.positive_set
-               if i in theta.complex_set)
-
-
-def is_v_chamber(theta: Involution, chamber: Chamber) -> bool:
-    """S-chamber condition for the negated involution."""
-    check = Involution(theta.system, perm_mul(tuple(theta.system.negation_map), theta.perm))
-    return is_s_chamber(check, chamber)
-
-
-def find_s_chamber(theta: Involution) -> Chamber:
-    """Deterministic S-chamber of the split witness t*H+ + H-, t large.
-
-    The seed h = sum_j scale^j omega_j is a positive combination of the
-    coweights; geometric weights grow until H+ stays off every non-negated
-    root wall.  H+ vanishes on the negated roots, where H- = h: the chamber
-    is the roots with H+ > 0 and the negated roots with h > 0.  Pairings
-    are integers read off the canonical coordinates, <alpha, h> =
-    sum_j scale^j c_j(alpha), and <alpha, theta h> = <theta alpha, h>."""
-    R = theta.system
-    ch = R.canonical_chamber()
-    movers = [i for i in range(len(R)) if i not in theta.imaginary_set]
-    if not movers:
-        return ch
-    for scale in range(1, 65):
-        h = [sum(c * scale ** j for j, c in enumerate(ch.coords(i)))
-             for i in range(len(R))]
-        if not all(h):
-            continue
-        # twice the pairings with H+ = (h + theta h)/2
-        plus = [x + h[theta(i)] for i, x in enumerate(h)]
-        if any(plus[i] == 0 for i in movers):
-            continue
-        pos = frozenset(i for i, x in enumerate(plus) if x > 0 or (x == 0 and h[i] > 0))
-        chamber = Chamber(R, R.simple_roots(pos))
-        if not is_s_chamber(theta, chamber):
-            raise DiagramError("constructed chamber fails the S condition")
-        return chamber
-    raise DiagramError("witness construction degenerated")
 
 
 def basis_partition(theta: Involution, chamber: Chamber):
@@ -89,10 +45,15 @@ def theta_on_simple(theta: Involution, chamber: Chamber, b: int) -> tuple[int, d
 
     Returns (b', tail) with theta(b) = b' + sum(tail) and tail supported on
     the negated simple roots with nonnegative coefficients."""
-    R = theta.system
     if not is_s_chamber(theta, chamber):
         raise DiagramError("the chamber given for %s is not an S-chamber for the involution"
-                           % R.root_name(b))
+                           % theta.system.root_name(b))
+    return _simple_image(theta, chamber, b)
+
+
+def _simple_image(theta: Involution, chamber: Chamber, b: int) -> tuple[int, dict[int, int]]:
+    """theta_on_simple on a chamber already known to be an S-chamber."""
+    R = theta.system
     if b in theta.imaginary_set:
         raise DiagramError("%s is negated; it has no tail decomposition" % R.root_name(b))
     img = theta(b)
@@ -378,8 +339,10 @@ def s_diagram(theta: Involution, chamber: Chamber) -> Diagram:
     R = theta.system
     if R.factors is not None:
         raise DiagramError("diagrams are drawn per irreducible factor")
-    image = {b: theta_on_simple(theta, chamber, b)[0] for b in chamber.basis
-             if b not in theta.imaginary_set and b not in theta.real_set}
+    white = [b for b in chamber.basis if b not in theta.imaginary_set and b not in theta.real_set]
+    # one S-chamber check for the chamber: the first node's call makes it
+    image = {b: (_simple_image if k else theta_on_simple)(theta, chamber, b)[0]
+             for k, b in enumerate(white)}
     best = None
     for order in _labellings(R, chamber.basis):
         pos_of = {b: k for k, b in enumerate(order)}
@@ -476,7 +439,7 @@ def class_key(theta: Involution, group: str = "W") -> tuple:
     order = next(t for t in _labellings(R, chamber.basis) if _simple_images_in_weyl(R, list(t)))
     black = frozenset(k for k, b in enumerate(order) if b in theta.imaginary_set)
     at, opp = {b: k for k, b in enumerate(order)}, _opposition(R, black)
-    tau = [opp[k] if k in black else at[theta_on_simple(theta, chamber, b)[0]]
+    tau = [opp[k] if k in black else at[_simple_image(theta, chamber, b)[0]]
            for k, b in enumerate(order)]
     orbits = {frozenset((k, j)) for k, j in enumerate(tau)}  # one inside J keeps J
     reached, todo = {black}, [black]

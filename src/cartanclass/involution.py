@@ -10,11 +10,11 @@ import operator
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
-from .rootsys import (CartanclassError, Perm, RootSystem, RootSystemError, _vec, identity_perm,
-                      in_weyl, klein_completer, perm_mul)
+from .rootsys import (CartanclassError, Chamber, Perm, RootSystem, RootSystemError, _vec,
+                      identity_perm, in_weyl, klein_completer, perm_mul)
 
 if TYPE_CHECKING:
-    from ._linalg import Matrix, Vector
+    from ._linalg import Matrix
 
 
 class InvolutionError(CartanclassError):
@@ -52,10 +52,6 @@ class Involution:
 
     def __hash__(self):
         return hash((id(self.system), self.perm))
-
-    def apply_vec(self, v: Vector) -> Vector:
-        from ._linalg import mat_vec
-        return mat_vec(self.matrix, v)
 
     @cached_property
     def matrix(self) -> Matrix:
@@ -165,6 +161,49 @@ def complex_type_involution(system: RootSystem) -> Involution:
                               % (f1.spec.label, f2.spec.label))
     from .weylgroup import factor_swap
     return Involution(system, factor_swap(system, 0, 1))
+
+
+# -- S-chambers ------------------------------------------------------------------
+
+
+def is_s_chamber(theta: Involution, chamber: Chamber) -> bool:
+    """Every complex positive root has a positive image."""
+    pos = chamber.positive_set
+    return all(theta(i) in pos for i in pos if i in theta.complex_set)
+
+
+def find_s_chamber(theta: Involution) -> Chamber:
+    """Deterministic S-chamber of the split witness t*H+ + H-, t large.
+
+    The seed h = sum_j scale^j omega_j is a positive combination of the
+    coweights; geometric weights grow until H+ stays off every non-negated
+    root wall.  H+ vanishes on the negated roots, where H- = h: the chamber
+    is the roots with H+ > 0 and the negated roots with h > 0.  Pairings
+    are integers read off the canonical coordinates, <alpha, h> =
+    sum_j scale^j c_j(alpha), and <alpha, theta h> = <theta alpha, h>; the
+    pairings of each scale's seed are kept on the system."""
+    R = theta.system
+    ch = R.canonical_chamber()
+    movers = [i for i in range(len(R)) if i not in theta.imaginary_set]
+    if not movers:
+        return ch
+    for scale in range(1, 65):
+        h = R._seed_pairings.get(scale)
+        if h is None:
+            h = R._seed_pairings[scale] = [
+                sum(c * scale ** j for j, c in enumerate(ch.coords(i))) for i in range(len(R))]
+        if not all(h):
+            continue
+        # twice the pairings with H+ = (h + theta h)/2
+        plus = [x + h[theta(i)] for i, x in enumerate(h)]
+        if any(plus[i] == 0 for i in movers):
+            continue
+        pos = frozenset(i for i, x in enumerate(plus) if x > 0 or (x == 0 and h[i] > 0))
+        chamber = Chamber(R, R.simple_roots(pos))
+        if not is_s_chamber(theta, chamber):
+            raise InvolutionError("constructed chamber fails the S condition")
+        return chamber
+    raise InvolutionError("witness construction degenerated")
 
 
 # -- orthogonal set machinery ---------------------------------------------------

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from . import _linalg as la
 from .chevalley import DenseAlgebra, LinearMap, QuarterTurn, dense_algebra, structure_constants
-from .diagram import class_key, find_s_chamber
 from .involution import (Involution, InvolutionError, antipodal_involution, decompose,
-                         first_max_clique, identity_involution, positive_representatives,
-                         subsystem_components, table2_representatives)
+                         find_s_chamber, first_max_clique, identity_involution,
+                         positive_representatives, subsystem_components, table2_representatives)
 from .rootsys import CartanclassError, RootSystem, identity_perm, perm_mul
 
 
@@ -255,10 +253,75 @@ def omega_for_targets(system: RootSystem, b_indices, targets,
     full_rows += [list(row) + [-2 * (m == k) for m in range(len(parity))]
                   for k, row in enumerate(parity)]
     rhs = list(targets) + [0] * len(parity)
-    sol = la.solve_integer(full_rows, rhs)
+    sol = solve_integer(full_rows, rhs)
     if sol is None:
         return None
     return SignHom(system, mask=sum((c & 1) << k for k, c in enumerate(sol[:system.rank])))
+
+
+def solve_integer(rows: Sequence[Sequence[int]], target: Sequence[int]) -> list[int] | None:
+    """An integer solution x of M x = target, or None when none exists.
+
+    Uses unimodular column operations to bring M to a lower staircase form,
+    then forward substitution with divisibility checks.
+    """
+    h = [list(map(int, r)) for r in rows]
+    t = list(map(int, target))
+    nr = len(h)
+    nc = len(h[0]) if h else 0
+    if nc == 0:
+        return [] if all(x == 0 for x in t) else None
+    # u[c] is column c of the accumulated unimodular matrix
+    u = [[int(i == j) for i in range(nc)] for j in range(nc)]
+    cpiv = 0
+    pivot_of_row: list[int | None] = []
+    for r in range(nr):
+        if cpiv >= nc:
+            pivot_of_row.append(None)
+            continue
+        while True:
+            cols = [c for c in range(cpiv, nc) if h[r][c] != 0]
+            if not cols:
+                break
+            c0 = min(cols, key=lambda c: abs(h[r][c]))
+            if c0 != cpiv:
+                for rr in range(nr):
+                    h[rr][c0], h[rr][cpiv] = h[rr][cpiv], h[rr][c0]
+                u[c0], u[cpiv] = u[cpiv], u[c0]
+            clean = True
+            for c in range(cpiv + 1, nc):
+                if h[r][c] != 0:
+                    q = h[r][c] // h[r][cpiv]
+                    if q:
+                        for rr in range(nr):
+                            h[rr][c] -= q * h[rr][cpiv]
+                        u[c] = [a - q * b for a, b in zip(u[c], u[cpiv])]
+                    if h[r][c] != 0:
+                        clean = False
+            if clean:
+                break
+        if any(h[r][c] != 0 for c in range(cpiv, nc)):
+            pivot_of_row.append(cpiv)
+            cpiv += 1
+        else:
+            pivot_of_row.append(None)
+    y = [0] * nc
+    for r in range(nr):
+        resid = t[r] - sum(h[r][c] * y[c] for c in range(nc) if h[r][c])
+        p = pivot_of_row[r]
+        if p is None:
+            if resid != 0:
+                return None
+        else:
+            resid_p = t[r] - sum(h[r][c] * y[c] for c in range(nc) if c != p and h[r][c])
+            if resid_p % h[r][p] != 0:
+                return None
+            y[p] = resid_p // h[r][p]
+    x = [sum(u[c][j] * y[c] for c in range(nc)) for j in range(nc)]
+    for row, trg in zip(rows, target):
+        if sum(a * b for a, b in zip(row, x)) != trg:
+            return None
+    return x
 
 
 def omega_for_set(system: RootSystem, b_indices) -> SignHom:
@@ -630,6 +693,7 @@ def cartan_classes(sigma: AntiInvolution) -> list[Involution]:
     roots of one length in each irreducible component, so a skipped root
     gives an involution conjugate to that of the kept one.  The class key
     of diagram.class_key decides the candidates left."""
+    from .diagram import class_key
     R = sigma.system
     reduced = reduce_noncompact(sigma, verify_dense=False)
     eps, base = decompose(reduced.theta)

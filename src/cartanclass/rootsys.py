@@ -316,11 +316,13 @@ class RootSystem:
         self._canonical_chamber: Chamber | None = None
         # Objects of the upper layers, built by their getters on first use
         # (weylgroup's two groups, chevalley.structure_constants,
-        # diagram._opposition, involution.class_label's row keys) and kept.
+        # diagram._opposition, involution.find_s_chamber's seed pairings,
+        # involution.class_label's row keys) and kept.
         self._weyl_group = None
         self._full_aut_group = None
         self._constants = None
         self._oppositions: dict = {}
+        self._seed_pairings: dict = {}
         self._row_labels: dict = {}
 
     @cached_property
@@ -374,9 +376,6 @@ class RootSystem:
             raise RootSystemError("(%s) is not a root of %s"
                                   % (", ".join(map(str, v)), self.spec.label))
         return i
-
-    def contains_vector(self, v: Vector) -> bool:
-        return self._index_of(v) is not None
 
     def pairing_with(self, idx: int, v: Vector) -> Fraction:
         """The scalar product of a root with an ambient vector."""
@@ -581,9 +580,6 @@ class RootSystem:
         self._require_dim(h)
         u = _integral(h)[0]
         return [sum(map(mul, r, u)) for r in self._int_roots]
-
-    def is_regular(self, h: Vector) -> bool:
-        return all(self._dots(h))
 
     def chamber_from_witness(self, h: Vector) -> Chamber:
         dots = self._dots(h)

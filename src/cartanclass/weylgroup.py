@@ -11,7 +11,6 @@ is the cosets c W of the diagram symmetries c, searched one coset at a time.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -129,13 +128,6 @@ class PermGroup:
             raise ValueError("permutation acts on a different root set")
         chain = self.chain()
         return any(chain.contains(perm_mul(ci, images)) for _, ci in self._gamma)
-
-    def iter_elements(self):
-        """All group elements (use only on small groups)."""
-        transversals = [[lev.orbit[p] for p in sorted(lev.orbit)] for lev in self.chain().levels]
-        for c, _ in self._gamma:
-            for combo in itertools.product(*transversals):
-                yield functools.reduce(perm_mul, combo, c)
 
     # -- searches ------------------------------------------------------------
 

@@ -3,10 +3,31 @@
 The package decides involution classes by diagram.class_key.  These are the
 earlier decisions it replaced: cheap conjugation invariants as a prefilter,
 then a backtrack search for a conjugating element in the Weyl group or the
-full automorphism group.  Tests compare the two."""
+full automorphism group.  Tests compare the two.  Brute force over the
+elements of a group, and the V-chamber test, are here too: only the tests
+use them."""
+
+import functools
+import itertools
 
 from cartanclass import involution as iv
 from cartanclass import weylgroup as wg
+
+
+def iter_elements(G):
+    """All elements of a permutation group, from its stabilizer chain (use
+    only on small groups)."""
+    transversals = [[lev.orbit[p] for p in sorted(lev.orbit)] for lev in G.chain().levels]
+    for c, _ in G._gamma:
+        for combo in itertools.product(*transversals):
+            yield functools.reduce(wg.perm_mul, combo, c)
+
+
+def is_v_chamber(theta, chamber) -> bool:
+    """S-chamber condition for the negated involution."""
+    R = theta.system
+    return iv.is_s_chamber(iv.Involution(R, wg.perm_mul(tuple(R.negation_map), theta.perm)),
+                           chamber)
 
 
 def invariants(theta):

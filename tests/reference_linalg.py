@@ -4,7 +4,7 @@ cartanclass._linalg."""
 
 from fractions import Fraction
 
-from cartanclass._linalg import _rref, unit_vec, vdot, vscale, vsub
+from cartanclass._linalg import _rref, mat_vec, unit_vec, vdot, vscale
 
 
 def vec(entries):
@@ -13,6 +13,25 @@ def vec(entries):
 
 def vneg(u):
     return tuple(-a for a in u)
+
+
+def vsub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def apply_vec(theta, v):
+    """An involution's image of an ambient vector, through its matrix."""
+    return mat_vec(theta.matrix, v)
+
+
+def contains_vector(R, v) -> bool:
+    """Whether the vector is a root of R."""
+    return R._index_of(v) is not None
+
+
+def is_regular(R, h) -> bool:
+    """Whether h lies on no root wall."""
+    return all(R._dots(h))
 
 
 def mat_mul(a, b):

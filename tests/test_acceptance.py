@@ -141,8 +141,8 @@ def test_criterion_02_e8_e7_dichotomy():
             assert perm[B[i]] == B[want[i]], (row1, row2)
         # the identity with the frame-difference reflections
         m2 = rl.mat_mul(
-            rl.reflection_matrix(8, la.vsub(bvecs[p1[0]], bvecs[p1[1]])),
-            rl.reflection_matrix(8, la.vsub(bvecs[p2[0]], bvecs[p2[1]])))
+            rl.reflection_matrix(8, rl.vsub(bvecs[p1[0]], bvecs[p1[1]])),
+            rl.reflection_matrix(8, rl.vsub(bvecs[p2[0]], bvecs[p2[1]])))
         assert m == m2, (row1, row2)
     got = {q for q in itertools.combinations(range(1, 9), 4)
            if wg.klein_in_weyl(E8, [B[i] for i in q])}
@@ -221,8 +221,8 @@ def test_criterion_04_special_census():
     E6p = rs.build("E6", realization="prime")
     for i in range(1, 7):
         src = la.unit_vec(8, i - 1)
-        img = eps.apply_vec(la.vsub(src, la.unit_vec(8, i)))  # e_i - e_{i+1}
-        want = la.vsub(la.unit_vec(8, 6 - i - 1), la.unit_vec(8, 7 - i - 1))
+        img = rl.apply_vec(eps, rl.vsub(src, la.unit_vec(8, i)))  # e_i - e_{i+1}
+        want = rl.vsub(la.unit_vec(8, 6 - i - 1), la.unit_vec(8, 7 - i - 1))
         if i < 6:
             assert img == want
     report(4, "special involution census per family")
@@ -899,7 +899,7 @@ def test_criterion_14_brute_oracle():
         assert len(brute) == wg.full_aut_group(R).order
         ident = wg.identity_perm(len(R.roots))
         invs = [g for g in brute if g != ident and wg.perm_mul(g, g) == ident]
-        elements = list(W.iter_elements())
+        elements = list(rc.iter_elements(W))
         classes = []
         for t in invs:
             if not any(t in c for c in classes):

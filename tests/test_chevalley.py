@@ -186,10 +186,10 @@ def test_exp_quarter_turn():
     assert E.compose(Einv).is_identity()
     # image of T_beta is the coroot
     img = E.apply(A.t_elem(b))
-    assert img == {k: cv.Qrt2.of(c) for k, c in A.coroot_elem(b).items()}
+    assert img == {k: la.Qrt2.of(c) for k, c in A.coroot_elem(b).items()}
     # fixes Cartan vectors orthogonal to beta
     h = {0: F(1)}  # H_{e1-e2}
-    assert E.apply(h) == {0: cv.Qrt2(1)}
+    assert E.apply(h) == {0: la.Qrt2(1)}
     # strong orthogonality is required
     e1 = B2.root_index((1, 0))
     e2 = B2.root_index((0, 1))
@@ -218,34 +218,34 @@ def test_apply_map_reports():
     neg = B2.negation_map
     cols = {}
     for k in range(A.rank):
-        cols[k] = {k: cv.Qrt2(-1)}
+        cols[k] = {k: la.Qrt2(-1)}
     for i in range(len(B2.roots)):
-        cols[A.rank + i] = {A.rank + neg[i]: cv.Qrt2(1)}
+        cols[A.rank + i] = {A.rank + neg[i]: la.Qrt2(1)}
     tau = cv.LinearMap(A, cols)
     rep = cv.apply_map(A, tau)
     assert rep.is_automorphism and rep.is_involution
     # a broken map is reported with a violation list
-    cols = {i: {i: cv.Qrt2(1)} for i in range(A.dim)}
-    cols[A.rank] = {A.rank: cv.Qrt2(2)}
+    cols = {i: {i: la.Qrt2(1)} for i in range(A.dim)}
+    cols[A.rank] = {A.rank: la.Qrt2(2)}
     bad = cv.LinearMap(A, cols)
     rep = cv.apply_map(A, bad, check_involution=False)
     assert not rep.is_automorphism and rep.violations
 
 
 def test_qrt2_field():
-    x = cv.Qrt2(1, 1)
-    assert x * x == cv.Qrt2(3, 2)
-    assert (x / x) == cv.Qrt2(1)
-    assert x.inverse() * x == cv.Qrt2(1)
-    assert not cv.Qrt2(0)
-    assert cv.SQRT2_HALF * cv.SQRT2_HALF == cv.Qrt2(F(1, 2))
+    x = la.Qrt2(1, 1)
+    assert x * x == la.Qrt2(3, 2)
+    assert (x / x) == la.Qrt2(1)
+    assert x.inverse() * x == la.Qrt2(1)
+    assert not la.Qrt2(0)
+    assert la.SQRT2_HALF * la.SQRT2_HALF == la.Qrt2(F(1, 2))
 
 
 def test_qrt2_hashes_like_equal_numbers():
-    assert {cv.Qrt2(1): 0}.get(1) == 0
-    assert hash(cv.Qrt2(F(1, 2))) == hash(F(1, 2))
-    assert len({cv.Qrt2(F(-3, 4)), F(-3, 4), cv.Qrt2(-3, 0) / 4}) == 1
-    assert hash(cv.Qrt2(1, 1)) == hash(cv.Qrt2(1) + cv.Qrt2(0, 1))
+    assert {la.Qrt2(1): 0}.get(1) == 0
+    assert hash(la.Qrt2(F(1, 2))) == hash(F(1, 2))
+    assert len({la.Qrt2(F(-3, 4)), F(-3, 4), la.Qrt2(-3, 0) / 4}) == 1
+    assert hash(la.Qrt2(1, 1)) == hash(la.Qrt2(1) + la.Qrt2(0, 1))
 
 
 def test_dense_algebra_is_integral():

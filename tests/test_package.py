@@ -19,18 +19,21 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 # the catalog verbs run no Weyl-group chain and no rational algebra
 _CATALOG = {"cartanclass.rootsys", "cartanclass.involution"}
-_SIGN_DATA = _CATALOG | {"cartanclass._linalg", "cartanclass.chevalley",
-                         "cartanclass.diagram", "cartanclass.realform"}
+# the sign-data verbs turn by halves, over Z, and solve for characters over Z
+_SIGN_DATA = _CATALOG | {"cartanclass.chevalley", "cartanclass.realform"}
 
 # the verbs of the benchmark workloads, each with the layers it may load
 VERB_MODULES = [
     ("realforms --type G2", _SIGN_DATA),
     ("realforms --type D --rank 4", _SIGN_DATA),
-    ("cartans --type E6 --label w3", _SIGN_DATA),
-    ("cayley --type G2 --label 3", _SIGN_DATA),
-    ("sigma --type F4 --label 7 --restricted --format ascii", _SIGN_DATA),
-    ("verify chevalley --type F4",
-     {"cartanclass._linalg", "cartanclass.rootsys", "cartanclass.chevalley"}),
+    ("realforms --type E6", _SIGN_DATA),
+    # class keys are read on the drawn S-diagrams
+    ("cartans --type E6 --label w3", _SIGN_DATA | {"cartanclass.diagram"}),
+    # the JSON datum prints the involution's rational matrix
+    ("cayley --type G2 --label 3", _SIGN_DATA | {"cartanclass._linalg"}),
+    ("sigma --type F4 --label 7 --restricted --format ascii",
+     _SIGN_DATA | {"cartanclass.diagram"}),
+    ("verify chevalley --type F4", {"cartanclass.rootsys", "cartanclass.chevalley"}),
     ("involutions --type E8", _CATALOG),
     ("sos --type E8 --size 4", _CATALOG),
     ("diagram --type E8 --label 5 --format ascii", _CATALOG | {"cartanclass.diagram"}),
@@ -108,22 +111,24 @@ def test_importing_the_package_loads_no_layer():
 
 # Every name the package exported when it imported all layers eagerly, with
 # its home module.  eta_from_omega, the vector form of a sign character, has
-# left the API (the tests keep it in test_realform.py), and so has
-# RootPermutation: group searches return plain permutation tuples.
+# left the API (the tests keep it in test_realform.py), and so have
+# RootPermutation (group searches return plain permutation tuples) and
+# is_v_chamber, which no verb runs (the tests keep it in reference_classes.py).
 EXPORTS = {
     "rootsys": ["Chamber", "RootSystem", "RootSystemError", "RootSystemSpec", "build",
                 "in_weyl"],
+    "_linalg": ["Qrt2"],
     "weylgroup": ["PermGroup", "full_aut_group", "klein_in_weyl", "weyl_group"],
-    "chevalley": ["ChevalleySystem", "DenseAlgebra", "Qrt2", "QuarterTurn",
+    "chevalley": ["ChevalleySystem", "DenseAlgebra", "QuarterTurn",
                   "ad_k_char_polys", "apply_map", "dense_algebra", "exp_quarter_pi_adk",
                   "structure_constants"],
     "involution": ["Involution", "SosClass", "class_label", "classify_sos",
                    "complex_type_involution", "decompose", "equivalent_involutions",
-                   "involution_from_images", "max_sos_class_count", "maximal_sos_classes",
-                   "special_involutions", "strongly_orthogonalize", "table2_representatives"],
-    "diagram": ["Diagram", "admissible", "chamber_with_imaginary_basis", "find_s_chamber",
-                "is_s_chamber", "is_v_chamber", "restrict_sigma", "s_diagram",
-                "sigma_diagram", "theta_on_simple"],
+                   "find_s_chamber", "involution_from_images", "is_s_chamber",
+                   "max_sos_class_count", "maximal_sos_classes", "special_involutions",
+                   "strongly_orthogonalize", "table2_representatives"],
+    "diagram": ["Diagram", "admissible", "chamber_with_imaginary_basis", "restrict_sigma",
+                "s_diagram", "sigma_diagram", "theta_on_simple"],
     "realform": ["AntiInvolution", "RealFormName", "SignatureCounts", "cartan_classes",
                  "cayley", "compact_cartan_enumeration", "identify", "in_hom_theta",
                  "is_quasi_split", "isomorphic", "quasi_split_lift", "reduce_noncompact",
@@ -136,9 +141,13 @@ def test_public_names_resolve_to_their_home_objects():
         home = importlib.import_module("cartanclass." + module)
         for name in names:
             assert getattr(cartanclass, name) is getattr(home, name), name
+    # the S-chamber search keeps its name in diagram, which imports it back
+    assert dg.find_s_chamber is iv.find_s_chamber and dg.is_s_chamber is iv.is_s_chamber
     assert cartanclass.CartanclassError is rs.CartanclassError
     with pytest.raises(AttributeError):
         cartanclass.eta_from_omega
+    with pytest.raises(AttributeError):
+        cartanclass.is_v_chamber
     with pytest.raises(AttributeError):
         cartanclass.no_such_name
 

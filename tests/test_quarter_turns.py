@@ -11,10 +11,12 @@ for the closed-form turns, map for map.
 """
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from cartanclass import _linalg as la
 from cartanclass import chevalley as cv
 from cartanclass import cli
 from cartanclass import involution as iv
@@ -86,10 +88,10 @@ def _qrt2_solve(rows, target):
 def _interp_coeffs(sign):
     """p of degree 6 with p(M) = exp(sign*pi/4*M) whenever
     M(M^2+1)(M^2+4)(M^2+9) = 0: match cos and sin at k*pi/4, k = 0..3."""
-    s, one, zero = cv.SQRT2_HALF, cv.Qrt2(1), cv.Qrt2(0)
-    rows = [[one, cv.Qrt2(-(k * k)), cv.Qrt2(k ** 4), cv.Qrt2(-(k ** 6))] for k in range(4)]
+    s, one, zero = la.SQRT2_HALF, la.Qrt2(1), la.Qrt2(0)
+    rows = [[one, la.Qrt2(-(k * k)), la.Qrt2(k ** 4), la.Qrt2(-(k ** 6))] for k in range(4)]
     even = _qrt2_solve(rows, [one, s, zero, -s])
-    rows = [[cv.Qrt2(k), cv.Qrt2(-(k ** 3)), cv.Qrt2(k ** 5)] for k in range(1, 4)]
+    rows = [[la.Qrt2(k), la.Qrt2(-(k ** 3)), la.Qrt2(k ** 5)] for k in range(1, 4)]
     odd = _qrt2_solve(rows, [sign * v for v in (s, one, s)])
     return [even[0], odd[0], even[1], odd[1], even[2], odd[2], even[3]]
 
@@ -100,13 +102,13 @@ def _reference_turn(A, beta, sign):
     coeffs = _interp_coeffs(sign)
     cols = {}
     for i in range(A.dim):
-        w = {i: cv.Qrt2(1)}
+        w = {i: la.Qrt2(1)}
         acc = {}
         for j, a in enumerate(coeffs):
             if j:
-                w = {k: cv.Qrt2.of(c) for k, c in A.bracket(k_elem, w).items()}
+                w = {k: la.Qrt2.of(c) for k, c in A.bracket(k_elem, w).items()}
             for k, c in w.items():
-                acc[k] = acc.get(k, cv.Qrt2(0)) + a * c
+                acc[k] = acc.get(k, la.Qrt2(0)) + a * c
         cols[i] = {k: c for k, c in acc.items() if c}
     return cv.LinearMap(A, cols)
 
@@ -142,7 +144,7 @@ def test_quarter_turn_of_a_set_is_the_product():
 
 @pytest.mark.parametrize("spec", TURN_SPECS, ids=lambda s: s.label)
 def test_half_turn_is_the_quarter_turn_squared(spec):
-    """Every root of G2, B3 and F4 and one root of E6: the rational half
+    """Every root of G2, B3 and F4 and one root of E6: the integer half
     turn equals the Q(sqrt2) quarter turn applied twice, and sends each
     root vector to +-1 times a single root vector."""
     R = rs.build(spec)
@@ -156,6 +158,61 @@ def test_half_turn_is_the_quarter_turn_squared(spec):
         for i in range(A.rank, A.dim):
             [(j, c)] = cols[i].items()
             assert j >= A.rank and c in (1, -1), (spec.label, beta, i)
+
+
+# the half-turn rows over Q: cos and sin at pi/2 reduced modulo each block polynomial
+RATIONAL_HALF_TURN_ROWS = {
+    cv.POLY_LAMBDA: (1,),
+    cv.POLY_L2P1: (0, 1),
+    cv.POLY_L_L2P4: (1, 0, Fraction(1, 2)),
+    cv.POLY_L2P1_L2P9: (0, Fraction(7, 6), 0, Fraction(1, 6)),
+}
+
+LATTICE_SPECS = ([rs.RootSystemSpec("A", r) for r in range(1, 9)]
+                 + [rs.RootSystemSpec("B", r) for r in range(2, 9)]
+                 + [rs.RootSystemSpec("C", r) for r in range(3, 9)]
+                 + [rs.RootSystemSpec("D", r) for r in range(4, 9)]
+                 + [rs.RootSystemSpec(f) for f in ("E6", "E7", "E8", "F4", "G2")])
+
+
+def _rational_half_turn(A, k_elem, i):
+    """exp(pi/2 ad K) e_i by the rational row of the least-degree admitted
+    polynomial P with P(ad K) e_i = 0: every such P gives the same vector."""
+    powers = [{i: Fraction(1)}]
+    for poly in sorted(RATIONAL_HALF_TURN_ROWS, key=len):
+        while len(powers) < len(poly):
+            powers.append(A.bracket(k_elem, powers[-1]))
+        if not cv._combine(poly, powers):
+            return cv._combine(RATIONAL_HALF_TURN_ROWS[poly], powers)
+    raise AssertionError("no admitted polynomial kills basis element %d" % i)
+
+
+@pytest.mark.parametrize("spec", LATTICE_SPECS, ids=lambda s: s.label)
+def test_integer_half_turn_columns_equal_the_rational_rows(spec):
+    """For every root beta and every basis element, the half turn's integer
+    numerators divided by their denominator give the column of the rational
+    rows, with int entries."""
+    R = rs.build(spec)
+    A = cv.dense_algebra(cv.structure_constants(R), verify="none")
+    for beta in range(len(R)):
+        half, k_elem = cv.QuarterTurn(A, [beta], 2), A.k_elem(beta)
+        for i in range(A.dim):
+            got = half.apply({i: 1})
+            assert got == _rational_half_turn(A, k_elem, i), (spec.label, beta, i)
+            assert all(type(c) is int for c in got.values()), (spec.label, beta, i)
+
+
+@pytest.mark.parametrize("poly,row", [(cv.POLY_L_L2P4, ((2, 0, 1), 4)),
+                                      (cv.POLY_L2P1_L2P9, ((0, 7, 0, 1), 12))],
+                         ids=["cartan-block", "g2-string-of-four"])
+def test_a_wrong_half_turn_denominator_leaves_the_lattice(poly, row, monkeypatch):
+    R = rs.build("G2")
+    A = cv.dense_algebra(cv.structure_constants(R), verify="none")
+    monkeypatch.setitem(cv._HALF_TURN_ROWS, poly, row)
+    with pytest.raises(cv.ChevalleyError, match=r"^G2: the half turn along G2 root \d+ .* "
+                       r"takes basis element \d+ off the Chevalley lattice$"):
+        for beta in range(len(R)):
+            cv.QuarterTurn(A, [beta], 2).apply({i: 1 for i in range(A.dim)})
 
 
 def test_turn_must_be_a_quarter_or_a_half():
@@ -196,11 +253,11 @@ E6_W3_IMAGES = json.dumps([["1/2", "1/2"] + ["-1/2"] * 6,
                                   ["cartans", "--type", "E6", "--images", E6_W3_IMAGES]],
                          ids=lambda a: a[0])
 def test_sign_data_paths_make_no_qrt2(argv, monkeypatch, capsys):
-    """The lifts and Cayley checks run on rational half turns alone."""
+    """The lifts and Cayley checks run on integer half turns alone."""
     def refuse(self, a=0, b=0):
         raise AssertionError("a Q(sqrt2) number was made")
 
-    monkeypatch.setattr(cv.Qrt2, "__init__", refuse)
+    monkeypatch.setattr(la.Qrt2, "__init__", refuse)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out
 

@@ -27,6 +27,7 @@ from cartanclass import involution as iv
 from cartanclass import rootsys as rs
 from test_acceptance import _enumerate_sigmas
 from test_rootsys import reflect_vec, witness
+import reference_linalg as rl
 
 GOLDEN = Path(__file__).parent / "golden" / "restricted_sigmas.json"
 FAMILIES = [("A", 3), ("A", 5), ("B", 3), ("B", 4), ("B", 5), ("C", 3), ("C", 4), ("C", 5),
@@ -83,7 +84,7 @@ def _reference_one_star_basis(R, sigma, comp):
         coweight = solve_in_span(basis, [int(b == pick) for b in basis])
         if coweight == h0:
             return basis
-        h0 = la.vsub(h0, la.vscale(2, coweight))
+        h0 = rl.vsub(h0, la.vscale(2, coweight))
 
 
 def _outcome(f, *args):

@@ -76,11 +76,11 @@ def _reference_s_chamber(theta):
         h = la.zero_vec(R.dim)
         for j, w in enumerate(coweights):
             h = la.vadd(h, la.vscale(Fraction(scale) ** j, w))
-        if not R.is_regular(h):
+        if not rl.is_regular(R, h):
             continue
         th = la.mat_vec(theta.matrix, h)
         hplus = la.vscale(Fraction(1, 2), la.vadd(h, th))
-        hminus = la.vscale(Fraction(1, 2), la.vsub(h, th))
+        hminus = la.vscale(Fraction(1, 2), rl.vsub(h, th))
         if any(la.vdot(R.roots[i], hplus) == 0 for i in movers):
             continue
         maxb = max(abs(la.vdot(r, hminus)) for r in R.roots)
@@ -206,7 +206,7 @@ def _klein_quads(monkeypatch, system):
 def _double_reflections(R, quad):
     """The vector pairs of the three double reflections of a Klein 4-set."""
     vs = [R._int_roots[i] for i in quad]
-    return [[la.vsub(vs[k], vs[m]), la.vsub(vs[i], vs[j])]
+    return [[rl.vsub(vs[k], vs[m]), rl.vsub(vs[i], vs[j])]
             for (i, j), (k, m) in [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]]
 
 
@@ -262,8 +262,8 @@ def _klein_by_matrices(R, quad):
     W = wg.weyl_group(R)
     vs = [R.roots[i] for i in quad]
     for (i, j), (k, m) in [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]:
-        m1 = rl.reflection_matrix(R.dim, la.vsub(vs[i], vs[j]))
-        m2 = rl.reflection_matrix(R.dim, la.vsub(vs[k], vs[m]))
+        m1 = rl.reflection_matrix(R.dim, rl.vsub(vs[i], vs[j]))
+        m2 = rl.reflection_matrix(R.dim, rl.vsub(vs[k], vs[m]))
         perm = R.perm_of_matrix(rl.mat_mul(m1, m2))
         if perm is None or not W.contains(perm):
             return False

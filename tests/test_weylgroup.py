@@ -7,9 +7,10 @@ import random
 
 import pytest
 
-from cartanclass import _linalg as la
 from cartanclass import involution as iv, rootsys as rs, weylgroup as wg
 from test_rootsys import zeta
+import reference_classes as rc
+import reference_linalg as rl
 
 WEYL_ORDERS = {
     ("A", 1): 2, ("A", 2): 6, ("A", 3): 24, ("A", 4): 120,
@@ -101,7 +102,7 @@ def test_transporter_vs_exhaustive_small():
     for fam, rank in [("B", 2), ("A", 3), ("G2", 2)]:
         R = rs.build(fam, rank)
         W = wg.weyl_group(R)
-        elements = list(W.iter_elements())
+        elements = list(rc.iter_elements(W))
         assert len(elements) == W.order
         n = len(R.roots)
         for _ in range(12):
@@ -149,7 +150,7 @@ def _klein_full_perms(R, quad):
             raise ValueError("%s and %s are not orthogonal" % (R.root_name(a), R.root_name(b)))
     vs = [R._int_roots[i] for i in q]
     for (i, j), (k, m) in [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]:
-        perm = R.perm_of_reflections([la.vsub(vs[k], vs[m]), la.vsub(vs[i], vs[j])])
+        perm = R.perm_of_reflections([rl.vsub(vs[k], vs[m]), rl.vsub(vs[i], vs[j])])
         if perm is None or not rs.in_weyl(R, perm):
             return False
     return True
