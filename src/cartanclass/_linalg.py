@@ -17,27 +17,10 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def vadd(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vscale(c, u: Vector) -> Vector:
-    c = Fraction(c)
-    return tuple(c * a for a in u)
-
-
 def vdot(u: Vector, v: Vector) -> Fraction:
     if len(u) != len(v):
         raise ValueError("dimension mismatch: %d vs %d" % (len(u), len(v)))
     return sum((a * b for a, b in zip(u, v)), ZERO)
-
-
-def zero_vec(n: int) -> Vector:
-    return (ZERO,) * n
-
-
-def unit_vec(n: int, i: int) -> Vector:
-    return tuple(ONE if j == i else ZERO for j in range(n))
 
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:
@@ -98,31 +81,6 @@ def nullspace(rows_in: Sequence[Vector]) -> list[Vector]:
             v[c] = -rows[r][f]
         basis.append(tuple(v))
     return basis
-
-
-def map_from_images(sources: Sequence[Vector], images: Sequence[Vector]) -> Matrix:
-    """The linear map sending sources[j] to images[j], extended as the
-    identity on the orthogonal complement of span(sources).
-
-    Raises ValueError when sources are dependent in a way inconsistent
-    with the requested images.
-    """
-    n = len(sources[0])
-    comp = nullspace(list(sources))  # orthogonal complement of the span
-    full = list(sources) + comp  # spans, as the complement of a span does
-    full_images = list(images) + comp
-    a_cols = [tuple(v) for v in full]
-    x_cols = []
-    for i in range(n):
-        coeffs = solve(a_cols, unit_vec(n, i))
-        if coeffs is None:
-            raise ValueError("inconsistent linear system")
-        img = zero_vec(n)
-        for c, w in zip(coeffs, full_images):
-            if c:
-                img = vadd(img, vscale(c, w))
-        x_cols.append(img)
-    return tuple(tuple(x_cols[j][i] for j in range(n)) for i in range(n))
 
 
 def _char_poly(m) -> tuple:

@@ -8,9 +8,10 @@ goes to stdout, errors to stderr.  Exit codes: 0 success, 2 usage error
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from collections import namedtuple
+from types import SimpleNamespace
 
 from . import rootsys as rs
 
@@ -39,7 +40,9 @@ def _parse_rationals(text: str, option: str, error, nested: bool):
 
 def _involution_from_args(args, system: rs.RootSystem):
     from . import involution as iv
-    if getattr(args, "label", None):
+    if args.label is not None and args.images is not None:
+        raise iv.InvolutionError("give --label or --images, not both")
+    if args.label:
         if args.label == "id":
             return iv.identity_involution(system)
         if args.label == "-1":
@@ -48,7 +51,7 @@ def _involution_from_args(args, system: rs.RootSystem):
             if lab == args.label:
                 return rep
         raise iv.InvolutionError("unknown catalog label %r" % args.label)
-    if getattr(args, "images", None):
+    if args.images:
         text = sys.stdin.read() if args.images == "-" else args.images
         return iv.involution_from_images(
             system, _parse_rationals(text, "--images", iv.InvolutionError, nested=True))
@@ -314,72 +317,95 @@ def cmd_verify(args) -> int:
 
 # -- parser ----------------------------------------------------------------------
 
+# VERBS is the grammar that both readers use.  An option: its name, type (int,
+# str, or bool for a flag), choices, default, whether it is required, help text.
+Option = namedtuple("Option", "name type choices default required help",
+                    defaults=(str, None, None, False, None))
 
-def build_parser() -> argparse.ArgumentParser:
+
+def _common(formats=("text", "json")) -> tuple:
+    return (Option("--type", choices=rs.FAMILIES, required=True), Option("--rank", int),
+            Option("--realization", choices=("standard", "prime"), default="standard"),
+            Option("--format", choices=formats, default=formats[0]))
+
+
+_INVOLUTION = (Option("--label", help="catalog label of the involution (or 'id', '-1')"),
+               Option("--images", help="JSON list of simple-root images ('-' for stdin)"))
+_SIGNS = Option("--signs", help="one + or - per node, in the order the diagram draws the nodes")
+
+# verb: (help, command, options); verify also takes the name of its suite first
+VERBS = {
+    "build": ("construct a root system", cmd_build, _common()),
+    "involutions": ("catalog of involution classes", cmd_involutions, _common()),
+    "sos": ("strongly orthogonal set classes", cmd_sos, _common() + (Option("--size", int),)),
+    # a diagram has no text form, and a sign datum prints as JSON only
+    "diagram": (None, cmd_diagram, _common(("ascii", "json", "dot")) + _INVOLUTION),
+    "sigma": (None, cmd_sigma, _common(("ascii", "json", "dot")) + _INVOLUTION
+              + (_SIGNS, Option("--restricted", bool, default=False))),
+    "cayley": (None, cmd_cayley, _common(("json",)) + _INVOLUTION
+               + (_SIGNS, Option("--root", help="JSON coordinates of the transform root"))),
+    "cartans": (None, cmd_cartans, _common() + _INVOLUTION + (_SIGNS,)),
+    "realforms": ("real forms by quasi-split twisting", cmd_realforms, _common()),
+    "verify": ("run a named check suite", cmd_verify,
+               (Option("--type", choices=rs.FAMILIES, default="A"),) + _common()[1:3]),
+}
+
+
+def build_parser():
+    """The argparse parser of VERBS: it prints help and usage errors, and reads
+    every command line that _parse leaves to it."""
+    import argparse
     p = argparse.ArgumentParser(prog="cartanclass")
     sub = p.add_subparsers(dest="verb", required=True)
-
-    def common(sp, formats=("text", "json")):
-        sp.add_argument("--type", required=True, choices=rs.FAMILIES)
-        sp.add_argument("--rank", type=int, default=None)
-        sp.add_argument("--realization", default="standard",
-                        choices=("standard", "prime"))
-        sp.add_argument("--format", default=formats[0], choices=formats)
-
-    sp = sub.add_parser("build", help="construct a root system")
-    common(sp)
-    sp.set_defaults(fn=cmd_build)
-
-    sp = sub.add_parser("involutions", help="catalog of involution classes")
-    common(sp)
-    sp.set_defaults(fn=cmd_involutions)
-
-    sp = sub.add_parser("sos", help="strongly orthogonal set classes")
-    common(sp)
-    sp.add_argument("--size", type=int, default=None)
-    sp.set_defaults(fn=cmd_sos)
-
-    for verb, fn in (("diagram", cmd_diagram), ("sigma", cmd_sigma),
-                     ("cayley", cmd_cayley), ("cartans", cmd_cartans)):
-        sp = sub.add_parser(verb)
-        if verb in ("diagram", "sigma"):
-            common(sp, ("ascii", "json", "dot"))  # a diagram has no text form
-        elif verb == "cayley":
-            common(sp, ("json",))  # a sign datum prints as JSON only
-        else:
-            common(sp)
-        sp.add_argument("--label", default=None,
-                        help="catalog label of the involution (or 'id', '-1')")
-        sp.add_argument("--images", default=None,
-                        help="JSON list of simple-root images ('-' for stdin)")
-        if verb in ("sigma", "cayley", "cartans"):
-            sp.add_argument("--signs", default=None,
-                            help="one + or - per node, in the order the diagram "
-                                 "draws the nodes")
-        if verb == "sigma":
-            sp.add_argument("--restricted", action="store_true")
-        if verb == "cayley":
-            sp.add_argument("--root", default=None,
-                            help="JSON coordinates of the transform root")
+    for verb, (text, fn, options) in VERBS.items():
+        sp = sub.add_parser(verb, **({"help": text} if text else {}))
+        if verb == "verify":
+            sp.add_argument("suite")
+        for o in options:
+            if o.type is bool:
+                sp.add_argument(o.name, action="store_true")
+            else:
+                sp.add_argument(o.name, type=o.type, choices=o.choices, default=o.default,
+                                required=o.required, help=o.help)
         sp.set_defaults(fn=fn)
-
-    sp = sub.add_parser("realforms", help="real forms by quasi-split twisting")
-    common(sp)
-    sp.set_defaults(fn=cmd_realforms)
-
-    sp = sub.add_parser("verify", help="run a named check suite")
-    sp.add_argument("suite")
-    sp.add_argument("--type", default="A", choices=rs.FAMILIES)
-    sp.add_argument("--rank", type=int, default=None)
-    sp.add_argument("--realization", default="standard",
-                    choices=("standard", "prime"))
-    sp.set_defaults(fn=cmd_verify)
     return p
 
 
+def _parse(argv: list[str]):
+    """The arguments of a command line `verb [suite] (--name value | --flag)*`
+    as argparse reads them, without importing it; None for any other form.
+    Names are in full, no value starts with '-', an int is decimal digits,
+    each value is among its choices, every required option is given, and a
+    repeated option keeps its last value, as in argparse."""
+    if not argv or argv[0] not in VERBS:
+        return None
+    _, fn, options = VERBS[argv[0]]
+    args = {"verb": argv[0], "fn": fn, **{o.name[2:]: o.default for o in options}}
+    named, tokens = {o.name: o for o in options}, iter(argv[1:])
+    if argv[0] == "verify":
+        args["suite"] = next(tokens, "-")  # "-": no token left
+        if args["suite"].startswith("-"):
+            return None
+    for name in tokens:
+        o = named.get(name)
+        if o is None:
+            return None
+        value = True if o.type is bool else next(tokens, "-")  # "-": no value left
+        if value is not True:
+            if value.startswith("-") or o.type is int and not value.isdecimal():
+                return None
+            value = o.type(value)
+            if o.choices and value not in o.choices:
+                return None
+        args[name[2:]] = value
+    if any(o.required and args[o.name[2:]] is None for o in options):  # no default
+        return None
+    return SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse(argv) or build_parser().parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import operator
 from functools import cached_property
+from math import gcd
 from typing import TYPE_CHECKING, NamedTuple
 
 from .rootsys import (CartanclassError, Chamber, Perm, RootSystem, RootSystemError, _vec,
@@ -55,7 +56,9 @@ class Involution:
 
     @cached_property
     def matrix(self) -> Matrix:
-        return self.system.matrix_of_perm(self.perm)
+        from fractions import Fraction
+        rows, d = self.system.matrix_of_perm(self.perm)
+        return tuple(tuple(Fraction(x, d) for x in row) for row in rows)
 
     @cached_property
     def in_weyl(self) -> bool:
@@ -77,8 +80,10 @@ class Involution:
         return not self.imaginary_set
 
     def to_json(self) -> dict:
-        return {
-            "matrix": [[str(c) for c in row] for row in self.matrix],
+        rows, d = self.system.matrix_of_perm(self.perm)
+        return {  # each entry as str(Fraction(x, d)) prints it
+            "matrix": [[str(x // g) if g == d else "%d/%d" % (x // g, d // g)
+                        for x in row for g in (gcd(x, d),)] for row in rows],
             "partition": {
                 "real": len(self.real_set),
                 "imaginary": len(self.imaginary_set),

@@ -532,12 +532,23 @@ class RootSystem:
             images.append(look[tuple(u)])
         return tuple(images) if len(set(images)) == len(images) else None
 
-    def matrix_of_perm(self, perm) -> Matrix:
-        """Ambient matrix inducing the permutation (identity off the span)."""
-        from ._linalg import map_from_images
-        src = [self.roots[i] for i in self.canonical_basis]
-        img = [self.roots[perm[i]] for i in self.canonical_basis]
-        return map_from_images(src, img)
+    def matrix_of_perm(self, perm) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(N, d): the ambient matrix N / d inducing the permutation, the identity
+        off the root span.  With the simple roots as the columns of A, their
+        images those of P and G = A^T A, it is I + (P - A) G^-1 A^T; fraction-free
+        Gauss-Jordan elimination takes [G | A^T] to [d I | d G^-1 A^T], d = det G,
+        its pivots leading minors of G and its divisions exact."""
+        a = [self._int_roots[b] for b in self.canonical_basis]
+        m, d = [[sum(map(mul, u, v)) for v in a] + list(u) for u in a], 1
+        for k, p in enumerate(m):
+            for i, r in enumerate(m):
+                if i != k:
+                    m[i] = [(p[k] * x - r[k] * y) // d for x, y in zip(r, p)]
+            d = p[k]
+        moved = [list(map(sub, self._int_roots[perm[b]], u))
+                 for b, u in zip(self.canonical_basis, a)]
+        return tuple(tuple(d * (i == j) + sum(v[i] * r[len(a) + j] for v, r in zip(moved, m))
+                           for j in range(self.dim)) for i in range(self.dim)), d
 
     # -- strings and coordinates ------------------------------------------
 

@@ -4,7 +4,50 @@ cartanclass._linalg."""
 
 from fractions import Fraction
 
-from cartanclass._linalg import _rref, mat_vec, unit_vec, vdot, vscale
+from cartanclass._linalg import ONE, ZERO, _rref, mat_vec, nullspace, solve, vdot
+
+
+def vadd(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vscale(c, u):
+    c = Fraction(c)
+    return tuple(c * a for a in u)
+
+
+def zero_vec(n: int):
+    return (ZERO,) * n
+
+
+def unit_vec(n: int, i: int):
+    return tuple(ONE if j == i else ZERO for j in range(n))
+
+
+def map_from_images(sources, images):
+    """The linear map sending sources[j] to images[j], extended as the
+    identity on the orthogonal complement of span(sources): the rational
+    reference for RootSystem.matrix_of_perm.
+
+    Raises ValueError when sources are dependent in a way inconsistent
+    with the requested images.
+    """
+    n = len(sources[0])
+    comp = nullspace(list(sources))  # orthogonal complement of the span
+    full = list(sources) + comp  # spans, as the complement of a span does
+    full_images = list(images) + comp
+    a_cols = [tuple(v) for v in full]
+    x_cols = []
+    for i in range(n):
+        coeffs = solve(a_cols, unit_vec(n, i))
+        if coeffs is None:
+            raise ValueError("inconsistent linear system")
+        img = zero_vec(n)
+        for c, w in zip(coeffs, full_images):
+            if c:
+                img = vadd(img, vscale(c, w))
+        x_cols.append(img)
+    return tuple(tuple(x_cols[j][i] for j in range(n)) for i in range(n))
 
 
 def vec(entries):

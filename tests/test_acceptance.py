@@ -124,8 +124,8 @@ def test_criterion_02_e8_e7_dichotomy():
     E8, bvecs, B = _mprime_e8()
 
     def evec(sign, i, j):
-        v = la.vadd(la.unit_vec(8, i - 1),
-                    la.vscale(1 if sign == "+" else -1, la.unit_vec(8, j - 1)))
+        v = rl.vadd(rl.unit_vec(8, i - 1),
+                    rl.vscale(1 if sign == "+" else -1, rl.unit_vec(8, j - 1)))
         return v
 
     for row1, row2, (p1, p2) in TABLE_I:
@@ -220,9 +220,9 @@ def test_criterion_04_special_census():
     eps = got[1]
     E6p = rs.build("E6", realization="prime")
     for i in range(1, 7):
-        src = la.unit_vec(8, i - 1)
-        img = rl.apply_vec(eps, rl.vsub(src, la.unit_vec(8, i)))  # e_i - e_{i+1}
-        want = rl.vsub(la.unit_vec(8, 6 - i - 1), la.unit_vec(8, 7 - i - 1))
+        src = rl.unit_vec(8, i - 1)
+        img = rl.apply_vec(eps, rl.vsub(src, rl.unit_vec(8, i)))  # e_i - e_{i+1}
+        want = rl.vsub(rl.unit_vec(8, 6 - i - 1), rl.unit_vec(8, 7 - i - 1))
         if i < 6:
             assert img == want
     report(4, "special involution census per family")
@@ -286,9 +286,9 @@ def test_criterion_06_d4_example():
     a = [D4.roots[b] for b in ch.basis]
 
     def comb(*pairs):
-        out = la.zero_vec(4)
+        out = rl.zero_vec(4)
         for c, v in pairs:
-            out = la.vadd(out, la.vscale(c, v))
+            out = rl.vadd(out, rl.vscale(c, v))
         return out
 
     th_a = iv.involution_from_images(D4, [comb((1, a[0]), (1, a[1])), rl.vneg(a[1]),
@@ -845,7 +845,7 @@ def test_criterion_13_twist_tables_exceptional():
     images = [rl.vneg(E8.roots[b]) for b in basis[:7]]
     img8 = E8.roots[basis[7]]
     for k, c in enumerate(coeffs):
-        img8 = la.vadd(img8, la.vscale(c, E8.roots[basis[k]]))
+        img8 = rl.vadd(img8, rl.vscale(c, E8.roots[basis[k]]))
     images.append(img8)
     th = iv.involution_from_images(E8, images)
     _check_case(E8, th, [[2, 4, 6]], ("E8", "8-images"))

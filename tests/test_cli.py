@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
@@ -265,6 +266,16 @@ def test_quasi_split_signs_at_the_drawn_nodes_round_trip(fam, rank, label):
         assert run([verb, *args, signs]) == run([verb, *args]), (verb, signs)
 
 
+@pytest.mark.parametrize("verb", ["diagram", "sigma", "cayley", "cartans"])
+def test_label_and_images_together_exit_3(verb, capsys):
+    """--label and --images each name the involution: given both, a verb exits
+    3 naming the two options, and does not drop --images for the label."""
+    argv = [verb, "--type", "A", "--rank", "3", "--label", "w1",
+            "--images", "[[0,1,-1,0],[1,-1,0,0],[0,0,0,1]]"]
+    assert run(argv) == (3, "")
+    assert capsys.readouterr().err == "error: give --label or --images, not both\n"
+
+
 def test_sos_size_must_be_positive(capsys):
     for size in ("0", "-1"):
         assert run(["sos", "--type", "E8", "--size", size]) == (3, "")
@@ -388,3 +399,89 @@ def test_referential_transparency():
     argv = ["sigma", "--type", "C", "--rank", "3", "--label", "r1,1",
             "--format", "json"]
     assert run(argv) == run(argv)
+
+
+# -- the two readers of the command line ---------------------------------------------
+
+HELP_GOLDEN = json.loads((GOLDEN / "cli_help.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(HELP_GOLDEN))
+def test_help_is_unchanged(argv, monkeypatch, capsys):
+    """The parser built from the verb table prints the help recorded when
+    each verb's parser was written out by hand, byte for byte."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv.split())
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == HELP_GOLDEN[argv]
+
+
+@pytest.mark.parametrize("argv", [
+    "sigma --type G2 --lab -1",  # an abbreviation
+    "sigma --type G2 --label -1",  # a value starting with -
+    "sigma --type G2 --label=-1 --signs=--",
+    "diagram --type G2 --images -",
+    "diagram --type G2 -- --label 1",
+    "sos --type E8 --size -1", "sos --type E8 --size +4",
+    "verify --type G2 table2",  # the suite after an option
+    "build --type A --rank 2 -h",
+    "build --type Z", "build --rank 2", "build --type A --rank x",
+    "build --type A --rank 2 extra", "cayley --type G2 --label 3 --format text",
+    "bogus --type A", "",
+])
+def test_other_command_lines_go_to_argparse(argv):
+    assert cli._parse(argv.split()) is None
+
+
+def _values(o):
+    """Values for an option: those its type and choices allow first, then
+    values argparse rejects or reads otherwise."""
+    if o.type is int:
+        good, bad = ["1", "2", "3", "+2", " 4", "1_0"], ["-1", "0", "x", "1.5", ""]
+    elif o.choices:
+        good, bad = list(o.choices), ["Z", "a", "-1", ""]
+    else:
+        good, bad = ["id", "w1", "r0,2", "+-", "[1,-1,0]", ""], ["-1", "-+", "--", "-"]
+    return good, bad + ["--", "-h", "--type"]
+
+
+@st.composite
+def _command_lines(draw):
+    """Command lines over every verb, suite and option: mostly canonical,
+    with abbreviations, --opt=value, --, -h, repeated and missing options,
+    values of the wrong type or choice and stray positionals mixed in."""
+    verb = draw(st.sampled_from([*cli.VERBS, "bogus", "-h", "--type"]))
+    options = cli.VERBS[verb][2] if verb in cli.VERBS else ()
+    argv = [verb]
+    if verb == "verify" and draw(st.integers(0, 7)):
+        argv.append(draw(st.sampled_from([*cli.SUITES, "nosuch", "-h", "--rank"])))
+    chosen = [o for o in options if o.required and draw(st.integers(0, 7))]
+    if options:
+        chosen += draw(st.lists(st.sampled_from(options), max_size=4))
+    for o in draw(st.permutations(chosen)):
+        form = draw(st.integers(0, 9))
+        name = o.name[:draw(st.integers(3, len(o.name) - 1))] if form == 0 else o.name
+        good, bad = _values(o)
+        value = draw(st.sampled_from(bad if form == 1 else good))
+        if o.type is bool:
+            argv += [name] if form > 2 else [name, value] if form == 2 else [name + "=" + value]
+        elif form == 2:
+            argv.append(name + "=" + value)
+        else:
+            argv += [name, value]
+    if not draw(st.integers(0, 9)):
+        stray = draw(st.sampled_from(["--", "-h", "--help", "extra", "-x", "--size", "--root",
+                                      "--restricted", "-1", ""]))
+        argv.insert(draw(st.integers(1, len(argv))), stray)
+    return argv
+
+
+@settings(max_examples=600, deadline=None)
+@given(_command_lines())
+def test_the_two_parsers_agree(argv):
+    """Whenever the small parser reads a command line, argparse reads it too,
+    to the same arguments and command."""
+    fast = cli._parse(argv)
+    if fast is not None:
+        assert vars(cli.build_parser().parse_args(argv)) == vars(fast)

@@ -67,7 +67,7 @@ def test_horocyclic_parabolic_split():
     # parabolic: closed and union with negatives covers everything
     for i in para:
         for j in para:
-            s = la.vadd(R.roots[i], R.roots[j])
+            s = rl.vadd(R.roots[i], R.roots[j])
             if rl.contains_vector(R, s):
                 assert R.root_index(s) in para
     assert {i for i in range(len(R))} == para | {R.negation_map[i] for i in para}
@@ -119,9 +119,9 @@ def test_d4_example_both_diagrams():
     a = [D4.roots[b] for b in ch.basis]
 
     def comb(*pairs):
-        out = la.zero_vec(4)
+        out = rl.zero_vec(4)
         for c, v in pairs:
-            out = la.vadd(out, la.vscale(c, v))
+            out = rl.vadd(out, rl.vscale(c, v))
         return out
 
     th_a = iv.involution_from_images(D4, [comb((1, a[0]), (1, a[1])), rl.vneg(a[1]),
@@ -165,7 +165,7 @@ def test_e6_black_chain_image():
         else:
             img = E6p.roots[b]
             for kk, c in coeffs.items():
-                img = la.vadd(img, la.vscale(c, E6p.roots[basis[kk]]))
+                img = rl.vadd(img, rl.vscale(c, E6p.roots[basis[kk]]))
             images.append(img)
     th = iv.involution_from_images(E6p, images)
     assert dg.is_s_chamber(th, ch)

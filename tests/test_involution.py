@@ -7,6 +7,7 @@ import pytest
 
 from cartanclass import involution as iv, rootsys as rs, weylgroup as wg
 from cartanclass import _linalg as la
+from test_realform import _seeded_conjugate
 import reference_linalg as rl
 
 F = Fraction
@@ -67,13 +68,40 @@ def test_images_of_roots_take_the_integer_path(spec, monkeypatch):
     cases = []
     for perm in perms:
         images = [R.roots[perm[b]] for b in basis]
-        want = R.perm_of_matrix(la.map_from_images([R.roots[b] for b in basis], images))
+        want = R.perm_of_matrix(rl.map_from_images([R.roots[b] for b in basis], images))
         assert want == perm
         cases.append((images, want))
-    for name in ("map_from_images", "solve"):  # no rational solve below
-        monkeypatch.setattr(la, name, None)
+    monkeypatch.setattr(la, "solve", None)  # no rational solve below
     for images, want in cases:
         assert iv.involution_from_images(R, images).perm == want
+
+
+_MATRIX_SPECS = ([rs.RootSystemSpec(f, r) for f, lo in (("A", 1), ("B", 2), ("C", 3), ("D", 4))
+                  for r in range(lo, 9)]
+                 + [rs.RootSystemSpec(f) for f in ("E6", "E7", "E8", "F4", "G2")]
+                 + [rs.RootSystemSpec(f, realization="prime") for f in ("E6", "E7")])
+
+
+@pytest.mark.parametrize("spec", _MATRIX_SPECS, ids=lambda s: s.label)
+def test_integer_matrix_is_the_rational_map_of_the_simple_images(spec):
+    """Involution.matrix, built over det G from the integer roots, is the map
+    of the simple images that map_from_images solves for, and the JSON datum
+    prints its entries as str(Fraction) does: on id, -1, every catalog row
+    (a reflection per simple root where the realization has no catalog) and
+    seeded conjugates given as --images gives them."""
+    R = rs.build(spec)
+    rng = random.Random(spec.label)
+    thetas = [iv.identity_involution(R), iv.antipodal_involution(R)]
+    if spec.realization == "prime" and spec.family == "E7":
+        thetas += [iv.Involution(R, R.reflection_perm(b)) for b in R.canonical_basis]
+    else:
+        thetas += [theta for _, theta in iv.table2_representatives(R)]
+    thetas += [_seeded_conjugate(rng.choice(thetas), rng) for _ in range(3)]
+    basis = R.canonical_basis
+    for theta in thetas:
+        want = rl.map_from_images([R.roots[b] for b in basis], [R.roots[theta(b)] for b in basis])
+        assert theta.matrix == want
+        assert theta.to_json()["matrix"] == [[str(c) for c in row] for row in want]
 
 
 def _rational_from_images(R, imgs):
@@ -82,7 +110,7 @@ def _rational_from_images(R, imgs):
     on the roots.  The permutation, or the message of the first check that
     fails."""
     try:
-        m = la.map_from_images([R.roots[b] for b in R.canonical_basis], imgs)
+        m = rl.map_from_images([R.roots[b] for b in R.canonical_basis], imgs)
     except ValueError as exc:
         return str(exc)
     if not rl.is_orthogonal(m):
@@ -124,17 +152,17 @@ def _image_inputs(R, rng, count):
         imgs = images(word(gens, rng.randint(0, 6)))
         k, c = rng.randrange(len(basis)), rng.randrange(R.dim)
         if rng.random() < 0.5:
-            imgs[k] = la.vscale(rng.choice([-1, 2, F(1, 2)]), imgs[k])
+            imgs[k] = rl.vscale(rng.choice([-1, 2, F(1, 2)]), imgs[k])
         else:
             imgs[k] = imgs[k][:c] + (imgs[k][c] + F(rng.choice([-1, 1]), rng.choice([1, 2, 3])),) \
                 + imgs[k][c + 1:]
         out.append(imgs)
-        v = la.zero_vec(R.dim)
+        v = rl.zero_vec(R.dim)
         while not any(v):
             for b in basis:
-                v = la.vadd(v, la.vscale(rng.randint(-2, 2), R.roots[b]))
+                v = rl.vadd(v, rl.vscale(rng.randint(-2, 2), R.roots[b]))
         d = la.vdot(v, v)
-        out.append([rl.vsub(R.roots[b], la.vscale(2 * la.vdot(R.roots[b], v) / d, v))
+        out.append([rl.vsub(R.roots[b], rl.vscale(2 * la.vdot(R.roots[b], v) / d, v))
                     for b in basis])
     return out
 
@@ -274,13 +302,13 @@ def test_special_table_entries():
         for j in range(1, 5):
             if i == j:
                 continue
-            src = A3.root_index(rl.vsub(la.unit_vec(4, i - 1), la.unit_vec(4, j - 1)))
-            dst = A3.root_index(rl.vsub(la.unit_vec(4, 5 - j - 1), la.unit_vec(4, 5 - i - 1)))
+            src = A3.root_index(rl.vsub(rl.unit_vec(4, i - 1), rl.unit_vec(4, j - 1)))
+            dst = A3.root_index(rl.vsub(rl.unit_vec(4, 5 - j - 1), rl.unit_vec(4, 5 - i - 1)))
             assert eps(src) == dst
     D5 = rs.build("D", 5)
     eps = iv.special_involutions(D5)[1]
-    assert rl.apply_vec(eps, la.unit_vec(5, 4)) == rl.vneg(la.unit_vec(5, 4))
-    assert rl.apply_vec(eps, la.unit_vec(5, 0)) == la.unit_vec(5, 0)
+    assert rl.apply_vec(eps, rl.unit_vec(5, 4)) == rl.vneg(rl.unit_vec(5, 4))
+    assert rl.apply_vec(eps, rl.unit_vec(5, 0)) == rl.unit_vec(5, 0)
 
 
 def _old_special_matrix(R):
@@ -306,7 +334,7 @@ def _old_special_matrix(R):
     cb = R.canonical_basis
     flip = next(p for p in R.diagram_symmetries
                 if p != tuple(range(len(p))) and all(p[p[i]] == i for i in range(len(p))))
-    return la.map_from_images([R.roots[b] for b in cb], [R.roots[cb[i]] for i in flip])
+    return rl.map_from_images([R.roots[b] for b in cb], [R.roots[cb[i]] for i in flip])
 
 
 _SPECIAL_SPECS = [rs.RootSystemSpec("A", r) for r in range(2, 9)] + \

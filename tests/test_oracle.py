@@ -11,6 +11,7 @@ import pytest
 from cartanclass import _linalg as la
 from cartanclass import involution as iv, rootsys as rs, weylgroup as wg
 import reference_classes as rc
+import reference_linalg as rl
 
 SMALL = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("G2", 2)]
 
@@ -27,7 +28,7 @@ def brute_full_group(system: rs.RootSystem) -> list[tuple[int, ...]]:
     def rec(imgs):
         pos = len(imgs)
         if pos == k:
-            m = la.map_from_images([system.roots[b] for b in basis],
+            m = rl.map_from_images([system.roots[b] for b in basis],
                                    [system.roots[i] for i in imgs])
             perm = system.perm_of_matrix(m)
             if perm is not None:

@@ -29,8 +29,8 @@ VERB_MODULES = [
     ("realforms --type E6", _SIGN_DATA),
     # class keys are read on the drawn S-diagrams
     ("cartans --type E6 --label w3", _SIGN_DATA | {"cartanclass.diagram"}),
-    # the JSON datum prints the involution's rational matrix
-    ("cayley --type G2 --label 3", _SIGN_DATA | {"cartanclass._linalg"}),
+    # the JSON datum prints the involution's matrix from integers
+    ("cayley --type G2 --label 3", _SIGN_DATA),
     ("sigma --type F4 --label 7 --restricted --format ascii",
      _SIGN_DATA | {"cartanclass.diagram"}),
     ("verify chevalley --type F4", {"cartanclass.rootsys", "cartanclass.chevalley"}),
@@ -52,10 +52,13 @@ try:
     runpy.run_module("cartanclass.cli", run_name="__main__")
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({"code": code, "dataclasses": "dataclasses" in sys.modules,
-                  "fractions": "fractions" in sys.modules,
+print(json.dumps({"code": code, "stdlib": [m for m in STDLIB if m in sys.modules],
                   "modules": sorted(k for k in sys.modules if k.startswith("cartanclass."))}))
 """
+# standard modules a query should load only when it needs them: argparse, with
+# gettext and locale, only for help, usage errors and the rarer command lines
+_STDLIB = ("argparse", "dataclasses", "fractions", "gettext", "locale")
+_PROBE = _PROBE.replace("STDLIB", repr(_STDLIB))
 
 
 def _python(*args):
@@ -71,9 +74,17 @@ def test_a_query_loads_only_the_layers_its_verb_runs(argv, modules):
     got = _python("-c", _PROBE, *argv.split())
     assert got["code"] == 0
     assert set(got["modules"]) == modules
-    assert not got["dataclasses"]
     # rational vectors come with the layers that do rational algebra or print them
-    assert got["fractions"] == bool(modules & {"cartanclass._linalg", "cartanclass.tables"})
+    fractions = bool(modules & {"cartanclass._linalg", "cartanclass.tables"})
+    assert got["stdlib"] == ["fractions"] * fractions
+
+
+@pytest.mark.parametrize("argv,code", [("sigma --help", 0), ("sigma --type G2 --lab -1", 0),
+                                       ("cayley --type G2 --label 3 --format text", 2)])
+def test_help_errors_and_abbreviations_load_argparse(argv, code):
+    got = _python("-c", _PROBE, *argv.split())
+    assert got["code"] == code
+    assert {"argparse", "gettext", "locale"} <= set(got["stdlib"])
 
 
 # the root systems of the catalog workload's queries: verify dual-vectors, E7 and E8

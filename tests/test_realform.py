@@ -124,10 +124,10 @@ def test_sign_hom_matches_rational_definition(fam, rank):
               + [t for _, t in iv.table2_representatives(R)])
     # small integer combinations of the coweights, halves of them (mostly
     # off the dual lattice), and unit vectors of the ambient space
-    vectors = [la.zero_vec(R.dim)] + list(cw)
-    vectors += [la.vadd(cw[k], cw[(k + 1) % len(cw)]) for k in range(len(cw))]
-    vectors += [la.vscale(F(1, 2), v) for v in vectors[1:4]]
-    vectors += [la.unit_vec(R.dim, k) for k in range(R.dim)]
+    vectors = [rl.zero_vec(R.dim)] + list(cw)
+    vectors += [rl.vadd(cw[k], cw[(k + 1) % len(cw)]) for k in range(len(cw))]
+    vectors += [rl.vscale(F(1, 2), v) for v in vectors[1:4]]
+    vectors += [rl.unit_vec(R.dim, k) for k in range(R.dim)]
     chambers = [R.canonical_chamber()] + [dg.find_s_chamber(t) for t in thetas[1:3]]
     for om in vectors:
         ref = [_ref_sign(R, om, i) for i in range(len(R))]
@@ -656,7 +656,7 @@ def test_f_multiplicative_on_imaginary():
     R = C4
     for i in s.theta.imaginary_set:
         for j in s.theta.imaginary_set:
-            v = la.vadd(R.roots[i], R.roots[j])
+            v = rl.vadd(R.roots[i], R.roots[j])
             if rl.contains_vector(R, v):
                 k = R.root_index(v)
                 assert s.f[k] == s.f[i] * s.f[j]

@@ -68,9 +68,9 @@ def _reference_one_star_basis(R, sigma, comp):
     def solve_in_span(cond_roots, values):
         cols = [tuple(la.vdot(R.roots[c], sc) for c in cond_roots) for sc in span_cols]
         sol = la.solve(cols, values)
-        out = la.zero_vec(R.dim)
+        out = rl.zero_vec(R.dim)
         for c, v in zip(sol, span_cols):
-            out = la.vadd(out, la.vscale(c, v))
+            out = rl.vadd(out, rl.vscale(c, v))
         return out
 
     h0 = solve_in_span(comp, [int(b in sigma.noncompact_set) for b in comp])
@@ -84,7 +84,7 @@ def _reference_one_star_basis(R, sigma, comp):
         coweight = solve_in_span(basis, [int(b == pick) for b in basis])
         if coweight == h0:
             return basis
-        h0 = rl.vsub(h0, la.vscale(2, coweight))
+        h0 = rl.vsub(h0, rl.vscale(2, coweight))
 
 
 def _outcome(f, *args):

@@ -73,19 +73,19 @@ def _reference_s_chamber(theta):
         return R.canonical_chamber(), coweight_sum(R)
     coweights = fundamental_coweights(R)
     for scale in range(1, 65):
-        h = la.zero_vec(R.dim)
+        h = rl.zero_vec(R.dim)
         for j, w in enumerate(coweights):
-            h = la.vadd(h, la.vscale(Fraction(scale) ** j, w))
+            h = rl.vadd(h, rl.vscale(Fraction(scale) ** j, w))
         if not rl.is_regular(R, h):
             continue
         th = la.mat_vec(theta.matrix, h)
-        hplus = la.vscale(Fraction(1, 2), la.vadd(h, th))
-        hminus = la.vscale(Fraction(1, 2), rl.vsub(h, th))
+        hplus = rl.vscale(Fraction(1, 2), rl.vadd(h, th))
+        hminus = rl.vscale(Fraction(1, 2), rl.vsub(h, th))
         if any(la.vdot(R.roots[i], hplus) == 0 for i in movers):
             continue
         maxb = max(abs(la.vdot(r, hminus)) for r in R.roots)
         mina = min(abs(la.vdot(R.roots[i], hplus)) for i in movers)
-        w = la.vadd(la.vscale(1 + (maxb / mina).__ceil__(), hplus), hminus)
+        w = rl.vadd(rl.vscale(1 + (maxb / mina).__ceil__(), hplus), hminus)
         return R.chamber_from_witness(w), w
     raise AssertionError("no witness")
 
@@ -105,7 +105,7 @@ def test_s_chamber_matches_rational_witness(spec):
 
 def _matrix_perm(R, images):
     src = [R.roots[b] for b in R.canonical_basis]
-    return R.perm_of_matrix(la.map_from_images(src, [R.roots[j] for j in images]))
+    return R.perm_of_matrix(rl.map_from_images(src, [R.roots[j] for j in images]))
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label)
@@ -129,7 +129,7 @@ def test_simple_images_match_matrix(spec):
 def _padded_map(U, blocks):
     """The ambient matrix acting by the given (offset, matrix) blocks and as
     the identity elsewhere."""
-    rows = [list(la.unit_vec(U.dim, i)) for i in range(U.dim)]
+    rows = [list(rl.unit_vec(U.dim, i)) for i in range(U.dim)]
     for (lo, hi), m in blocks:
         for i in range(lo, hi):
             rows[i][lo:hi] = m[i - lo]
@@ -144,7 +144,9 @@ def test_union_generators_match_matrices(factors):
     want = [U.reflection_perm(b) for b in U.canonical_basis]
     for blk, sl in zip(U.factors, U.block_slices):
         for p in wg.diagram_automorphisms(blk):
-            want.append(U.perm_of_matrix(_padded_map(U, [(sl, blk.matrix_of_perm(p))])))
+            rows, d = blk.matrix_of_perm(p)
+            m = [[Fraction(x, d) for x in row] for row in rows]
+            want.append(U.perm_of_matrix(_padded_map(U, [(sl, m)])))
     for bi in range(len(U.factors)):
         for bj in range(bi + 1, len(U.factors)):
             if U.factors[bi].spec == U.factors[bj].spec:
@@ -152,7 +154,7 @@ def test_union_generators_match_matrices(factors):
                 swap = list(range(U.dim))
                 swap[lo1:hi1], swap[lo2:hi2] = swap[lo2:hi2], swap[lo1:hi1]
                 want.append(U.perm_of_matrix(
-                    tuple(la.unit_vec(U.dim, swap[i]) for i in range(U.dim))))
+                    tuple(rl.unit_vec(U.dim, swap[i]) for i in range(U.dim))))
     assert None not in want
     assert wg.full_aut_group(U).generators == want
 
@@ -239,7 +241,7 @@ def test_perm_of_reflections_matches_rational_on_random_vectors(spec):
     assert dropped >= 8
     for _ in range(6):
         a, b = rng.randrange(len(R)), rng.randrange(len(R))
-        vecs = [la.vscale(Fraction(rng.randint(1, 5), rng.randint(1, 5)), R.roots[a]), R.roots[b]]
+        vecs = [rl.vscale(Fraction(rng.randint(1, 5), rng.randint(1, 5)), R.roots[a]), R.roots[b]]
         kept += _same_reflection_perm(R, vecs) is not None
     assert kept == 6
 
@@ -248,7 +250,7 @@ def test_perm_of_reflections_matches_rational_on_random_vectors(spec):
                          ids=lambda s: s.label)
 def test_perm_of_reflections_rejects_zero_and_short_vectors(spec):
     R = rs.build(spec)
-    zero, root = la.zero_vec(R.dim), R.roots[0]
+    zero, root = rl.zero_vec(R.dim), R.roots[0]
     for fn in (R.perm_of_reflections, lambda v: _rational_perm_of_reflections(R, v)):
         with pytest.raises(ValueError):
             fn([root[:-1]])

@@ -27,7 +27,7 @@ def fundamental_coweights(R):
     by a rational solve per simple root."""
     basis_vecs = [R.roots[b] for b in R.canonical_basis]
     cols = [tuple(bv[m] for bv in basis_vecs) for m in range(R.dim)]
-    out = tuple(la.solve(cols, la.unit_vec(len(basis_vecs), j)) for j in range(len(basis_vecs)))
+    out = tuple(la.solve(cols, rl.unit_vec(len(basis_vecs), j)) for j in range(len(basis_vecs)))
     assert None not in out
     return out
 
@@ -43,7 +43,7 @@ def pairing_vec(xi, eta):
 def reflect_vec(xi, alpha):
     """The reflection of the vector xi across alpha in Fraction arithmetic:
     the rational reference for the reflection permutations."""
-    return rl.vsub(xi, la.vscale(pairing_vec(xi, alpha), alpha))
+    return rl.vsub(xi, rl.vscale(pairing_vec(xi, alpha), alpha))
 
 
 def witness(R, ch):
@@ -54,7 +54,7 @@ def witness(R, ch):
 
 def coweight_sum(R):
     """The regular vector pairing to 1 with every canonical simple root."""
-    return functools.reduce(la.vadd, fundamental_coweights(R), la.zero_vec(R.dim))
+    return functools.reduce(rl.vadd, fundamental_coweights(R), rl.zero_vec(R.dim))
 
 
 COUNTS = {
@@ -160,9 +160,9 @@ def test_coords_round_trip():
         ch = R.canonical_chamber()
         for i in range(len(R)):
             cs = ch.coords(i)
-            acc = la.zero_vec(R.dim)
+            acc = rl.zero_vec(R.dim)
             for c, b in zip(cs, ch.basis):
-                acc = la.vadd(acc, la.vscale(c, R.roots[b]))
+                acc = rl.vadd(acc, rl.vscale(c, R.roots[b]))
             assert acc == R.roots[i]
             assert all(c >= 0 for c in cs) or all(c <= 0 for c in cs)
 
@@ -489,11 +489,11 @@ def test_a_realization_not_closed_under_negation_is_an_internal_error(monkeypatc
 
 def _unit(i, n):
     """e_i, the i-th unit vector of Q^n numbered from 1, as the catalogs write it."""
-    return la.unit_vec(n, i - 1)
+    return rl.unit_vec(n, i - 1)
 
 
 def _reference_standard_max_sos(system):
-    e, add, sub = _unit, la.vadd, rl.vsub
+    e, add, sub = _unit, rl.vadd, rl.vsub
     fam, rank, n = system.spec.family, system.rank, system.dim
     if fam == "A":
         vecs = [sub(e(2 * i - 1, n), e(2 * i, n)) for i in range(1, (rank + 1) // 2 + 1)]
@@ -505,9 +505,9 @@ def _reference_standard_max_sos(system):
     elif fam == "C":
         r1 = rank // 2 if rank % 2 == 0 else (rank - 1) // 2
         vecs = [add(e(2 * i - 1, n), e(2 * i, n)) for i in range(1, r1 + 1)]
-        vecs += [la.vscale(2, e(2 * r1 + i, n)) for i in range(1, rank - 2 * r1 + 1)]
+        vecs += [rl.vscale(2, e(2 * r1 + i, n)) for i in range(1, rank - 2 * r1 + 1)]
     elif fam == "G2":
-        vecs = [sub(e(1, n), e(2, n)), sub(add(e(1, n), e(2, n)), la.vscale(2, e(3, n)))]
+        vecs = [sub(e(1, n), e(2, n)), sub(add(e(1, n), e(2, n)), rl.vscale(2, e(3, n)))]
     else:
         pairs = {"E6": 2, "F4": 2, "E7": 3, "E8": 4}[fam]
         vecs = [f(e(2 * i - 1, n), e(2 * i, n)) for i in range(1, pairs + 1) for f in (sub, add)]
@@ -522,11 +522,11 @@ def _reference_dual_vector(system):
         return tuple(F(1, 2) for _ in range(n))
     h = {"A": (rank + 1) // 2, "B": (rank + 1) // 2, "D": rank // 2, "E6": 2, "F4": 2,
          "E7": 4, "E8": 4, "G2": 1}[fam]
-    out = la.zero_vec(n)
+    out = rl.zero_vec(n)
     for i in range(1, h + 1):
-        out = la.vadd(out, _unit(2 * i - 1, n))
+        out = rl.vadd(out, _unit(2 * i - 1, n))
     if fam == "A":
-        out = rl.vsub(out, la.vscale(F(h, rank + 1), tuple(la.ONE for _ in range(n))))
+        out = rl.vsub(out, rl.vscale(F(h, rank + 1), tuple(la.ONE for _ in range(n))))
     return out
 
 
@@ -545,5 +545,5 @@ def test_dual_vector_table_matches_the_rational_reference():
     assert rows == want
     assert all(type(x) is F for _, _, omega, _ in rows for x in omega)
     C4 = rs.build("C", 4)
-    assert tables.compact_chain_sos(C4) == [C4.root_index(la.vscale(2, _unit(i, 4)))
+    assert tables.compact_chain_sos(C4) == [C4.root_index(rl.vscale(2, _unit(i, 4)))
                                             for i in range(1, 5)]
